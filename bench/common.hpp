@@ -17,6 +17,8 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "perf/ts_model.hpp"
+#include "robust/error.hpp"
+#include "robust/parse.hpp"
 #include "support/thread_pool.hpp"
 #include "timing/sta.hpp"
 #include "workloads/generator.hpp"
@@ -52,21 +54,31 @@ struct RunScale {
   std::string only;         ///< restrict to one benchmark (CI smoke runs)
 };
 
+/// Numeric flags go through robust::parse_*: "--scale=abc" or "--runs=-1"
+/// prints a typed [input] error and exits 3 instead of crashing.
 inline RunScale parse_scale(int argc, char** argv) {
   RunScale rs;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--scale=", 0) == 0) rs.scale = std::stod(a.substr(8));
-    if (a.rfind("--runs=", 0) == 0) rs.runs = static_cast<std::size_t>(std::stoul(a.substr(7)));
-    if (a.rfind("--threads=", 0) == 0) {
-      support::set_global_threads(static_cast<std::size_t>(std::stoul(a.substr(10))));
-    } else if (a == "--threads" && i + 1 < argc) {
-      support::set_global_threads(static_cast<std::size_t>(std::stoul(argv[i + 1])));
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      if (a.rfind("--scale=", 0) == 0) rs.scale = robust::parse_double_arg("--scale", a.substr(8));
+      if (a.rfind("--runs=", 0) == 0)
+        rs.runs = static_cast<std::size_t>(robust::parse_uint_arg("--runs", a.substr(7)));
+      if (a.rfind("--threads=", 0) == 0) {
+        support::set_global_threads(
+            static_cast<std::size_t>(robust::parse_uint_arg("--threads", a.substr(10))));
+      } else if (a == "--threads" && i + 1 < argc) {
+        support::set_global_threads(
+            static_cast<std::size_t>(robust::parse_uint_arg("--threads", argv[i + 1])));
+      }
+      if (a.rfind("--cache-dir=", 0) == 0) rs.cache_dir = a.substr(12);
+      if (a == "--cache-dir" && i + 1 < argc) rs.cache_dir = argv[i + 1];
+      if (a.rfind("--only=", 0) == 0) rs.only = a.substr(7);
+      if (a == "--only" && i + 1 < argc) rs.only = argv[i + 1];
     }
-    if (a.rfind("--cache-dir=", 0) == 0) rs.cache_dir = a.substr(12);
-    if (a == "--cache-dir" && i + 1 < argc) rs.cache_dir = argv[i + 1];
-    if (a.rfind("--only=", 0) == 0) rs.only = a.substr(7);
-    if (a == "--only" && i + 1 < argc) rs.only = argv[i + 1];
+  } catch (const robust::Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(robust::exit_code_for(e.category()));
   }
   rs.threads = support::global_pool().size();
   return rs;

@@ -32,7 +32,7 @@ DtsGaussian dts_min(const DtsGaussian& a, const DtsGaussian& b) {
   return out;
 }
 
-DtsGaussian statistical_path_min(const std::vector<PathStat>& paths,
+DtsGaussian statistical_path_min(std::span<const PathStat* const> paths,
                                  const timing::VariationModel& vm,
                                  const timing::TimingSpec& spec, const DtsConfig& config) {
   TE_REQUIRE(!paths.empty(), "statistical_path_min over an empty AP set");
@@ -44,7 +44,7 @@ DtsGaussian statistical_path_min(const std::vector<PathStat>& paths,
   std::size_t dominant = 0;
   std::vector<Gaussian> slacks(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    slacks[i] = paths[i].slack(spec);
+    slacks[i] = paths[i]->slack(spec);
     if (slacks[i].mean < best_mean) {
       best_mean = slacks[i].mean;
       dominant = i;
@@ -64,8 +64,8 @@ DtsGaussian statistical_path_min(const std::vector<PathStat>& paths,
   std::vector<double> cov(keep.size() * keep.size());
   for (std::size_t u = 0; u < keep.size(); ++u) {
     for (std::size_t v = u; v < keep.size(); ++v) {
-      const double c = u == v ? paths[keep[u]].variance()
-                              : timing::path_cov(paths[keep[u]], paths[keep[v]], vm);
+      const double c = u == v ? paths[keep[u]]->variance()
+                              : timing::path_cov(*paths[keep[u]], *paths[keep[v]], vm);
       cov[u * keep.size() + v] = c;
       cov[v * keep.size() + u] = c;
     }
@@ -74,7 +74,7 @@ DtsGaussian statistical_path_min(const std::vector<PathStat>& paths,
   out.slack = stat::statistical_min(vars, cov, config.ordering);
   // Global loading of the result: approximate with the dominant (minimum
   // mean slack) path's loading, clipped to the result spread.
-  out.global_loading = std::min(paths[dominant].g_loading, out.slack.sd);
+  out.global_loading = std::min(paths[dominant]->g_loading, out.slack.sd);
   return out;
 }
 
@@ -139,6 +139,8 @@ DtsAnalyzer::EndpointCache& DtsAnalyzer::endpoint_cache(GateId endpoint) {
     return c.stats[a].mean - z * std::sqrt(c.stats[a].variance()) >
            c.stats[b].mean - z * std::sqrt(c.stats[b].variance());
   });
+  c.rank_low.resize(c.built);
+  for (std::size_t r = 0; r < c.built; ++r) c.rank_low[c.order_low[r]] = r;
   return c;
 }
 
@@ -153,34 +155,38 @@ std::vector<DtsAnalyzer::EndpointPath> DtsAnalyzer::endpoint_path_stats(GateId e
   return out;
 }
 
-std::optional<PathStat> DtsAnalyzer::endpoint_critical_activated(GateId endpoint,
-                                                                 CycleActivation& cycle) {
+DtsAnalyzer::EndpointAp DtsAnalyzer::endpoint_critical_activated(GateId endpoint,
+                                                                  CycleActivation& cycle) {
   const auto& flags = cycle.flags();
   const GateId d = nl_.gate(endpoint).fanin[0];
   // Fast reject: if the endpoint's data input did not toggle, no activated
   // path ends here and the endpoint cannot capture a wrong value.
-  if (flags[d] == 0) return std::nullopt;
+  if (flags[d] == 0) return {};
 
   const EndpointCache& cache = endpoint_cache(endpoint);
   const auto& candidates = paths_->top_paths(endpoint, config_.top_k);
 
-  auto is_activated = [&](const TimingPath& p) {
-    for (GateId g : p.gates) {
-      if (flags[g] == 0) return false;
-    }
-    return true;
+  auto is_activated = [&](std::size_t i) {
+    const auto& gates = candidates[i].gates;
+    return std::all_of(gates.begin(), gates.end(), [&](GateId g) { return flags[g] != 0; });
   };
-
+  // The first activated candidate in each ordering.  The low scan settles
+  // every candidate it passes, so the high scan only re-checks candidates
+  // ranked after the low hit.
   std::ptrdiff_t found_low = -1;
-  std::ptrdiff_t found_high = -1;
-  for (std::size_t i : cache.order_low) {
-    if (is_activated(candidates[i])) {
-      found_low = static_cast<std::ptrdiff_t>(i);
+  std::size_t low_rank = cache.order_low.size();
+  for (std::size_t r = 0; r < cache.order_low.size(); ++r) {
+    if (is_activated(cache.order_low[r])) {
+      found_low = static_cast<std::ptrdiff_t>(cache.order_low[r]);
+      low_rank = r;
       break;
     }
   }
+  std::ptrdiff_t found_high = -1;
   for (std::size_t i : cache.order_high) {
-    if (is_activated(candidates[i])) {
+    const std::size_t r = cache.rank_low[i];
+    if (r < low_rank) continue;  // checked by the low scan: not activated
+    if (r == low_rank || is_activated(i)) {
       found_high = static_cast<std::ptrdiff_t>(i);
       break;
     }
@@ -189,87 +195,78 @@ std::optional<PathStat> DtsAnalyzer::endpoint_critical_activated(GateId endpoint
   // Exact DP over the activated subgraph: needed as fallback when the
   // capped candidate list contains no activated path, and as insurance
   // when the list's guard tripped before the true activated critical path.
-  const auto& act_arr = cycle.arrivals();
-  const double dp_arrival = act_arr[d];
+  const std::vector<double>& arrivals = cycle.arrivals();
+  const double dp_arrival = arrivals[d];
   TE_CHECK(dp_arrival > -std::numeric_limits<double>::infinity(),
            "D input activated but no activated path found by DP");
 
-  std::vector<PathStat> ap;
+  EndpointAp ap;
   double best_found_delay = -std::numeric_limits<double>::infinity();
   if (found_low >= 0) {
-    ap.push_back(cache.stats[static_cast<std::size_t>(found_low)]);
-    best_found_delay =
-        std::max(best_found_delay, cache.stats[static_cast<std::size_t>(found_low)].mean);
+    ap.paths[ap.count++] = &cache.stats[static_cast<std::size_t>(found_low)];
+    best_found_delay = ap.paths[0]->mean;
   }
   if (found_high >= 0 && found_high != found_low)
-    ap.push_back(cache.stats[static_cast<std::size_t>(found_high)]);
+    ap.paths[ap.count++] = &cache.stats[static_cast<std::size_t>(found_high)];
+  if (ap.count == 0 || dp_arrival > best_found_delay + 1e-6)
+    ap.paths[ap.count++] = &dp_path_stat(endpoint, arrivals);
 
-  if (ap.empty() || dp_arrival > best_found_delay + 1e-6) {
-    // Reconstruct the DP's maximising activated path (memoised: activated
-    // carry chains recur across cycles).
-    GateId g = d;
-    std::vector<GateId> rev;
-    std::uint64_t h = 0xCBF29CE484222325ull ^ endpoint;
-    for (;;) {
-      rev.push_back(g);
-      h = (h ^ g) * 0x100000001B3ull;
-      const netlist::Gate& gate = nl_.gate(g);
-      if (!netlist::info(gate.kind).combinational) break;
-      GateId best = netlist::kNoGate;
-      double best_arr = -std::numeric_limits<double>::infinity();
-      for (int s = 0; s < gate.arity(); ++s) {
-        const GateId f = gate.fanin[static_cast<std::size_t>(s)];
-        if (act_arr[f] > best_arr) {
-          best_arr = act_arr[f];
-          best = f;
-        }
-      }
-      TE_CHECK(best != netlist::kNoGate, "activated DP chain broke during backtrack");
-      g = best;
-    }
-    static obs::Counter& dp_fallbacks =
-        obs::MetricsRegistry::instance().counter("dta.dp_fallbacks");
-    dp_fallbacks.increment();
-    TimingPath p;
-    p.endpoint = endpoint;
-    p.gates.assign(rev.rbegin(), rev.rend());
-    p.delay_ps = dp_arrival;
-    auto it = dp_cache_.find(h);
-    if (it == dp_cache_.end() || it->second.gates != p.gates) {
-      // Miss, or a hash collision (different gate sequence behind the same
-      // FNV key): (re)compute and store the verified entry.
-      if (it != dp_cache_.end()) {
-        static obs::Counter& collisions =
-            obs::MetricsRegistry::instance().counter("dta.dp_cache_collisions");
-        collisions.increment();
-      }
-      DpEntry entry;
-      entry.gates = p.gates;
-      entry.stat = timing::path_stat(p, vm_);
-      it = dp_cache_.insert_or_assign(h, std::move(entry)).first;
-    }
-    ap.push_back(it->second.stat);
-  }
+  // The nominal-worst path represents the endpoint; the caller appends the
+  // others after every endpoint's representative.
+  const auto worst = std::max_element(ap.paths.begin(), ap.paths.begin() + ap.count,
+                                      [](const PathStat* a, const PathStat* b) {
+                                        return a->mean < b->mean;
+                                      });
+  std::rotate(ap.paths.begin(), worst, worst + 1);
+  return ap;
+}
 
-  // Reduce this endpoint's contributions to a single most-critical stat?
-  // No: return them all; the caller accumulates AP across endpoints.  To
-  // keep the interface simple we fold them here with the statistical min
-  // when there are several.
-  if (ap.size() == 1) return ap[0];
-  // Keep the path with minimum mean slack as representative but widen to
-  // the statistical min by folding the others in at the caller level is
-  // equivalent; to stay faithful we return the nominal-worst path and rely
-  // on the caller's AP union already containing near-duplicates.
-  std::size_t worst = 0;
-  for (std::size_t i = 1; i < ap.size(); ++i) {
-    if (ap[i].mean > ap[worst].mean) worst = i;
+const PathStat& DtsAnalyzer::dp_path_stat(GateId endpoint, const std::vector<double>& arrivals) {
+  // Walk the DP's maximising activated path back from the endpoint's D
+  // input over the compiled program, hashing it for the memo.  The
+  // endpoint is multiplied in before the first gate so that endpoints
+  // with equal endpoint ^ D input do not share keys.
+  const std::vector<netlist::ProgramGate>& program = nl_.program();
+  const GateId d = nl_.gate(endpoint).fanin[0];
+  backtrack_.clear();
+  std::uint64_t h = (0xCBF29CE484222325ull ^ endpoint) * 0x100000001B3ull;
+  for (GateId g = d;;) {
+    backtrack_.push_back(g);
+    h = (h ^ g) * 0x100000001B3ull;
+    const GateId at = nl_.program_index(g);
+    if (at == netlist::kNoGate) break;  // reached the launching endpoint
+    const netlist::ProgramGate& pg = program[at];
+    GateId best = netlist::kNoGate;
+    double best_arr = -std::numeric_limits<double>::infinity();
+    for (std::size_t s = 0; s < pg.arity; ++s) {
+      const GateId f = pg.fanin[s];
+      if (arrivals[f] > best_arr) {
+        best_arr = arrivals[f];
+        best = f;
+      }
+    }
+    TE_CHECK(best != netlist::kNoGate, "activated DP chain broke during backtrack");
+    g = best;
   }
-  // Also merge the alternates into the caller's AP through last_ap_ later:
-  // the caller re-collects all of them via collect_ap_.
-  for (std::size_t i = 0; i < ap.size(); ++i) {
-    if (i != worst) pending_alternates_.push_back(ap[i]);
+  static obs::Counter& dp_fallbacks = obs::MetricsRegistry::instance().counter("dta.dp_fallbacks");
+  dp_fallbacks.increment();
+  const auto [it, inserted] = dp_cache_.try_emplace(h);
+  if (!inserted && it->second.gates == backtrack_) return it->second.stat;
+  TimingPath p;
+  p.endpoint = endpoint;
+  p.gates.assign(backtrack_.rbegin(), backtrack_.rend());
+  p.delay_ps = arrivals[d];
+  if (inserted) {
+    it->second.gates = backtrack_;
+    it->second.stat = timing::path_stat(p, vm_);
+    return it->second.stat;
   }
-  return ap[worst];
+  // A different gate sequence behind the same key: the cached entry stays,
+  // since the AP set may point at it.
+  static obs::Counter& collisions =
+      obs::MetricsRegistry::instance().counter("dta.dp_cache_collisions");
+  collisions.increment();
+  return dp_collided_.emplace_back(timing::path_stat(p, vm_));
 }
 
 std::optional<DtsGaussian> DtsAnalyzer::stage_dts(std::uint8_t stage, CycleActivation& cycle,
@@ -277,27 +274,22 @@ std::optional<DtsGaussian> DtsAnalyzer::stage_dts(std::uint8_t stage, CycleActiv
   TE_REQUIRE(stage < nl_.stage_count(), "stage out of range");
   static obs::Counter& queries = obs::MetricsRegistry::instance().counter("dta.stage_dts_queries");
   queries.increment();
-  last_ap_.clear();
-  pending_alternates_.clear();
+  dp_collided_.clear();
+  // AP order: each endpoint's representative in endpoint order, then every
+  // alternate.  statistical_path_min breaks ties by position, so the order
+  // is part of the result.
+  std::vector<const PathStat*> ap;
+  std::vector<const PathStat*> alternates;
   for (GateId e : nl_.stage_endpoints(stage)) {
     if (cls != EndpointClass::kNone && nl_.gate(e).endpoint_class != cls) continue;
-    auto st = endpoint_critical_activated(e, cycle);
-    if (st.has_value()) last_ap_.push_back(std::move(*st));
+    const EndpointAp found = endpoint_critical_activated(e, cycle);
+    if (found.count == 0) continue;
+    ap.push_back(found.paths[0]);
+    alternates.insert(alternates.end(), found.paths.begin() + 1,
+                      found.paths.begin() + found.count);
   }
-  for (auto& alt : pending_alternates_) last_ap_.push_back(std::move(alt));
-  pending_alternates_.clear();
-  if (last_ap_.empty()) return std::nullopt;
-  return statistical_path_min(last_ap_, vm_, spec_, config_);
-}
-
-std::optional<DtsGaussian> DtsAnalyzer::endpoint_dts(GateId endpoint, CycleActivation& cycle) {
-  pending_alternates_.clear();
-  auto st = endpoint_critical_activated(endpoint, cycle);
-  if (!st.has_value()) return std::nullopt;
-  std::vector<PathStat> ap;
-  ap.push_back(std::move(*st));
-  for (auto& alt : pending_alternates_) ap.push_back(std::move(alt));
-  pending_alternates_.clear();
+  ap.insert(ap.end(), alternates.begin(), alternates.end());
+  if (ap.empty()) return std::nullopt;
   return statistical_path_min(ap, vm_, spec_, config_);
 }
 

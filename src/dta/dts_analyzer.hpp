@@ -23,10 +23,13 @@
 //    correlation.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -103,10 +106,6 @@ class DtsAnalyzer {
   [[nodiscard]] std::optional<DtsGaussian> stage_dts(std::uint8_t stage, CycleActivation& cycle,
                                                      netlist::EndpointClass cls);
 
-  /// DTS of a single endpoint for the cycle.
-  [[nodiscard]] std::optional<DtsGaussian> endpoint_dts(netlist::GateId endpoint,
-                                                        CycleActivation& cycle);
-
   /// Deterministic DTS (no process variation): slack of the longest
   /// activated path ending in the stage, on nominal or chip delays.
   /// Used for Monte-Carlo validation.
@@ -118,10 +117,6 @@ class DtsAnalyzer {
   void set_spec(timing::TimingSpec spec) { spec_ = spec; }
   [[nodiscard]] const DtsConfig& config() const { return config_; }
   [[nodiscard]] timing::PathEnumerator& paths() { return *paths_; }
-
-  /// Collected activated critical paths (AP set) of the last stage_dts
-  /// call, for inspection and for Algorithm 2's cross-stage minimum.
-  [[nodiscard]] const std::vector<timing::PathStat>& last_ap() const { return last_ap_; }
 
   /// The endpoint's enumerated candidate paths paired with their SSTA
   /// statistics, in enumeration (non-increasing nominal delay) order,
@@ -145,10 +140,21 @@ class DtsAnalyzer {
     std::vector<timing::PathStat> stats;
     std::vector<std::size_t> order_low;   ///< by worst-case slack
     std::vector<std::size_t> order_high;  ///< by best-case slack
+    std::vector<std::size_t> rank_low;    ///< candidate -> position in order_low
   };
 
-  std::optional<timing::PathStat> endpoint_critical_activated(netlist::GateId endpoint,
-                                                              CycleActivation& cycle);
+  /// One endpoint's share of a stage's activated-path (AP) set: its
+  /// representative (the nominal-worst path) first, then the other
+  /// activated paths found.  The pointers stay valid until the current
+  /// stage_dts call returns.
+  struct EndpointAp {
+    std::array<const timing::PathStat*, 3> paths{};
+    std::size_t count = 0;
+  };
+  EndpointAp endpoint_critical_activated(netlist::GateId endpoint, CycleActivation& cycle);
+  /// Statistics of the DP's most critical activated path into `endpoint`.
+  const timing::PathStat& dp_path_stat(netlist::GateId endpoint,
+                                       const std::vector<double>& arrivals);
   EndpointCache& endpoint_cache(netlist::GateId endpoint);
 
   const netlist::Netlist& nl_;
@@ -157,23 +163,25 @@ class DtsAnalyzer {
   DtsConfig config_;
   std::unique_ptr<timing::PathEnumerator> owned_paths_;  ///< null when borrowing
   timing::PathEnumerator* paths_;
-  std::vector<timing::PathStat> last_ap_;
-  std::vector<timing::PathStat> pending_alternates_;
   std::unordered_map<netlist::GateId, EndpointCache> cache_;
   /// DP-fallback path statistics keyed by the FNV hash of (endpoint, gate
   /// sequence): activated carry chains recur across cycles.  The entry
   /// stores the gates so a hash collision is detected instead of silently
   /// returning the wrong path's statistics.
   struct DpEntry {
-    std::vector<netlist::GateId> gates;  ///< source -> endpoint-D order
+    std::vector<netlist::GateId> gates;  ///< endpoint-D -> source order
     timing::PathStat stat;
   };
   std::unordered_map<std::uint64_t, DpEntry> dp_cache_;
+  /// Paths whose key collided with a different cached path, computed for
+  /// the current stage_dts call only (the AP set points at them).
+  std::deque<timing::PathStat> dp_collided_;
+  std::vector<netlist::GateId> backtrack_;  ///< dp_path_stat's reused path buffer
 };
 
 /// Statistical minimum over a set of path slacks with full covariance;
 /// exposed for Algorithm 2 (minimum over stages) and tests.
-DtsGaussian statistical_path_min(const std::vector<timing::PathStat>& paths,
+DtsGaussian statistical_path_min(std::span<const timing::PathStat* const> paths,
                                  const timing::VariationModel& vm,
                                  const timing::TimingSpec& spec, const DtsConfig& config);
 

@@ -5,6 +5,22 @@
 #include "support/check.hpp"
 
 namespace terrors::netlist {
+namespace {
+
+/// The gate's function as a truth table indexed by (a | b << 1 | c << 2);
+/// bits of unused fanins do not affect the output.
+std::uint8_t truth_table(GateKind kind) {
+  const auto arity = static_cast<std::size_t>(info(kind).arity);
+  std::uint8_t table = 0;
+  for (unsigned row = 0; row < 8; ++row) {
+    const std::array<bool, 3> in = {(row & 1u) != 0, (row & 2u) != 0, (row & 4u) != 0};
+    if (eval_gate(kind, std::span<const bool>(in.data(), arity)))
+      table = static_cast<std::uint8_t>(table | (1u << row));
+  }
+  return table;
+}
+
+}  // namespace
 
 GateId Netlist::add(GateKind kind, std::array<GateId, 3> fanin, std::uint8_t stage) {
   TE_REQUIRE(!finalized_, "cannot add gates after finalize()");
@@ -55,6 +71,7 @@ void Netlist::finalize(std::uint8_t stage_count) {
   stage_count_ = stage_count;
 
   inputs_.clear();
+  constants_.clear();
   dffs_.clear();
   outputs_.clear();
   fanouts_.assign(gates_.size(), {});
@@ -72,6 +89,10 @@ void Netlist::finalize(std::uint8_t stage_count) {
     switch (g.kind) {
       case GateKind::kInput:
         inputs_.push_back(id);
+        break;
+      case GateKind::kConst0:
+      case GateKind::kConst1:
+        constants_.push_back(id);
         break;
       case GateKind::kDff:
         dffs_.push_back(id);
@@ -119,12 +140,33 @@ void Netlist::finalize(std::uint8_t stage_count) {
     }
   }
   TE_REQUIRE(topo_.size() == comb_total, "combinational cycle detected");
+
+  program_.clear();
+  program_.reserve(topo_.size());
+  program_index_.assign(gates_.size(), kNoGate);
+  for (GateId id : topo_) {
+    const Gate& g = gates_[id];
+    ProgramGate pg;
+    pg.out = id;
+    pg.fanin.fill(zero_slot());
+    std::copy_n(g.fanin.begin(), g.arity(), pg.fanin.begin());
+    pg.delay_ps = g.delay_ps;
+    pg.truth = truth_table(g.kind);
+    pg.arity = static_cast<std::uint8_t>(g.arity());
+    program_index_[id] = static_cast<GateId>(program_.size());
+    program_.push_back(pg);
+  }
   finalized_ = true;
 }
 
 const std::vector<GateId>& Netlist::topo_order() const {
   TE_REQUIRE(finalized_, "netlist not finalized");
   return topo_;
+}
+
+const std::vector<ProgramGate>& Netlist::program() const {
+  TE_REQUIRE(finalized_, "netlist not finalized");
+  return program_;
 }
 
 const std::vector<GateId>& Netlist::stage_endpoints(std::uint8_t s) const {

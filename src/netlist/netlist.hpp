@@ -40,6 +40,20 @@ struct Gate {
   }
 };
 
+/// One combinational gate compiled for evaluation.  Netlist::program()
+/// lists them in topological order, so simulation and the activated-arrival
+/// DP walk one flat array instead of Gate structs and info() lookups.
+struct ProgramGate {
+  GateId out = kNoGate;
+  /// Fanin ids; slots past the arity hold Netlist::zero_slot().
+  std::array<GateId, 3> fanin = {kNoGate, kNoGate, kNoGate};
+  float delay_ps = 0.0f;  ///< the gate's nominal delay at finalize()
+  /// Output for fanin values (a, b, c) is bit (a | b << 1 | c << 2),
+  /// tabulated from eval_gate.
+  std::uint8_t truth = 0;
+  std::uint8_t arity = 0;
+};
+
 /// A gate-level netlist with pipeline-stage and placement annotations.
 class Netlist {
  public:
@@ -67,7 +81,18 @@ class Netlist {
   [[nodiscard]] std::uint8_t stage_count() const { return stage_count_; }
   /// Combinational gates in evaluation order.
   [[nodiscard]] const std::vector<GateId>& topo_order() const;
+  /// topo_order() compiled into ProgramGates.  Built by finalize(), so it
+  /// does not see gate delays edited afterwards.
+  [[nodiscard]] const std::vector<ProgramGate>& program() const;
+  /// Position of a gate in program(), or kNoGate for the non-combinational
+  /// gates (inputs, constants, DFFs, outputs).
+  [[nodiscard]] GateId program_index(GateId id) const { return program_index_[id]; }
+  /// Index one past the last gate: evaluators over program() size their
+  /// per-gate arrays size() + 1 and keep this slot at logic 0 (no arrival
+  /// in the activated-arrival DP), so unused fanins read a neutral value.
+  [[nodiscard]] GateId zero_slot() const { return static_cast<GateId>(gates_.size()); }
   [[nodiscard]] const std::vector<GateId>& inputs() const { return inputs_; }
+  [[nodiscard]] const std::vector<GateId>& constants() const { return constants_; }
   [[nodiscard]] const std::vector<GateId>& dffs() const { return dffs_; }
   [[nodiscard]] const std::vector<GateId>& outputs() const { return outputs_; }
   /// E(N, s): capture endpoints of pipeline stage s.
@@ -88,7 +113,10 @@ class Netlist {
   std::vector<Gate> gates_;
   std::vector<std::string> names_;
   std::vector<GateId> topo_;
+  std::vector<ProgramGate> program_;
+  std::vector<GateId> program_index_;
   std::vector<GateId> inputs_;
+  std::vector<GateId> constants_;
   std::vector<GateId> dffs_;
   std::vector<GateId> outputs_;
   std::vector<std::vector<GateId>> stage_endpoints_;

@@ -1,18 +1,20 @@
 #include "sim/logic_sim.hpp"
 
+#include <cstring>
+
 #include "obs/metrics.hpp"
 #include "support/check.hpp"
 
 namespace terrors::sim {
 
-using netlist::Gate;
 using netlist::GateId;
 using netlist::GateKind;
 
 LogicSimulator::LogicSimulator(const netlist::Netlist& nl) : nl_(nl) {
   TE_REQUIRE(nl.finalized(), "simulator needs a finalized netlist");
-  values_.assign(nl.size(), 0);
-  prev_values_.assign(nl.size(), 0);
+  // One extra value backs the netlist's zero slot, which stays 0.
+  values_.assign(nl.size() + 1, 0);
+  prev_values_.assign(nl.size() + 1, 0);
   pending_inputs_.assign(nl.size(), 0);
   activated_.assign(nl.size(), 0);
   reset();
@@ -24,6 +26,9 @@ void LogicSimulator::reset() {
   std::fill(activated_.begin(), activated_.end(), 0);
   cycle_ = 0;
   settle();
+  // Constants are written once, after the reset cycle settled with them at
+  // 0: gates they feed first see their value in cycle 1, and toggle then.
+  for (GateId id : nl_.constants()) values_[id] = nl_.gate(id).kind == GateKind::kConst1 ? 1 : 0;
   prev_values_ = values_;
 }
 
@@ -53,66 +58,45 @@ void LogicSimulator::force_state(GateId dff, bool v) {
 }
 
 void LogicSimulator::settle() {
-  for (GateId id : nl_.topo_order()) {
-    const Gate& g = nl_.gate(id);
-    bool v = false;
-    switch (g.kind) {
-      case GateKind::kBuf:
-        v = values_[g.fanin[0]] != 0;
-        break;
-      case GateKind::kInv:
-        v = values_[g.fanin[0]] == 0;
-        break;
-      case GateKind::kAnd2:
-        v = values_[g.fanin[0]] != 0 && values_[g.fanin[1]] != 0;
-        break;
-      case GateKind::kNand2:
-        v = !(values_[g.fanin[0]] != 0 && values_[g.fanin[1]] != 0);
-        break;
-      case GateKind::kOr2:
-        v = values_[g.fanin[0]] != 0 || values_[g.fanin[1]] != 0;
-        break;
-      case GateKind::kNor2:
-        v = !(values_[g.fanin[0]] != 0 || values_[g.fanin[1]] != 0);
-        break;
-      case GateKind::kXor2:
-        v = (values_[g.fanin[0]] != 0) != (values_[g.fanin[1]] != 0);
-        break;
-      case GateKind::kXnor2:
-        v = (values_[g.fanin[0]] != 0) == (values_[g.fanin[1]] != 0);
-        break;
-      case GateKind::kMux2:
-        v = values_[g.fanin[2]] != 0 ? values_[g.fanin[1]] != 0 : values_[g.fanin[0]] != 0;
-        break;
-      default:
-        TE_CHECK(false, "non-combinational gate in topo order");
-    }
-    values_[id] = v ? 1 : 0;
+  std::uint8_t* v = values_.data();
+  for (const netlist::ProgramGate& g : nl_.program()) {
+    const unsigned row = v[g.fanin[0]] | (v[g.fanin[1]] << 1) | (v[g.fanin[2]] << 2);
+    v[g.out] = (g.truth >> row) & 1u;
   }
   // Primary outputs mirror their driver.
-  for (GateId id : nl_.outputs()) values_[id] = values_[nl_.gate(id).fanin[0]];
-  // Constants.
-  for (GateId id = 0; id < nl_.size(); ++id) {
-    const GateKind k = nl_.gate(id).kind;
-    if (k == GateKind::kConst1) values_[id] = 1;
-    if (k == GateKind::kConst0) values_[id] = 0;
-  }
+  for (GateId id : nl_.outputs()) v[id] = v[nl_.gate(id).fanin[0]];
 }
 
 void LogicSimulator::step() {
   // 1. Remember the previous cycle's settled values (activation baseline).
   prev_values_ = values_;
+  std::uint8_t* v = values_.data();
+  const std::uint8_t* prev = prev_values_.data();
   // 2. Flip-flops capture their data input's previous settled value.
-  for (GateId id : nl_.dffs()) values_[id] = prev_values_[nl_.gate(id).fanin[0]];
+  for (GateId id : nl_.dffs()) v[id] = prev[nl_.gate(id).fanin[0]];
   // 3. Primary inputs take their newly driven values.
-  for (GateId id : nl_.inputs()) values_[id] = pending_inputs_[id];
+  for (GateId id : nl_.inputs()) v[id] = pending_inputs_[id];
   // 4. Combinational logic settles.
   settle();
-  // 5. Activation per Def. 3.2.
+  // 5. Activation per Def. 3.2.  Values are 0/1 bytes, so eight gates at
+  // a time: XOR gives the flags, and multiplying by 0x01..01 sums them
+  // into the top byte.
+  std::uint8_t* act = activated_.data();
+  const std::size_t n = activated_.size();
   std::uint64_t toggles = 0;
-  for (GateId id = 0; id < nl_.size(); ++id) {
-    activated_[id] = values_[id] != prev_values_[id] ? 1 : 0;
-    toggles += activated_[id];
+  std::size_t id = 0;
+  for (; id + 8 <= n; id += 8) {
+    std::uint64_t now = 0;
+    std::uint64_t before = 0;
+    std::memcpy(&now, v + id, 8);
+    std::memcpy(&before, prev + id, 8);
+    const std::uint64_t flags = now ^ before;
+    std::memcpy(act + id, &flags, 8);
+    toggles += (flags * 0x0101010101010101ull) >> 56;
+  }
+  for (; id < n; ++id) {
+    act[id] = v[id] ^ prev[id];
+    toggles += act[id];
   }
   ++cycle_;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "support/check.hpp"
 
@@ -75,22 +76,31 @@ std::vector<double> activated_arrivals(const netlist::Netlist& nl,
                                        const std::vector<std::uint8_t>& activated,
                                        const ChipSample* chip) {
   TE_REQUIRE(activated.size() == nl.size(), "activation flag size mismatch");
+  TE_REQUIRE(chip == nullptr || chip->size() == nl.size(), "chip sample size mismatch");
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::vector<double> arr(nl.size(), kNegInf);
-  for (GateId g = 0; g < nl.size(); ++g) {
-    const Gate& gate = nl.gate(g);
-    if (netlist::info(gate.kind).combinational) continue;
-    if (activated[g] != 0) arr[g] = source_arrival(nl, g, chip);
+  // The extra entry is the zero slot that unused program fanins read.
+  std::vector<double> arr(nl.size() + 1, kNegInf);
+  for (GateId g : nl.dffs())
+    if (activated[g] != 0) arr[g] = gate_delay(nl, g, chip);
+  for (const auto* sources : {&nl.inputs(), &nl.constants(), &nl.outputs()})
+    for (GateId g : *sources)
+      if (activated[g] != 0) arr[g] = 0.0;
+  // Gather the activated gates without branching on the flags, which are
+  // unpredictable; then relax only those.  A gate no activated path
+  // reaches keeps -inf, since -inf + delay == -inf.
+  const std::vector<netlist::ProgramGate>& program = nl.program();
+  const auto live = std::make_unique_for_overwrite<const netlist::ProgramGate*[]>(program.size());
+  std::size_t count = 0;
+  for (const netlist::ProgramGate& pg : program) {
+    live[count] = &pg;
+    count += activated[pg.out] != 0 ? 1 : 0;
   }
-  for (GateId g : nl.topo_order()) {
-    if (activated[g] == 0) continue;
-    const Gate& gate = nl.gate(g);
-    double worst = kNegInf;
-    for (int s = 0; s < gate.arity(); ++s)
-      worst = std::max(worst, arr[gate.fanin[static_cast<std::size_t>(s)]]);
-    if (worst == kNegInf) continue;  // no activated path reaches this gate
-    arr[g] = worst + gate_delay(nl, g, chip);
+  for (std::size_t i = 0; i < count; ++i) {
+    const netlist::ProgramGate& pg = *live[i];
+    const double delay = chip != nullptr ? static_cast<double>((*chip)[pg.out]) : pg.delay_ps;
+    arr[pg.out] = std::max({arr[pg.fanin[0]], arr[pg.fanin[1]], arr[pg.fanin[2]]}) + delay;
   }
+  arr.pop_back();
   return arr;
 }
 

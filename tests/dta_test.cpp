@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "dta/control_characterizer.hpp"
@@ -10,7 +11,10 @@
 #include "isa/cfg.hpp"
 #include "isa/executor.hpp"
 #include "netlist/pipeline.hpp"
+#include "obs/metrics.hpp"
+#include "support/thread_pool.hpp"
 #include "timing/sta.hpp"
+#include "workloads/generator.hpp"
 
 namespace terrors::dta {
 namespace {
@@ -241,6 +245,34 @@ TEST(ControlCharacterizer, CharacterizesLoopProgram) {
   EXPECT_TRUE(any);
   // Unexecuted entry characterisations of non-entry blocks are empty.
   for (const auto& d : result[1].entry.instr) EXPECT_FALSE(d.has_value());
+}
+
+TEST(ControlCharacterizer, DpMemoKeysDoNotAliasAcrossEndpoints) {
+  // The DP-fallback memo once seeded its key with endpoint ^ D input, so
+  // endpoint pairs such as 1965/1921 and 1961/1925 shared keys and evicted
+  // each other's paths; a serial patricia characterisation hit that
+  // hundreds of times.
+  const auto& specs = workloads::mibench_specs();
+  const auto spec = std::find_if(specs.begin(), specs.end(), [](const workloads::WorkloadSpec& s) {
+    return s.name == "patricia";
+  });
+  ASSERT_NE(spec, specs.end());
+  const isa::Program program = workloads::generate_program(*spec);
+  const isa::Cfg cfg(program);
+  isa::Executor ex(program, cfg, workloads::executor_config_for(*spec, 4));
+  for (const auto& in : workloads::generate_inputs(*spec, 4, 2026)) ex.run(in);
+
+  obs::Counter& fallbacks = obs::MetricsRegistry::instance().counter("dta.dp_fallbacks");
+  obs::Counter& collisions = obs::MetricsRegistry::instance().counter("dta.dp_cache_collisions");
+  const std::uint64_t fallbacks_before = fallbacks.value();
+  const std::uint64_t collisions_before = collisions.value();
+  const std::size_t threads = support::global_threads();
+  support::set_global_threads(1);  // one analyzer, so one memo sees every query
+  ControlCharacterizer cc(shared_pipeline(), shared_vm(), timing::TimingSpec{1300.0});
+  (void)cc.characterize(program, cfg, ex.profile());
+  support::set_global_threads(threads);
+  EXPECT_GT(fallbacks.value() - fallbacks_before, 10000u);
+  EXPECT_EQ(collisions.value() - collisions_before, 0u);
 }
 
 TEST(GraphDta, AggregatesWorstArrivals) {

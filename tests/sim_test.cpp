@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <span>
 #include <sstream>
 
 #include "netlist/builder.hpp"
 #include "netlist/pipeline.hpp"
+#include "obs/metrics.hpp"
 #include "sim/activation.hpp"
 #include "sim/logic_sim.hpp"
 #include "sim/vcd.hpp"
@@ -13,6 +16,7 @@ namespace terrors::sim {
 namespace {
 
 using netlist::EndpointClass;
+using netlist::Gate;
 using netlist::GateId;
 using netlist::GateKind;
 using netlist::NetlistBuilder;
@@ -194,6 +198,103 @@ TEST(LogicSim, ForceStateOverridesDff) {
   sim.force_state(q, true);
   EXPECT_TRUE(sim.value(q));
   (void)inv;
+}
+
+/// Scalar oracle for LogicSimulator: its semantics restated gate by gate
+/// over Gate structs and netlist::eval_gate.  Constants are re-applied
+/// after every settle, which must give the same values as the simulator
+/// writing them once at reset.
+class ReferenceSim {
+ public:
+  explicit ReferenceSim(const netlist::Netlist& nl)
+      : nl_(nl), values_(nl.size(), 0), pending_(nl.size(), 0), activated_(nl.size(), 0) {
+    settle();
+    prev_ = values_;
+  }
+
+  void set_input(GateId g, bool v) { pending_[g] = v ? 1 : 0; }
+
+  /// Returns the number of gates activated in the new cycle.
+  std::size_t step() {
+    prev_ = values_;
+    for (GateId id : nl_.dffs()) values_[id] = prev_[nl_.gate(id).fanin[0]];
+    for (GateId id : nl_.inputs()) values_[id] = pending_[id];
+    settle();
+    std::size_t toggles = 0;
+    for (GateId id = 0; id < nl_.size(); ++id) {
+      activated_[id] = values_[id] != prev_[id] ? 1 : 0;
+      toggles += activated_[id];
+    }
+    return toggles;
+  }
+
+  [[nodiscard]] bool value(GateId g) const { return values_[g] != 0; }
+  [[nodiscard]] bool activated(GateId g) const { return activated_[g] != 0; }
+
+ private:
+  void settle() {
+    for (GateId id : nl_.topo_order()) {
+      const Gate& g = nl_.gate(id);
+      const auto arity = static_cast<std::size_t>(g.arity());
+      std::array<bool, 3> in{};
+      for (std::size_t s = 0; s < arity; ++s) in[s] = values_[g.fanin[s]] != 0;
+      values_[id] = netlist::eval_gate(g.kind, std::span<const bool>(in.data(), arity)) ? 1 : 0;
+    }
+    for (GateId id : nl_.outputs()) values_[id] = values_[nl_.gate(id).fanin[0]];
+    for (GateId id = 0; id < nl_.size(); ++id) {
+      if (nl_.gate(id).kind == GateKind::kConst0) values_[id] = 0;
+      if (nl_.gate(id).kind == GateKind::kConst1) values_[id] = 1;
+    }
+  }
+
+  const netlist::Netlist& nl_;
+  std::vector<std::uint8_t> values_, prev_, pending_, activated_;
+};
+
+TEST(LogicSim, CompiledProgramMatchesReferenceEvaluator) {
+  const Pipeline p = netlist::build_pipeline({});
+  const netlist::Netlist& nl = p.netlist;
+  LogicSimulator sim(nl);
+  ReferenceSim ref(nl);
+
+  // Gates fed by a kConst1 settle the reset cycle with the constant at 0
+  // and see it from cycle 1 on; the pipeline must have some for this to
+  // test anything.
+  std::vector<GateId> const1_fed;
+  for (GateId g : nl.topo_order()) {
+    const Gate& gate = nl.gate(g);
+    for (std::size_t s = 0; s < static_cast<std::size_t>(gate.arity()); ++s) {
+      if (nl.gate(gate.fanin[s]).kind == GateKind::kConst1) {
+        const1_fed.push_back(g);
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(const1_fed.empty());
+  for (GateId g = 0; g < nl.size(); ++g)
+    ASSERT_EQ(sim.value(g), ref.value(g)) << "reset cycle, gate " << g;
+
+  obs::Counter& toggles = obs::MetricsRegistry::instance().counter("sim.gate_toggles");
+  support::Rng rng(2024);
+  std::size_t const1_fed_toggles = 0;
+  for (int cycle = 1; cycle <= 1200; ++cycle) {
+    for (GateId in : nl.inputs()) {
+      const bool v = (rng.next_u64() & 1u) != 0;
+      sim.set_input(in, v);
+      ref.set_input(in, v);
+    }
+    const std::uint64_t before = toggles.value();
+    sim.step();
+    const std::size_t ref_toggles = ref.step();
+    ASSERT_EQ(toggles.value() - before, ref_toggles) << "cycle " << cycle;
+    for (GateId g = 0; g < nl.size(); ++g) {
+      ASSERT_EQ(sim.value(g), ref.value(g)) << "cycle " << cycle << ", gate " << g;
+      ASSERT_EQ(sim.activated(g), ref.activated(g)) << "cycle " << cycle << ", gate " << g;
+    }
+    if (cycle == 1)
+      for (GateId g : const1_fed) const1_fed_toggles += sim.activated(g) ? 1 : 0;
+  }
+  EXPECT_GT(const1_fed_toggles, 0u);
 }
 
 TEST(ActivationTrace, RecordsAndQueries) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "netlist/builder.hpp"
 #include "netlist/pipeline.hpp"
@@ -14,6 +15,7 @@ namespace terrors::timing {
 namespace {
 
 using netlist::EndpointClass;
+using netlist::Gate;
 using netlist::GateId;
 using netlist::GateKind;
 using netlist::NetlistBuilder;
@@ -108,6 +110,65 @@ TEST(ActivatedSta, AgreesWithSimulatorToggles) {
     for (GateId e : b.netlist().stage_endpoints(0)) {
       const auto arr = activated_endpoint_arrival(b.netlist(), sim.activation_flags(), e);
       if (arr.has_value()) EXPECT_LE(*arr, sta.endpoint_arrival(e) + 1e-9);
+    }
+  }
+}
+
+/// Dense oracle for activated_arrivals: every gate in topo_order(), read
+/// through Gate structs and netlist::info().
+std::vector<double> dense_activated_arrivals(const netlist::Netlist& nl,
+                                             const std::vector<std::uint8_t>& act,
+                                             const ChipSample* chip) {
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  auto delay = [&](GateId g) {
+    return chip != nullptr ? static_cast<double>((*chip)[g]) : nl.gate(g).delay_ps;
+  };
+  std::vector<double> arr(nl.size(), kNegInf);
+  for (GateId g = 0; g < nl.size(); ++g) {
+    if (netlist::info(nl.gate(g).kind).combinational || act[g] == 0) continue;
+    arr[g] = nl.gate(g).kind == GateKind::kDff ? delay(g) : 0.0;
+  }
+  for (GateId g : nl.topo_order()) {
+    if (act[g] == 0) continue;
+    const Gate& gate = nl.gate(g);
+    double worst = kNegInf;
+    for (int s = 0; s < gate.arity(); ++s)
+      worst = std::max(worst, arr[gate.fanin[static_cast<std::size_t>(s)]]);
+    if (worst != kNegInf) arr[g] = worst + delay(g);
+  }
+  return arr;
+}
+
+TEST(ActivatedSta, CompiledDpMatchesDenseDp) {
+  const auto p = netlist::build_pipeline({});
+  const netlist::Netlist& nl = p.netlist;
+  const VariationModel vm(nl, {});
+  support::Rng rng(9);
+  const ChipSample chip = vm.sample_chip(rng);
+
+  // Simulated cycles, plus random flag patterns that no simulation
+  // produces (activated constants, isolated toggles).
+  std::vector<std::vector<std::uint8_t>> patterns;
+  sim::LogicSimulator sim(nl);
+  for (int t = 0; t < 200; ++t) {
+    for (GateId in : nl.inputs()) sim.set_input(in, (rng.next_u64() & 1u) != 0);
+    sim.step();
+    patterns.push_back(sim.activation_flags());
+  }
+  for (int t = 0; t < 50; ++t) {
+    std::vector<std::uint8_t> act(nl.size());
+    for (auto& a : act) a = rng.uniform() < 0.5 ? 1 : 0;
+    patterns.push_back(std::move(act));
+  }
+
+  for (std::size_t t = 0; t < patterns.size(); ++t) {
+    for (const ChipSample* c : {static_cast<const ChipSample*>(nullptr), &chip}) {
+      const std::vector<double> got = activated_arrivals(nl, patterns[t], c);
+      const std::vector<double> want = dense_activated_arrivals(nl, patterns[t], c);
+      ASSERT_EQ(got.size(), want.size());
+      for (GateId g = 0; g < nl.size(); ++g)
+        ASSERT_EQ(got[g], want[g]) << "pattern " << t << ", gate " << g << ", chip "
+                                   << (c != nullptr);
     }
   }
 }
