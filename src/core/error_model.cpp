@@ -1,42 +1,45 @@
 #include "core/error_model.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "support/check.hpp"
 
 namespace terrors::core {
 
+using dta::DatapathModel;
 using dta::DtsGaussian;
 using isa::BlockId;
+
+namespace {
+
+/// Pr(DTS < 0), DTS being the statistical minimum of an instruction's
+/// control-network and datapath DTS.  An absent part (nothing activated)
+/// drops out; with neither, the instruction cannot fail.
+double error_probability(const std::optional<DtsGaussian>& ctrl,
+                         const std::optional<DtsGaussian>& data) {
+  if (ctrl.has_value() && data.has_value())
+    return dta::dts_min(*ctrl, *data).slack.prob_below_zero();
+  if (ctrl.has_value()) return ctrl->slack.prob_below_zero();
+  if (data.has_value()) return data->slack.prob_below_zero();
+  return 0.0;
+}
+
+/// Error probability of one instruction along one source, per datapath
+/// arrival class, filled on first use.  The control DTS is fixed by the
+/// source, so within it the probability depends on the class alone.
+struct ClassTable {
+  std::array<double, DatapathModel::kArrivalClasses> p{};
+  std::uint64_t filled = 0;  ///< bit c set once p[c] holds class c
+};
+static_assert(DatapathModel::kArrivalClasses <= 64, "filled mask holds one bit per class");
+
+}  // namespace
 
 InstructionErrorModel::InstructionErrorModel(const dta::DatapathModel& datapath,
                                              timing::TimingSpec spec, ErrorModelConfig config)
     : datapath_(datapath), spec_(spec), config_(config) {
   TE_REQUIRE(config.mixed_samples > 0, "need at least one data-variation sample");
-}
-
-double InstructionErrorModel::instance_error_probability(const std::optional<DtsGaussian>& ctrl,
-                                                         const isa::InstrDynContext& ctx,
-                                                         bool prev_errored) const {
-  // Correction-scheme emulation: a flush leaves a bubble (nop values) in
-  // front of the instruction; replay-without-flush restores the previous
-  // instruction's own values.
-  isa::ExContext prev = ctx.prev;
-  if (prev_errored && config_.scheme == CorrectionScheme::kPipelineFlush)
-    prev = isa::ExContext{};  // bubble
-
-  const auto data = datapath_.ex_slack(ctx.cur, prev, spec_);
-
-  std::optional<DtsGaussian> dts;
-  if (ctrl.has_value() && data.has_value()) {
-    dts = dta::dts_min(*ctrl, *data);
-  } else if (ctrl.has_value()) {
-    dts = ctrl;
-  } else if (data.has_value()) {
-    dts = data;
-  }
-  if (!dts.has_value()) return 0.0;  // nothing activated: cannot fail
-  return dts->slack.prob_below_zero();
 }
 
 std::vector<BlockErrorDistributions> InstructionErrorModel::build(
@@ -48,6 +51,13 @@ std::vector<BlockErrorDistributions> InstructionErrorModel::build(
 
   const std::size_t m = config_.mixed_samples;
   std::vector<BlockErrorDistributions> out(program.block_count());
+  std::vector<ClassTable> tables;  // one per instruction of the current block
+  // Correction-scheme emulation: a flush leaves a bubble (nop values) in
+  // front of the instruction after an error; replay-without-flush
+  // restores the previous instruction's own values, so p^e == p^c.
+  const bool flush = config_.scheme == CorrectionScheme::kPipelineFlush;
+  const isa::ExContext bubble{};
+  const std::optional<DtsGaussian> no_ctrl;
 
   for (BlockId b = 0; b < program.block_count(); ++b) {
     const isa::BasicBlock& blk = program.block(b);
@@ -96,30 +106,39 @@ std::vector<BlockErrorDistributions> InstructionErrorModel::build(
       ++alloc[remainders[r % remainders.size()].second];
     }
 
+    tables.resize(blk.size());
     std::size_t slot = 0;
     for (std::size_t s = 0; s < sources.size(); ++s) {
       const auto& dyn = sources[s].samples->samples;
+      const auto& ctrl = sources[s].control->instr;
+      for (ClassTable& t : tables) t.filled = 0;  // the control DTS differs per source
       for (std::size_t a = 0; a < alloc[s]; ++a, ++slot) {
         // Cycle through the reservoir when it has fewer entries than slots.
         const isa::BlockSample* sample = dyn.empty() ? nullptr : &dyn[a % dyn.size()];
         for (std::size_t k = 0; k < blk.size(); ++k) {
-          const auto& ctrl_dts = k < sources[s].control->instr.size()
-                                     ? sources[s].control->instr[k]
-                                     : std::optional<DtsGaussian>{};
+          int correct_cls = DatapathModel::kNoArrival;
+          int error_cls = DatapathModel::kNoArrival;
           if (sample == nullptr || k >= sample->instrs.size()) {
             // No recorded context (partial sample near the budget guard):
-            // control network only.
-            isa::InstrDynContext empty;
-            empty.cur.op = blk.instructions[k].op;
-            empty.cur.unit = isa::ex_unit(blk.instructions[k].op);
-            bd.instr[k].p_correct[slot] =
-                ctrl_dts.has_value() ? ctrl_dts->slack.prob_below_zero() : 0.0;
-            bd.instr[k].p_error[slot] = instance_error_probability(ctrl_dts, empty, true);
-            continue;
+            // control network only, plus the bubble's activation after an
+            // error.
+            const isa::Opcode op = blk.instructions[k].op;
+            error_cls = DatapathModel::arrival_class({0, 0, isa::ex_unit(op), op}, bubble);
+          } else {
+            const isa::InstrDynContext& ctx = sample->instrs[k];
+            correct_cls = DatapathModel::arrival_class(ctx.cur, ctx.prev);
+            error_cls = flush ? DatapathModel::arrival_class(ctx.cur, bubble) : correct_cls;
           }
-          const isa::InstrDynContext& ctx = sample->instrs[k];
-          bd.instr[k].p_correct[slot] = instance_error_probability(ctrl_dts, ctx, false);
-          bd.instr[k].p_error[slot] = instance_error_probability(ctrl_dts, ctx, true);
+          const std::optional<DtsGaussian>& ctrl_dts = k < ctrl.size() ? ctrl[k] : no_ctrl;
+          ClassTable& table = tables[k];
+          for (const int cls : {correct_cls, error_cls}) {
+            const std::uint64_t bit = std::uint64_t{1} << cls;
+            if ((table.filled & bit) != 0) continue;
+            table.p[cls] = error_probability(ctrl_dts, datapath_.class_slack(cls, spec_));
+            table.filled |= bit;
+          }
+          bd.instr[k].p_correct[slot] = table.p[correct_cls];
+          bd.instr[k].p_error[slot] = table.p[error_cls];
         }
       }
     }

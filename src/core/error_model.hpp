@@ -61,18 +61,13 @@ class InstructionErrorModel {
   InstructionErrorModel(const dta::DatapathModel& datapath, timing::TimingSpec spec,
                         ErrorModelConfig config = {});
 
-  /// Error probability of one dynamic instance.  `ctrl` is the control-
-  /// network DTS of the instruction along the traversed edge (nullopt =
-  /// no activated control path); `prev_errored` selects the correction
-  /// context.
-  [[nodiscard]] double instance_error_probability(
-      const std::optional<dta::DtsGaussian>& ctrl, const isa::InstrDynContext& ctx,
-      bool prev_errored) const;
-
   /// Build the per-block p^c / p^e distributions for a whole program by
   /// mixing the per-edge sampled contexts according to the measured edge
   /// activation probabilities (deterministic proportional allocation of
-  /// the M sample slots).
+  /// the M sample slots).  The datapath DTS of a sample depends on its
+  /// operands only through DatapathModel::arrival_class, so each
+  /// (incoming edge, instruction) evaluates Pr(DTS < 0) once per class it
+  /// meets (DESIGN §3b).
   [[nodiscard]] std::vector<BlockErrorDistributions> build(
       const isa::Program& program, const isa::Cfg& cfg, const isa::ProgramProfile& profile,
       const std::vector<dta::BlockControlDts>& control) const;

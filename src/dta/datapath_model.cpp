@@ -20,17 +20,12 @@ using isa::Opcode;
 
 namespace {
 
-/// Carry bits c_1..c_w of a + b + cin (bit i of the result holds c_{i+1}).
+/// Carry bits c_1..c_w of a + b + cin (bit i of the result holds c_{i+1}):
+/// each sum bit is a_i ^ b_i ^ c_i, so XOR-ing the operands back out of the
+/// 33-bit sum leaves the carry into every position.
 std::uint64_t carry_bits(std::uint32_t a, std::uint32_t b, bool cin) {
-  std::uint64_t carries = 0;
-  std::uint32_t c = cin ? 1u : 0u;
-  for (int i = 0; i < 32; ++i) {
-    const std::uint32_t ai = (a >> i) & 1u;
-    const std::uint32_t bi = (b >> i) & 1u;
-    c = (ai & bi) | (c & (ai ^ bi));
-    carries |= static_cast<std::uint64_t>(c) << i;
-  }
-  return carries;
+  const std::uint64_t sum = std::uint64_t{a} + b + (cin ? 1u : 0u);
+  return (a ^ b ^ sum) >> 1;
 }
 
 /// Effective adder inputs of an EX context (subtracts invert B and set the
@@ -42,19 +37,14 @@ void adder_inputs(const ExContext& cx, std::uint32_t& a, std::uint32_t& b, bool&
   cin = sub;
 }
 
+/// Each step shortens every run of ones by one bit.
 int longest_run(std::uint64_t bits) {
-  int best = 0;
-  int cur = 0;
+  int n = 0;
   while (bits != 0) {
-    if (bits & 1ull) {
-      ++cur;
-      best = std::max(best, cur);
-    } else {
-      cur = 0;
-    }
-    bits >>= 1;
+    bits &= bits << 1;
+    ++n;
   }
-  return best;
+  return n;
 }
 
 struct Measurement {
@@ -266,43 +256,65 @@ DatapathModel DatapathModel::from_params(const Params& p) {
   return model;
 }
 
-std::optional<DtsGaussian> DatapathModel::ex_arrival(const ExContext& cur,
-                                                     const ExContext& prev) const {
+int DatapathModel::arrival_class(const ExContext& cur, const ExContext& prev) {
+  const bool same_operands = cur.a == prev.a && cur.b == prev.b;
   switch (cur.unit) {
     case ExUnit::kAdder: {
       const int len = adder_chain_length(cur, prev);
-      if (len < 0) return std::nullopt;
-      DtsGaussian g;
-      g.slack = {adder_mean_.at(len), std::max(0.0, adder_sd_.at(len))};
-      g.global_loading = support::clamp(adder_gl_.at(len), 0.0, g.slack.sd);
-      return g;
+      return len < 0 ? kNoArrival : len;
     }
     case ExUnit::kLogic:
-      if (cur.a == prev.a && cur.b == prev.b && cur.op == prev.op) return std::nullopt;
-      return logic_;
+      return same_operands && cur.op == prev.op ? kNoArrival : kLogicClass;
     case ExUnit::kShifter:
-      if (cur.a == prev.a && cur.b == prev.b && cur.op == prev.op) return std::nullopt;
-      return shift_;
+      return same_operands && cur.op == prev.op ? kNoArrival : kShiftClass;
     case ExUnit::kCompare:
       // Dedicated comparator + EX pass-through; operand change activates
       // the (shallow) pass path, the comparator itself is covered by the
       // control-network characterisation.
-      if (cur.a == prev.a && cur.b == prev.b) return std::nullopt;
-      return pass_;
+      return same_operands ? kNoArrival : kPassClass;
     case ExUnit::kNone:
-      if (cur.b == prev.b) return std::nullopt;
-      return pass_;
+      return cur.b == prev.b ? kNoArrival : kPassClass;
   }
-  return std::nullopt;
+  return kNoArrival;
 }
 
-std::optional<DtsGaussian> DatapathModel::ex_slack(const ExContext& cur, const ExContext& prev,
-                                                   const timing::TimingSpec& spec) const {
-  auto arr = ex_arrival(cur, prev);
+std::optional<DtsGaussian> DatapathModel::class_arrival(int cls) const {
+  TE_REQUIRE(cls >= 0 && cls < kArrivalClasses, "arrival class out of range");
+  switch (cls) {
+    case kNoArrival:
+      return std::nullopt;
+    case kLogicClass:
+      return logic_;
+    case kShiftClass:
+      return shift_;
+    case kPassClass:
+      return pass_;
+    default: {
+      DtsGaussian g;
+      g.slack = {adder_mean_.at(cls), std::max(0.0, adder_sd_.at(cls))};
+      g.global_loading = support::clamp(adder_gl_.at(cls), 0.0, g.slack.sd);
+      return g;
+    }
+  }
+}
+
+std::optional<DtsGaussian> DatapathModel::class_slack(int cls,
+                                                      const timing::TimingSpec& spec) const {
+  auto arr = class_arrival(cls);
   if (!arr.has_value()) return std::nullopt;
   DtsGaussian out = *arr;
   out.slack = {spec.period_ps - spec.setup_ps - arr->slack.mean, arr->slack.sd};
   return out;
+}
+
+std::optional<DtsGaussian> DatapathModel::ex_arrival(const ExContext& cur,
+                                                     const ExContext& prev) const {
+  return class_arrival(arrival_class(cur, prev));
+}
+
+std::optional<DtsGaussian> DatapathModel::ex_slack(const ExContext& cur, const ExContext& prev,
+                                                   const timing::TimingSpec& spec) const {
+  return class_slack(arrival_class(cur, prev), spec);
 }
 
 }  // namespace terrors::dta

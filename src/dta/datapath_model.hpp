@@ -28,14 +28,34 @@ class DatapathModel {
   static DatapathModel train(const netlist::Pipeline& pipeline,
                              const timing::VariationModel& vm, const DtsConfig& dts_config = {});
 
-  /// EX-stage arrival statistics (mean / sd / global loading, in ps) for
-  /// an instruction with EX context `cur` whose predecessor in the
-  /// pipeline had context `prev`.  nullopt when nothing toggles (no
-  /// activated datapath path, hence no possible timing error).
+  /// The model's output depends on the operand values only through an
+  /// arrival class: no activated path (0), an adder carry chain of length
+  /// 1..33 (the class is the length), or the logic, shifter or
+  /// pass-through unit.
+  static constexpr int kNoArrival = 0;
+  static constexpr int kLogicClass = 34;
+  static constexpr int kShiftClass = 35;
+  static constexpr int kPassClass = 36;
+  static constexpr int kArrivalClasses = 37;
+
+  /// Arrival class of an instruction with EX context `cur` whose
+  /// predecessor in the pipeline had context `prev`.
+  static int arrival_class(const isa::ExContext& cur, const isa::ExContext& prev);
+
+  /// EX-stage arrival statistics (mean / sd / global loading, in ps) of a
+  /// class.  nullopt for kNoArrival (nothing toggles, hence no possible
+  /// timing error).
+  [[nodiscard]] std::optional<DtsGaussian> class_arrival(int cls) const;
+
+  /// Slack form under a clock spec: DTS = period - setup - arrival.
+  [[nodiscard]] std::optional<DtsGaussian> class_slack(int cls,
+                                                       const timing::TimingSpec& spec) const;
+
+  /// class_arrival(arrival_class(cur, prev)).
   [[nodiscard]] std::optional<DtsGaussian> ex_arrival(const isa::ExContext& cur,
                                                       const isa::ExContext& prev) const;
 
-  /// Slack form under a clock spec: DTS = period - setup - arrival.
+  /// class_slack(arrival_class(cur, prev), spec).
   [[nodiscard]] std::optional<DtsGaussian> ex_slack(const isa::ExContext& cur,
                                                     const isa::ExContext& prev,
                                                     const timing::TimingSpec& spec) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -52,8 +53,9 @@ int parse_reg(const std::string& tok, int line) {
   for (std::size_t i = 1; i < tok.size(); ++i) {
     if (!std::isdigit(static_cast<unsigned char>(tok[i]))) fail(line, "bad register '" + tok + "'");
   }
-  const int n = std::stoi(tok.substr(1));
-  if (n < 0 || n >= kRegisterCount) fail(line, "register out of range: " + tok);
+  int n = 0;
+  const std::from_chars_result r = std::from_chars(tok.data() + 1, tok.data() + tok.size(), n);
+  if (r.ec != std::errc{} || n >= kRegisterCount) fail(line, "register out of range: " + tok);
   return n;
 }
 

@@ -34,9 +34,46 @@ Executor::Executor(const Program& program, const Cfg& cfg, ExecutorConfig config
     block_pc_[b] = pc;
     pc += static_cast<std::uint32_t>(program.block(b).size()) * 4u;
   }
+  // Locate every traversable edge among its successor's predecessors once,
+  // so block transitions at run time are a table lookup.
+  auto edge_index = [&](BlockId from, BlockId to, bool via_taken) -> std::int32_t {
+    if (to == kNoBlock) return -1;
+    const auto& preds = cfg.predecessors(to);
+    for (std::size_t j = 0; j < preds.size(); ++j) {
+      if (preds[j].from == from && preds[j].via_taken == via_taken)
+        return static_cast<std::int32_t>(j);
+    }
+    TE_CHECK(false, "edge missing from CFG");
+    return -1;
+  };
+  out_edges_.resize(program.block_count());
+  for (BlockId b = 0; b < program.block_count(); ++b) {
+    const BasicBlock& blk = program.block(b);
+    out_edges_[b] = {edge_index(b, blk.taken, true), edge_index(b, blk.fallthrough, false)};
+  }
 }
 
 namespace {
+
+/// The ISA predicates the interpreter needs per instruction, tabulated
+/// once per opcode from isa.cpp.
+struct OpcodeDecode {
+  ExUnit unit = ExUnit::kNone;
+  bool immediate = false;
+  bool writes = false;
+};
+
+const std::array<OpcodeDecode, kOpcodeCount>& opcode_decode() {
+  static const std::array<OpcodeDecode, kOpcodeCount> table = [] {
+    std::array<OpcodeDecode, kOpcodeCount> t{};
+    for (int i = 0; i < kOpcodeCount; ++i) {
+      const auto op = static_cast<Opcode>(i);
+      t[static_cast<std::size_t>(i)] = {ex_unit(op), uses_immediate(op), writes_register(op)};
+    }
+    return t;
+  }();
+  return table;
+}
 
 std::uint32_t memory_init(std::uint64_t seed, std::uint32_t addr) {
   // Cheap stateless hash: deterministic initial memory image without
@@ -71,6 +108,7 @@ std::uint64_t Executor::run(const ProgramInput& input) {
   // traversed incoming edge in Cfg::predecessors(current).
   std::ptrdiff_t incoming_edge = -1;
   ExContext prev_ex{};  // flushed state at program start (the paper's p_in = 1)
+  const std::array<OpcodeDecode, kOpcodeCount>& decode = opcode_decode();
 
   while (current != kNoBlock && executed < config_.max_instructions) {
     const BasicBlock& blk = program_.block(current);
@@ -109,12 +147,13 @@ std::uint64_t Executor::run(const ProgramInput& input) {
       const std::uint32_t ra = regs[inst.rs1];
       const std::uint32_t rb = regs[inst.rs2];
       const std::uint32_t bimm = static_cast<std::uint32_t>(inst.imm);
+      const OpcodeDecode& d = decode[static_cast<std::size_t>(inst.op)];
 
       ExContext cur;
       cur.op = inst.op;
-      cur.unit = ex_unit(inst.op);
+      cur.unit = d.unit;
       cur.a = ra;
-      cur.b = uses_immediate(inst.op) ? bimm : rb;
+      cur.b = d.immediate ? bimm : rb;
       std::uint32_t result = 0;
       switch (inst.op) {
         case Opcode::kNop:
@@ -188,7 +227,7 @@ std::uint64_t Executor::run(const ProgramInput& input) {
           branch_taken = true;
           break;
       }
-      if (writes_register(inst.op) && inst.rd != 0) regs[inst.rd] = result;
+      if (d.writes && inst.rd != 0) regs[inst.rd] = result;
 
       if (sample != nullptr) {
         InstrDynContext ctx;
@@ -206,16 +245,8 @@ std::uint64_t Executor::run(const ProgramInput& input) {
     // Control transfer.
     const BlockId next = branch_taken ? blk.taken : blk.fallthrough;
     if (next == kNoBlock) break;
-    // Locate the traversed edge's index among the successor's predecessors.
-    const auto& preds = cfg_.predecessors(next);
-    incoming_edge = -1;
-    for (std::size_t j = 0; j < preds.size(); ++j) {
-      if (preds[j].from == current && preds[j].via_taken == branch_taken) {
-        incoming_edge = static_cast<std::ptrdiff_t>(j);
-        break;
-      }
-    }
-    TE_CHECK(incoming_edge >= 0, "traversed edge missing from CFG");
+    const OutEdges& out = out_edges_[current];
+    incoming_edge = branch_taken ? out.taken : out.fallthrough;
     current = next;
   }
 

@@ -116,6 +116,13 @@ class Executor {
   ProgramProfile profile_;
   support::Rng sample_rng_;
   std::vector<std::uint32_t> block_pc_;  ///< virtual base address per block
+  /// Index of each block's taken / fall-through edge in its successor's
+  /// Cfg::predecessors list (-1 where the block has no such successor).
+  struct OutEdges {
+    std::int32_t taken = -1;
+    std::int32_t fallthrough = -1;
+  };
+  std::vector<OutEdges> out_edges_;
 };
 
 }  // namespace terrors::isa

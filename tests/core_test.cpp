@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <set>
+#include <utility>
 
 #include "core/error_model.hpp"
 #include "core/estimator.hpp"
@@ -10,7 +15,9 @@
 #include "isa/cfg.hpp"
 #include "isa/executor.hpp"
 #include "netlist/pipeline.hpp"
+#include "obs/metrics.hpp"
 #include "support/rng.hpp"
+#include "workloads/generator.hpp"
 
 namespace terrors::core {
 namespace {
@@ -403,6 +410,224 @@ TEST_F(FrameworkFixture, DeterministicAcrossRepeats) {
   const auto rb = b.analyze(f.p, {isa::ProgramInput{}});
   EXPECT_DOUBLE_EQ(ra.estimate.rate_mean(), rb.estimate.rate_mean());
   EXPECT_DOUBLE_EQ(ra.estimate.dk_count, rb.estimate.dk_count);
+}
+
+// --- Instruction error model against its per-slot formula ---------------------
+
+/// Pr(DTS < 0) of one slot, evaluated the direct way: the datapath DTS of
+/// the sampled context (a bubble in front after an error under pipeline
+/// flush), its statistical minimum with the control DTS, and the normal CDF.
+double slot_probability(const dta::DatapathModel& datapath, const timing::TimingSpec& spec,
+                        CorrectionScheme scheme, const std::optional<dta::DtsGaussian>& ctrl,
+                        const isa::InstrDynContext& ctx, bool prev_errored) {
+  isa::ExContext prev = ctx.prev;
+  if (prev_errored && scheme == CorrectionScheme::kPipelineFlush) prev = isa::ExContext{};
+  const auto data = datapath.ex_slack(ctx.cur, prev, spec);
+  std::optional<dta::DtsGaussian> dts;
+  if (ctrl.has_value() && data.has_value()) {
+    dts = dta::dts_min(*ctrl, *data);
+  } else if (ctrl.has_value()) {
+    dts = ctrl;
+  } else if (data.has_value()) {
+    dts = data;
+  }
+  return dts.has_value() ? dts->slack.prob_below_zero() : 0.0;
+}
+
+struct SlotSource {
+  const isa::EdgeSamples* samples;
+  const dta::EdgeControlDts* control;
+  std::size_t slots;  ///< largest-remainder share of the M slots
+};
+
+/// An executed block's sources (entry pseudo-edge first, then the traversed
+/// incoming edges) with their share of the M slots.
+std::vector<SlotSource> slot_sources(const isa::BlockProfile& bp,
+                                     const dta::BlockControlDts& control, std::size_t m) {
+  std::vector<std::pair<SlotSource, std::uint64_t>> counted;
+  if (bp.entry_count > 0)
+    counted.push_back({{&bp.entry_samples, &control.entry, 0}, bp.entry_count});
+  for (std::size_t j = 0; j < bp.edge_counts.size(); ++j) {
+    if (bp.edge_counts[j] > 0)
+      counted.push_back({{&bp.edge_samples[j], &control.per_edge[j], 0}, bp.edge_counts[j]});
+  }
+  std::uint64_t total = 0;
+  for (const auto& c : counted) total += c.second;
+  std::size_t assigned = 0;
+  std::vector<std::pair<double, std::size_t>> remainders;
+  for (std::size_t s = 0; s < counted.size(); ++s) {
+    const double exact = static_cast<double>(m) * static_cast<double>(counted[s].second) /
+                         static_cast<double>(total);
+    counted[s].first.slots = static_cast<std::size_t>(exact);
+    assigned += counted[s].first.slots;
+    remainders.emplace_back(exact - static_cast<double>(counted[s].first.slots), s);
+  }
+  std::sort(remainders.rbegin(), remainders.rend());
+  for (std::size_t r = 0; assigned < m; ++r, ++assigned)
+    ++counted[remainders[r % remainders.size()].second].first.slots;
+  std::vector<SlotSource> out;
+  for (const auto& c : counted) out.push_back(c.first);
+  return out;
+}
+
+/// The recorded context of instruction k in a source's a-th slot; nullopt
+/// when the reservoir holds none (a sample cut short by the budget guard).
+std::optional<isa::InstrDynContext> slot_context(const SlotSource& src, std::size_t a,
+                                                 std::size_t k) {
+  const auto& dyn = src.samples->samples;
+  if (dyn.empty() || k >= dyn[a % dyn.size()].instrs.size()) return std::nullopt;
+  return dyn[a % dyn.size()].instrs[k];
+}
+
+/// InstructionErrorModel::build evaluated slot by slot.
+std::vector<BlockErrorDistributions> oracle_build(
+    const dta::DatapathModel& datapath, const timing::TimingSpec& spec,
+    const ErrorModelConfig& config, const isa::Program& program,
+    const isa::ProgramProfile& profile, const std::vector<dta::BlockControlDts>& control) {
+  const std::size_t m = config.mixed_samples;
+  std::vector<BlockErrorDistributions> out(program.block_count());
+  for (BlockId b = 0; b < program.block_count(); ++b) {
+    const isa::BasicBlock& blk = program.block(b);
+    out[b].instr.assign(blk.size(), {stat::Samples(m, 0.0), stat::Samples(m, 0.0)});
+    if (profile.blocks[b].executions == 0) continue;
+    out[b].executed = true;
+    std::size_t slot = 0;
+    for (const SlotSource& src : slot_sources(profile.blocks[b], control[b], m)) {
+      for (std::size_t a = 0; a < src.slots; ++a, ++slot) {
+        for (std::size_t k = 0; k < blk.size(); ++k) {
+          const std::optional<dta::DtsGaussian> ctrl =
+              k < src.control->instr.size() ? src.control->instr[k] : std::nullopt;
+          const auto ctx = slot_context(src, a, k);
+          if (!ctx.has_value()) {
+            isa::InstrDynContext empty;
+            empty.cur.op = blk.instructions[k].op;
+            empty.cur.unit = isa::ex_unit(blk.instructions[k].op);
+            out[b].instr[k].p_correct[slot] =
+                ctrl.has_value() ? ctrl->slack.prob_below_zero() : 0.0;
+            out[b].instr[k].p_error[slot] =
+                slot_probability(datapath, spec, config.scheme, ctrl, empty, true);
+            continue;
+          }
+          out[b].instr[k].p_correct[slot] =
+              slot_probability(datapath, spec, config.scheme, ctrl, *ctx, false);
+          out[b].instr[k].p_error[slot] =
+              slot_probability(datapath, spec, config.scheme, ctrl, *ctx, true);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// Distinct (source, instruction, arrival class) triples the slots of a
+/// build meet: the most Pr(DTS < 0) evaluations a build needs.
+std::size_t distinct_class_triples(const ErrorModelConfig& config, const isa::Program& program,
+                                   const isa::ProgramProfile& profile,
+                                   const std::vector<dta::BlockControlDts>& control) {
+  using dta::DatapathModel;
+  std::size_t triples = 0;
+  for (BlockId b = 0; b < program.block_count(); ++b) {
+    if (profile.blocks[b].executions == 0) continue;
+    const isa::BasicBlock& blk = program.block(b);
+    const std::size_t m = config.mixed_samples;
+    for (const SlotSource& src : slot_sources(profile.blocks[b], control[b], m)) {
+      for (std::size_t k = 0; k < blk.size(); ++k) {
+        std::set<int> classes;
+        for (std::size_t a = 0; a < src.slots; ++a) {
+          const auto ctx = slot_context(src, a, k);
+          const isa::Opcode op = blk.instructions[k].op;
+          const isa::ExContext cur =
+              ctx.has_value() ? ctx->cur : isa::ExContext{0, 0, isa::ex_unit(op), op};
+          classes.insert(ctx.has_value() ? DatapathModel::arrival_class(cur, ctx->prev)
+                                         : DatapathModel::kNoArrival);
+          const bool bubble = !ctx.has_value() || config.scheme == CorrectionScheme::kPipelineFlush;
+          classes.insert(DatapathModel::arrival_class(cur, bubble ? isa::ExContext{} : ctx->prev));
+        }
+        triples += classes.size();
+      }
+    }
+  }
+  return triples;
+}
+
+/// Slots whose p^c or p^e differ in any bit.
+std::size_t differing_slots(const std::vector<BlockErrorDistributions>& x,
+                            const std::vector<BlockErrorDistributions>& y) {
+  std::size_t diff = 0;
+  EXPECT_EQ(x.size(), y.size());
+  for (std::size_t b = 0; b < std::min(x.size(), y.size()); ++b) {
+    EXPECT_EQ(x[b].executed, y[b].executed);
+    EXPECT_EQ(x[b].instr.size(), y[b].instr.size());
+    for (std::size_t k = 0; k < std::min(x[b].instr.size(), y[b].instr.size()); ++k) {
+      for (const auto side :
+           {&InstrErrorDistributions::p_correct, &InstrErrorDistributions::p_error}) {
+        const stat::Samples& u = x[b].instr[k].*side;
+        const stat::Samples& v = y[b].instr[k].*side;
+        EXPECT_EQ(u.size(), v.size());
+        for (std::size_t i = 0; i < std::min(u.size(), v.size()); ++i) {
+          if (std::bit_cast<std::uint64_t>(u[i]) != std::bit_cast<std::uint64_t>(v[i])) ++diff;
+        }
+      }
+    }
+  }
+  return diff;
+}
+
+TEST(InstructionErrorModel, BuildMatchesPerSlotFormulaBitForBit) {
+  static const netlist::Pipeline pipeline = netlist::build_pipeline({});
+  obs::Counter& clark_calls = obs::MetricsRegistry::instance().counter("stat.clark_min_calls");
+  for (const char* name : {"bitcount", "pgp.encode"}) {
+    SCOPED_TRACE(name);
+    const auto& specs = workloads::mibench_specs();
+    const auto spec = std::find_if(specs.begin(), specs.end(), [&](const auto& w) {
+      return w.name == name;
+    });
+    ASSERT_NE(spec, specs.end());
+    const isa::Program program = workloads::generate_program(*spec);
+    // At 1000 ps the control DTS decides part of the probabilities, so a
+    // class table that leaked from one source into the next would show.
+    FrameworkConfig cfg;
+    cfg.spec = timing::TimingSpec{1000.0};
+    cfg.executor = workloads::executor_config_for(*spec, 4);
+    ErrorRateFramework fw(pipeline, cfg);
+    (void)fw.analyze(program, workloads::generate_inputs(*spec, 4, 2026));
+    const auto& last = fw.last();
+
+    // The recorded profile, and a copy whose first sample of every
+    // multi-instruction block lacks contexts past its first instruction
+    // (what the budget guard leaves behind), for the no-context branch.
+    const isa::ProgramProfile& recorded = last.executor->profile();
+    isa::ProgramProfile truncated = recorded;
+    std::size_t cut = 0;
+    auto truncate_first = [&](isa::EdgeSamples& es) {
+      if (es.samples.empty() || es.samples[0].instrs.size() < 2) return;
+      es.samples[0].instrs.resize(1);
+      ++cut;
+    };
+    for (isa::BlockProfile& bp : truncated.blocks) {
+      truncate_first(bp.entry_samples);
+      for (isa::EdgeSamples& es : bp.edge_samples) truncate_first(es);
+    }
+    ASSERT_GT(cut, 0u);
+
+    for (const CorrectionScheme scheme :
+         {CorrectionScheme::kPipelineFlush, CorrectionScheme::kReplayWithoutFlush}) {
+      SCOPED_TRACE(scheme == CorrectionScheme::kPipelineFlush ? "flush" : "replay");
+      ErrorModelConfig config;
+      config.scheme = scheme;
+      const InstructionErrorModel model(fw.datapath_model(), cfg.spec, config);
+      const std::array<const isa::ProgramProfile*, 2> profiles = {&recorded, &truncated};
+      for (const isa::ProgramProfile* profile : profiles) {
+        const std::uint64_t before = clark_calls.value();
+        const auto built = model.build(program, *last.cfg, *profile, last.control);
+        const std::uint64_t calls = clark_calls.value() - before;
+        const auto expected = oracle_build(fw.datapath_model(), cfg.spec, config, program,
+                                           *profile, last.control);
+        EXPECT_EQ(differing_slots(built, expected), 0u);
+        EXPECT_LE(calls, distinct_class_triples(config, program, *profile, last.control));
+      }
+    }
+  }
 }
 
 }  // namespace

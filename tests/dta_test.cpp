@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
 #include "dta/control_characterizer.hpp"
 #include "dta/datapath_model.hpp"
@@ -12,6 +14,7 @@
 #include "isa/executor.hpp"
 #include "netlist/pipeline.hpp"
 #include "obs/metrics.hpp"
+#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "timing/sta.hpp"
 #include "workloads/generator.hpp"
@@ -142,6 +145,104 @@ TEST(DatapathModel, ChainLengthSemantics) {
   ExContext add2{1u, 1u, isa::ExUnit::kAdder, Opcode::kAdd};
   const int l2 = DatapathModel::adder_chain_length(add2, bubble);
   EXPECT_LT(l2, l1);
+}
+
+/// Bit-serial reference for DatapathModel::adder_chain_length: ripple the
+/// carry through 32 full adders for both contexts (subtracts invert B and
+/// set the carry-in) and measure the longest run of toggled carries.
+int serial_chain_length(const ExContext& cur, const ExContext& prev) {
+  struct AdderInputs {
+    std::uint32_t a, b, cin;
+    bool operator==(const AdderInputs&) const = default;
+  };
+  auto inputs = [](const ExContext& cx) {
+    const bool sub = cx.op == Opcode::kSub || cx.op == Opcode::kSubi;
+    return AdderInputs{cx.a, sub ? ~cx.b : cx.b, sub ? 1u : 0u};
+  };
+  auto carries = [](const AdderInputs& in) {
+    std::array<bool, 32> c{};
+    std::uint32_t carry = in.cin;
+    for (int i = 0; i < 32; ++i) {
+      const std::uint32_t ai = (in.a >> i) & 1u;
+      const std::uint32_t bi = (in.b >> i) & 1u;
+      carry = (ai & bi) | (carry & (ai ^ bi));
+      c[static_cast<std::size_t>(i)] = carry != 0;
+    }
+    return c;
+  };
+  const AdderInputs x = inputs(cur);
+  const AdderInputs y = inputs(prev);
+  if (x == y) return -1;
+  const auto cx = carries(x);
+  const auto cy = carries(y);
+  int best = 0;
+  int run = 0;
+  for (std::size_t i = 0; i < 32; ++i) {
+    run = cx[i] != cy[i] ? run + 1 : 0;
+    best = std::max(best, run);
+  }
+  return best == 0 ? 1 : best + 1;
+}
+
+TEST(DatapathModel, ChainLengthMatchesBitSerialCarryRipple) {
+  constexpr std::array<Opcode, 4> kOps = {Opcode::kAdd, Opcode::kSub, Opcode::kLd, Opcode::kSt};
+  auto adder = [](std::uint32_t a, std::uint32_t b, Opcode op) {
+    return ExContext{a, b, isa::ExUnit::kAdder, op};
+  };
+  const ExContext bubble{};
+
+  // Edge cases: a full 32-bit carry ripple (the longest chain, 33), a
+  // subtract borrowing through every bit, identical operands (nothing
+  // toggles) and equal adder inputs reached through add vs. subtract.
+  EXPECT_EQ(DatapathModel::adder_chain_length(adder(0xFFFFFFFFu, 1u, Opcode::kAdd), bubble), 33);
+  EXPECT_EQ(DatapathModel::adder_chain_length(adder(0u, 0u, Opcode::kSub), bubble), 33);
+  EXPECT_EQ(DatapathModel::adder_chain_length(adder(0u, 1u, Opcode::kSub), bubble), 1);
+  for (const Opcode op : kOps) {
+    const ExContext cx = adder(0x12345678u, 0x9ABCDEF0u, op);
+    EXPECT_EQ(DatapathModel::adder_chain_length(cx, cx), -1);
+  }
+  const std::vector<std::pair<ExContext, ExContext>> edges = {
+      {adder(0xFFFFFFFFu, 1u, Opcode::kAdd), adder(0xFFFFFFFFu, 0u, Opcode::kAdd)},
+      {adder(0xFFFFFFFFu, 1u, Opcode::kAdd), adder(0xFFFFFFFEu, 1u, Opcode::kAdd)},
+      {adder(0x80000000u, 1u, Opcode::kSub), adder(0x80000000u, 0u, Opcode::kSub)},
+      {adder(0u, 0xFFFFFFFFu, Opcode::kSub), bubble},
+      {adder(5u, 0xFFFFFFFAu, Opcode::kSub), adder(5u, 5u, Opcode::kAdd)},
+      {adder(0x7FFFFFFFu, 0x7FFFFFFFu, Opcode::kLd), adder(0u, 0u, Opcode::kSt)},
+  };
+  for (const auto& [cur, prev] : edges)
+    EXPECT_EQ(DatapathModel::adder_chain_length(cur, prev), serial_chain_length(cur, prev));
+
+  // Random operand pairs in add / sub / ld / st contexts.  Half the
+  // operands are shaped (low-bit masks, near-negations, small values) so
+  // long chains are as common as short ones.
+  support::Rng rng(2026);
+  auto operand = [&rng]() -> std::uint32_t {
+    const auto r = static_cast<std::uint32_t>(rng.next_u64());
+    switch (rng.next_u64() % 6) {
+      case 0:
+        return r >> (r & 31u);
+      case 1:
+        return ~(r >> (r & 31u));
+      case 2:
+        return r & 0xFFu;
+      default:
+        return r;
+    }
+  };
+  std::size_t mismatches = 0;
+  int longest = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const ExContext prev = adder(operand(), operand(), kOps[rng.next_u64() % kOps.size()]);
+    ExContext cur = adder(operand(), operand(), kOps[rng.next_u64() % kOps.size()]);
+    if (i % 8 == 0) cur.a = prev.a;  // one operand unchanged
+    const int got = DatapathModel::adder_chain_length(cur, prev);
+    if (got != serial_chain_length(cur, prev) && mismatches++ < 5)
+      ADD_FAILURE() << std::hex << "cur " << cur.a << " " << cur.b << " prev " << prev.a << " "
+                    << prev.b << ": " << std::dec << got;
+    longest = std::max(longest, got);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(longest, 33);
 }
 
 class DatapathModelFixture : public ::testing::Test {

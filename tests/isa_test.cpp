@@ -309,6 +309,7 @@ TEST(Assembler, ErrorsCarryLineNumbers) {
   }
   EXPECT_THROW((void)assemble("beq r1, r2, nowhere\nhalt\n"), terrors::robust::Error);
   EXPECT_THROW((void)assemble("movi r99, 1\nhalt\n"), terrors::robust::Error);
+  EXPECT_THROW((void)assemble("movi r99999999999, 1\nhalt\n"), terrors::robust::Error);
   EXPECT_THROW((void)assemble("movi r1, 999999\nhalt\n"), terrors::robust::Error);
 }
 
