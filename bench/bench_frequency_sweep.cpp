@@ -15,7 +15,6 @@ using namespace terrors;
 
 int main(int argc, char** argv) {
   const auto rs = bench::parse_scale(argc, argv);
-  bench::JsonReport report(argc, argv, "frequency_sweep", "BENCH_frequency_sweep.json");
   bool all = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--all") all = true;
@@ -75,16 +74,6 @@ int main(int argc, char** argv) {
     for (const auto& p : prepared) {
       framework.set_executor_config(p.executor);
       const auto r = framework.analyze(p.program, p.inputs);
-      report.record(p.spec->name, {{"run_id", r.run_id}},
-                                  {{"period_ps", period},
-                                   {"threads", static_cast<double>(rs.threads)},
-                                   {"rate_mean", r.estimate.rate_mean()},
-                                   {"rate_sd", r.estimate.rate_sd()},
-                                   {"train_seconds", r.training_seconds},
-                                   {"sim_seconds", r.simulation_seconds},
-                                   {"estimation_seconds", r.estimation_seconds},
-                                   {"analyze_seconds", r.training_seconds + r.simulation_seconds +
-                                                           r.estimation_seconds}});
       std::printf(" %12.4f", 100.0 * r.estimate.rate_mean());
       char buf[32];
       std::snprintf(buf, sizeof buf, " %+12.2f", 100.0 * ts.performance_improvement(

@@ -17,10 +17,9 @@ using namespace terrors;
 
 int main(int argc, char** argv) {
   const auto rs = bench::parse_scale(argc, argv);
-  bench::JsonReport report(argc, argv, "table2", "BENCH_table2.json");
   auto cfg = bench::default_config();
   cfg.execution_scale = 1.0 / rs.scale;  // evaluate the bounds at paper scale
-  cfg.cache_dir = rs.cache_dir;  // --cache-dir: also measure a warm repeat
+  cfg.cache_dir = rs.cache_dir;
   core::ErrorRateFramework framework(bench::pipeline(), cfg);
   const perf::TsProcessorModel ts;
 
@@ -46,16 +45,6 @@ int main(int argc, char** argv) {
     const auto inputs = workloads::generate_inputs(spec, rs.runs, /*seed=*/2026);
     const core::BenchmarkResult r = framework.analyze(program, inputs);
 
-    // With the artifact cache on, repeat the analysis warm: the first call
-    // populated the cache, so this one measures the warm-start path.
-    double warm_analyze_seconds = 0.0;
-    std::uint64_t warm_hits = 0;
-    if (!rs.cache_dir.empty()) {
-      const core::BenchmarkResult w = framework.analyze(program, inputs);
-      warm_analyze_seconds = w.training_seconds + w.simulation_seconds + w.estimation_seconds;
-      warm_hits = w.cache_hits;
-    }
-
     const double mean_pct = 100.0 * r.estimate.rate_mean();
     const double sd_pct = 100.0 * r.estimate.rate_sd();
     std::printf("%-13s %14llu %12llu %6zu | %9.2f %9.3f %9.2f | %8.3f %8.3f | %10.4f %10.4f | %+8.2f\n",
@@ -65,25 +54,6 @@ int main(int argc, char** argv) {
                 r.training_seconds + r.simulation_seconds, mean_pct, sd_pct,
                 r.estimate.dk_lambda, r.estimate.dk_count,
                 100.0 * ts.performance_improvement(r.estimate.rate_mean()));
-    report.record(spec.name, {{"run_id", r.run_id}},
-                             {{"paper_instructions", static_cast<double>(spec.paper_instructions)},
-                              {"sim_instructions", static_cast<double>(r.instructions)},
-                              {"basic_blocks", static_cast<double>(r.basic_blocks)},
-                              {"threads", static_cast<double>(rs.threads)},
-                              {"train_seconds", r.training_seconds},
-                              {"sim_seconds", r.simulation_seconds},
-                              {"estimation_seconds", r.estimation_seconds},
-                              {"analyze_seconds",
-                               r.training_seconds + r.simulation_seconds + r.estimation_seconds},
-                              {"cold_analyze_seconds",
-                               r.training_seconds + r.simulation_seconds + r.estimation_seconds},
-                              {"warm_analyze_seconds", warm_analyze_seconds},
-                              {"cache_hits", static_cast<double>(warm_hits)},
-                              {"cache_misses", static_cast<double>(r.cache_misses)},
-                              {"rate_mean", r.estimate.rate_mean()},
-                              {"rate_sd", r.estimate.rate_sd()},
-                              {"dk_lambda", r.estimate.dk_lambda},
-                              {"dk_count", r.estimate.dk_count}});
     total_train += r.training_seconds;
     total_sim += r.simulation_seconds;
     total_sim_instr += r.instructions;

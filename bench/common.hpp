@@ -1,21 +1,15 @@
 // Shared setup for the reproduction benches: one pipeline instance, the
-// calibrated operating point, small table-printing helpers, and the
-// machine-readable per-benchmark JSON reports that seed the perf
-// trajectory (BENCH_*.json) future optimisation PRs measure against.
+// calibrated operating point, argv parsing and small table-printing
+// helpers.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/framework.hpp"
 #include "netlist/pipeline.hpp"
-#include "obs/journal.hpp"
-#include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "perf/ts_model.hpp"
 #include "robust/error.hpp"
 #include "robust/parse.hpp"
@@ -88,96 +82,5 @@ inline void hr(int width = 110) {
   for (int i = 0; i < width; ++i) std::putchar('-');
   std::putchar('\n');
 }
-
-/// Machine-readable per-benchmark records.  The output path is resolved
-/// as `--json=FILE` (or `--json FILE`) > the TERRORS_BENCH_JSON
-/// environment variable > `default_path`.  The trajectory benches pass
-/// their repo-root convention name (BENCH_<bench>.json) as the default so
-/// every run refreshes the perf trajectory; `--json=` (empty value)
-/// disables the file entirely.  Benches without a default stay inert, so
-/// their default stdout is unchanged.  On destruction writes
-///   {"bench": ..., "records": [{...}, ...], "peak_rss_bytes": N,
-///    "metrics": {...}}
-/// where "metrics" is the process-wide obs::MetricsRegistry snapshot and
-/// "peak_rss_bytes" is the process high-water mark at write time.
-/// Records carry numeric fields plus optional string labels (e.g. the
-/// run_id of the analyze() call behind the row), so trajectory tooling
-/// can join bench rows against journal events.
-class JsonReport {
- public:
-  JsonReport(int argc, char** argv, std::string bench_name, std::string default_path = "")
-      : bench_name_(std::move(bench_name)), path_(std::move(default_path)) {
-    if (const char* env = std::getenv("TERRORS_BENCH_JSON")) path_ = env;
-    for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a.rfind("--json=", 0) == 0) path_ = a.substr(7);
-      if (a == "--json" && i + 1 < argc) path_ = argv[i + 1];
-    }
-  }
-
-  ~JsonReport() {
-    if (path_.empty()) return;
-    std::ofstream os(path_);
-    if (!os) {
-      std::fprintf(stderr, "cannot open bench JSON file '%s'\n", path_.c_str());
-      return;
-    }
-    os << "{\"bench\":";
-    obs::json_string(os, bench_name_);
-    os << ",\"records\":[";
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      if (i != 0) os << ",";
-      const auto& rec = records_[i];
-      os << "{\"name\":";
-      obs::json_string(os, rec.name);
-      for (const auto& [key, value] : rec.labels) {
-        os << ",";
-        obs::json_string(os, key);
-        os << ":";
-        obs::json_string(os, value);
-      }
-      for (const auto& [key, value] : rec.fields) {
-        os << ",";
-        obs::json_string(os, key);
-        os << ":";
-        obs::json_number(os, value);
-      }
-      os << "}";
-    }
-    os << "],\"peak_rss_bytes\":";
-    obs::json_number(os, obs::peak_rss_bytes());
-    os << ",\"metrics\":";
-    obs::MetricsRegistry::instance().write_json(os);
-    os << "}\n";
-  }
-
-  [[nodiscard]] bool enabled() const { return !path_.empty(); }
-
-  void record(std::string name,
-              std::initializer_list<std::pair<const char*, double>> fields) {
-    record(std::move(name), {}, fields);
-  }
-
-  /// Record with string labels (written before the numeric fields).
-  void record(std::string name,
-              std::initializer_list<std::pair<const char*, std::string>> labels,
-              std::initializer_list<std::pair<const char*, double>> fields) {
-    Record rec;
-    rec.name = std::move(name);
-    for (const auto& [key, value] : labels) rec.labels.emplace_back(key, value);
-    for (const auto& [key, value] : fields) rec.fields.emplace_back(key, value);
-    records_.push_back(std::move(rec));
-  }
-
- private:
-  struct Record {
-    std::string name;
-    std::vector<std::pair<std::string, std::string>> labels;
-    std::vector<std::pair<std::string, double>> fields;
-  };
-  std::string bench_name_;
-  std::string path_;
-  std::vector<Record> records_;
-};
 
 }  // namespace terrors::bench

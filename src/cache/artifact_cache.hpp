@@ -28,30 +28,7 @@
 
 namespace terrors::cache {
 
-/// Abstract artifact store: the seam between the framework's warm-start
-/// logic and wherever artifacts actually live.  The on-disk ArtifactCache
-/// below is the original implementation; `terrors serve` layers a bounded
-/// in-memory LRU tier (serve::MemoryArtifactTier) over it so hot artifacts
-/// never touch the filesystem between requests.  Implementations must be
-/// safe to call from any single analyzing thread at a time and may be
-/// shared across framework instances (keys are content-addressed, so two
-/// frameworks can only ever agree about a payload).
-class ArtifactStore {
- public:
-  virtual ~ArtifactStore() = default;
-
-  /// The validated payload of <kind, key>, or nullopt on miss/corruption.
-  [[nodiscard]] virtual std::optional<std::vector<std::uint8_t>> load(std::string_view kind,
-                                                                      std::uint64_t key) const = 0;
-
-  /// Persist the payload under <kind, key>.  Failures degrade (a store
-  /// that cannot write behaves like a store that never hits); they must
-  /// not propagate into the analysis.
-  virtual void store(std::string_view kind, std::uint64_t key,
-                     const std::vector<std::uint8_t>& payload) const = 0;
-};
-
-class ArtifactCache final : public ArtifactStore {
+class ArtifactCache {
  public:
   /// `dir` is created (recursively) if missing.  Must be non-empty; the
   /// "cache disabled" state is expressed by not constructing one.
@@ -59,13 +36,13 @@ class ArtifactCache final : public ArtifactStore {
 
   /// The validated payload of <kind, key>, or nullopt on miss/corruption.
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> load(std::string_view kind,
-                                                              std::uint64_t key) const override;
+                                                              std::uint64_t key) const;
 
   /// Atomically persist the payload under <kind, key>.  I/O failures are
   /// logged and swallowed: a cache that cannot write degrades to a cache
   /// that never hits, never into an analysis failure.
   void store(std::string_view kind, std::uint64_t key,
-             const std::vector<std::uint8_t>& payload) const override;
+             const std::vector<std::uint8_t>& payload) const;
 
   /// Final on-disk path of an artifact (exposed for tests, e.g. targeted
   /// corruption).

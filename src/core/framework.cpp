@@ -1,6 +1,7 @@
 #include "core/framework.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <optional>
 
 #include "cache/key.hpp"
@@ -18,6 +19,12 @@
 namespace terrors::core {
 
 namespace {
+void require_valid_spec(const timing::TimingSpec& spec) {
+  TE_REQUIRE(std::isfinite(spec.period_ps) && spec.period_ps > 0.0,
+             "clock period must be positive and finite, got " + std::to_string(spec.period_ps) +
+                 " ps");
+}
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
@@ -25,7 +32,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 // Degradation policy (DESIGN §5f): the cache is an accelerator, never a
 // dependency.  A throwing load is a miss (recompute), a throwing store
 // loses only warm-start time; both are recorded, neither fails analyze().
-std::optional<std::vector<std::uint8_t>> safe_cache_load(const cache::ArtifactStore& c,
+std::optional<std::vector<std::uint8_t>> safe_cache_load(const cache::ArtifactCache& c,
                                                          std::string_view kind,
                                                          std::uint64_t key) {
   try {
@@ -37,7 +44,7 @@ std::optional<std::vector<std::uint8_t>> safe_cache_load(const cache::ArtifactSt
   }
 }
 
-void safe_cache_store(const cache::ArtifactStore& c, std::string_view kind, std::uint64_t key,
+void safe_cache_store(const cache::ArtifactCache& c, std::string_view kind, std::uint64_t key,
                       const std::vector<std::uint8_t>& payload) {
   try {
     c.store(kind, key, payload);
@@ -50,6 +57,7 @@ void safe_cache_store(const cache::ArtifactStore& c, std::string_view kind, std:
 
 ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, FrameworkConfig config)
     : pipeline_(pipeline), config_(config), vm_(pipeline.netlist, config.variation) {
+  require_valid_spec(config_.spec);
   obs::ScopedSpan span("framework.init");
 
   // Component hashes feed both cache keys and run ids, so they are
@@ -59,12 +67,8 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
   dts_hash_ = cache::hash_dts_config(config_.dts);
   charcfg_hash_ = cache::hash_characterizer_config(config_.characterizer);
 
-  if (config_.artifact_store != nullptr) {
-    store_ = config_.artifact_store;
-    obs::log_info("cache", "external artifact store attached", {});
-  } else if (const std::string dir = cache::resolve_cache_dir(config_.cache_dir); !dir.empty()) {
+  if (const std::string dir = cache::resolve_cache_dir(config_.cache_dir); !dir.empty()) {
     cache_ = std::make_unique<cache::ArtifactCache>(dir);
-    store_ = cache_.get();
     obs::log_info("cache", "artifact cache enabled", {{"dir", dir}});
   }
   journal_path_ = obs::resolve_journal_path(config_.journal_path);
@@ -74,10 +78,10 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
 
   // Datapath-model training is spec-independent (arrival-form parameters),
   // so its key omits the timing spec.
-  if (store_) {
+  if (cache_) {
     const std::uint64_t key =
         cache::combine({cache::kModelVersion, netlist_hash_, variation_hash_, dts_hash_});
-    if (auto bytes = safe_cache_load(*store_, "datapath", key)) {
+    if (auto bytes = safe_cache_load(*cache_, "datapath", key)) {
       cache::ByteReader r(*bytes);
       if (auto params = cache::decode_datapath(r)) {
         datapath_ = std::make_unique<dta::DatapathModel>(
@@ -89,7 +93,7 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
           dta::DatapathModel::train(pipeline_, vm_, config_.dts));
       cache::ByteWriter w;
       cache::encode_datapath(datapath_->params(), w);
-      safe_cache_store(*store_, "datapath", key, w.bytes());
+      safe_cache_store(*cache_, "datapath", key, w.bytes());
     }
   } else {
     datapath_ = std::make_unique<dta::DatapathModel>(
@@ -103,6 +107,7 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
 }
 
 void ErrorRateFramework::set_spec(timing::TimingSpec spec) {
+  require_valid_spec(spec);
   config_.spec = spec;
   // The characterizer's analyzer caches paths, which are spec-independent;
   // only the slack conversion uses the spec.
@@ -135,13 +140,8 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
        cache::hash_spec(config_.spec), cache::hash_program(program), analyze_ordinal_++});
   obs::RunContext ctx(run_key, program.name());
   obs::RunContext::Scope run_scope(ctx);
-  {
-    std::vector<obs::LogField> fields = {{"program", program.name()},
-                                         {"inputs", inputs.size()},
-                                         {"run", ctx.id()}};
-    if (!ctx.request_id().empty()) fields.push_back({"req", ctx.request_id()});
-    obs::log_info("core", "analyze start", fields);
-  }
+  obs::log_info("core", "analyze start",
+                {{"program", program.name()}, {"inputs", inputs.size()}, {"run", ctx.id()}});
 
   BenchmarkResult result;
   result.name = program.name();
@@ -181,12 +181,12 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     // not bit-identical to the current one.
     bool loaded = false;
     std::uint64_t control_key = 0;
-    if (store_) {
+    if (cache_) {
       control_key = cache::combine(
           {cache::kModelVersion, netlist_hash_, variation_hash_, dts_hash_, charcfg_hash_,
            cache::hash_spec(config_.spec), cache::hash_program(program),
            cache::hash_profile(last_.executor->profile())});
-      if (auto bytes = safe_cache_load(*store_, "control", control_key)) {
+      if (auto bytes = safe_cache_load(*cache_, "control", control_key)) {
         cache::ByteReader r(*bytes);
         if (auto control = cache::decode_control(r, config_.spec)) {
           last_.control = std::move(*control);
@@ -196,7 +196,7 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     }
 
     if (!loaded) {
-      if (store_ && !paths_cache_checked_) {
+      if (cache_ && !paths_cache_checked_) {
         // Seed the shared enumerator from the path artifact if present;
         // characterize() then warms only what's missing.  The path set is
         // spec- and variation-independent (nominal STA ordering only).
@@ -206,7 +206,7 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
             {cache::kModelVersion, netlist_hash_, cache::hash_path_config(paths.config()),
              static_cast<std::uint64_t>(config_.dts.top_k)});
         bool paths_loaded = false;
-        if (auto bytes = safe_cache_load(*store_, "paths", paths_key)) {
+        if (auto bytes = safe_cache_load(*cache_, "paths", paths_key)) {
           cache::ByteReader r(*bytes);
           if (auto warmed = cache::decode_paths(r)) {
             try {
@@ -222,15 +222,15 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
         if (!paths_loaded) {
           cache::ByteWriter w;
           cache::encode_paths(paths.export_warmed(), w);
-          safe_cache_store(*store_, "paths", paths_key, w.bytes());
+          safe_cache_store(*cache_, "paths", paths_key, w.bytes());
         }
       }
       last_.control =
           characterizer_->characterize(program, *last_.cfg, last_.executor->profile());
-      if (store_) {
+      if (cache_) {
         cache::ByteWriter w;
         cache::encode_control(last_.control, config_.spec, w);
-        safe_cache_store(*store_, "control", control_key, w.bytes());
+        safe_cache_store(*cache_, "control", control_key, w.bytes());
       }
     }
     result.training_seconds = seconds_since(t0);
@@ -300,7 +300,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
   if (!journal_path_.empty()) {
     obs::RunEvent event;
     event.run_id = ctx.id();
-    event.request_id = ctx.request_id();
     event.unix_ms = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::system_clock::now().time_since_epoch())

@@ -48,12 +48,6 @@ struct FrameworkConfig {
   /// default) disables caching; the TERRORS_CACHE_DIR environment
   /// variable is honoured when this is empty (see cache::resolve_cache_dir).
   std::string cache_dir;
-  /// Externally owned artifact store.  When set it takes precedence over
-  /// `cache_dir`: the framework loads and stores artifacts through it and
-  /// never constructs its own on-disk cache.  `terrors serve` injects its
-  /// shared in-memory LRU tier here so every per-request framework reuses
-  /// the same warm artifacts.  Must outlive the framework.
-  cache::ArtifactStore* artifact_store = nullptr;
   /// Run-journal file: one wide JSONL event is appended per analyze()
   /// call (DESIGN §5g). Empty (the default) consults TERRORS_JOURNAL and
   /// disables journaling when that is unset too. Journal appends are a
@@ -90,6 +84,8 @@ struct BenchmarkResult {
 
 class ErrorRateFramework {
  public:
+  /// Throws std::invalid_argument unless `config.spec.period_ps` is
+  /// positive and finite.
   ErrorRateFramework(const netlist::Pipeline& pipeline, FrameworkConfig config = {});
 
   /// Analyse one program over the given input datasets.  An attached
@@ -108,6 +104,8 @@ class ErrorRateFramework {
   [[nodiscard]] dta::ControlCharacterizer& characterizer() { return *characterizer_; }
   [[nodiscard]] const netlist::Pipeline& pipeline() const { return pipeline_; }
   /// Change the operating point (affects subsequent analyze() calls).
+  /// Throws std::invalid_argument, leaving the spec unchanged, unless
+  /// `spec.period_ps` is positive and finite.
   void set_spec(timing::TimingSpec spec);
   /// Per-benchmark executor configuration (instruction budget, reservoir).
   void set_executor_config(const isa::ExecutorConfig& cfg) { config_.executor = cfg; }
@@ -129,11 +127,8 @@ class ErrorRateFramework {
   const netlist::Pipeline& pipeline_;
   FrameworkConfig config_;
   timing::VariationModel vm_;
-  /// Owner of the dir-based cache when `cache_dir` selected one.
+  /// The on-disk artifact cache, or nullptr when caching is off.
   std::unique_ptr<cache::ArtifactCache> cache_;
-  /// The store artifacts actually go through: `config.artifact_store` if
-  /// injected, else `cache_.get()`, else nullptr (caching off).
-  cache::ArtifactStore* store_ = nullptr;
   // Component hashes of the cache key, fixed at construction time.
   std::uint64_t netlist_hash_ = 0;
   std::uint64_t variation_hash_ = 0;

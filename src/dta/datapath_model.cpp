@@ -103,8 +103,8 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
                                    const timing::VariationModel& vm,
                                    const DtsConfig& dts_config) {
   obs::ScopedSpan span("dta.datapath_train");
-  // Counted so warm-start layers (cache, `terrors serve`) can assert how
-  // many times training was actually paid.
+  // Counted so the warm-start cache layer can assert how many times
+  // training was actually paid.
   static obs::Counter& trainings =
       obs::MetricsRegistry::instance().counter("dta.datapath_trainings");
   trainings.increment();

@@ -35,12 +35,6 @@ std::string event_line(const RunEvent& event) {
   json_number(os, static_cast<std::uint64_t>(event.schema_version));
   os << ",\"run_id\":";
   json_string(os, event.run_id);
-  // Optional: only daemon-served runs carry a request id, and omitting
-  // the key keeps CLI journal bytes identical to pre-serve releases.
-  if (!event.request_id.empty()) {
-    os << ",\"request_id\":";
-    json_string(os, event.request_id);
-  }
   os << ",\"unix_ms\":";
   json_number(os, event.unix_ms);
   os << ",\"program\":";
@@ -96,64 +90,9 @@ std::string event_line(const RunEvent& event) {
   return os.str();
 }
 
-std::string access_event_line(const AccessEvent& event) {
-  std::ostringstream os;
-  os << "{\"kind\":";
-  json_string(os, kAccessJournalKind);
-  os << ",\"schema_version\":";
-  json_number(os, static_cast<std::uint64_t>(event.schema_version));
-  os << ",\"request_id\":";
-  json_string(os, event.request_id);
-  os << ",\"op\":";
-  json_string(os, event.op);
-  os << ",\"signature\":";
-  json_string(os, event.signature);
-  os << ",\"run_id\":";
-  json_string(os, event.run_id);
-  os << ",\"unix_ms\":";
-  json_number(os, event.unix_ms);
-  os << ",\"timing\":{\"queue_wait_seconds\":";
-  json_number(os, event.queue_wait_seconds);
-  os << ",\"executor_seconds\":";
-  json_number(os, event.executor_seconds);
-  os << ",\"total_seconds\":";
-  json_number(os, event.total_seconds);
-  os << "},\"coalesced\":" << (event.coalesced ? "true" : "false");
-  os << ",\"rejected\":" << (event.rejected ? "true" : "false");
-  os << ",\"ok\":" << (event.ok ? "true" : "false");
-  os << ",\"error_category\":";
-  json_string(os, event.error_category);
-  os << ",\"response_bytes\":";
-  json_number(os, event.response_bytes);
-  os << ",\"queue_depth_peak\":";
-  json_number(os, event.queue_depth_peak);
-  // Supervision fields (DESIGN §5j) ride at the end and only when set, so
-  // events from requests the supervisor never touched keep their exact
-  // pre-PR-10 bytes.
-  if (!event.kill_reason.empty()) {
-    os << ",\"kill_reason\":";
-    json_string(os, event.kill_reason);
-  }
-  if (event.breaker_tripped) os << ",\"breaker_tripped\":true";
-  if (event.breaker_rejected) os << ",\"breaker_rejected\":true";
-  if (event.retry_after_ms > 0) {
-    os << ",\"retry_after_ms\":";
-    json_number(os, event.retry_after_ms);
-  }
-  os << "}";
-  return os.str();
-}
-
 void append_event(const std::string& path, const RunEvent& event) {
   append_line(path, event_line(event) + "\n");
   static Counter& events = MetricsRegistry::instance().counter("journal.events");
-  events.increment();
-}
-
-void append_access_event(const std::string& path, const AccessEvent& event) {
-  append_line(path, access_event_line(event) + "\n");
-  static Counter& events =
-      MetricsRegistry::instance().counter("journal.access_events");
   events.increment();
 }
 

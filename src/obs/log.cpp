@@ -130,10 +130,6 @@ void log_info(std::string_view comp, std::string_view msg,
               std::initializer_list<LogField> fields) {
   Logger::instance().log(LogLevel::kInfo, comp, msg, fields);
 }
-void log_info(std::string_view comp, std::string_view msg,
-              const std::vector<LogField>& fields) {
-  Logger::instance().log(LogLevel::kInfo, comp, msg, fields);
-}
 void log_debug(std::string_view comp, std::string_view msg,
                std::initializer_list<LogField> fields) {
   Logger::instance().log(LogLevel::kDebug, comp, msg, fields);

@@ -72,19 +72,9 @@ class Logger {
   void log(LogLevel level, std::string_view component, std::string_view message,
            std::initializer_list<LogField> fields = {});
   /// Overload for call sites that compose their field list at runtime
-  /// (e.g. optional run=/req= tags).
+  /// (e.g. an optional run= tag).
   void log(LogLevel level, std::string_view component, std::string_view message,
            const std::vector<LogField>& fields);
-
-  /// Fork hygiene (serve/worker.hpp): a multi-threaded parent must hold
-  /// the logger mutex across fork(), or a child forked while another
-  /// thread was mid-log inherits a locked mutex nobody will ever release.
-  /// lock_for_fork() is called immediately before fork() and
-  /// unlock_after_fork() immediately after in BOTH parent and child (the
-  /// child's only thread is the forking thread's clone, so it owns the
-  /// lock) — the classic pthread_atfork prepare/parent/child pattern.
-  void lock_for_fork() { mutex_.lock(); }
-  void unlock_after_fork() { mutex_.unlock(); }
 
  private:
   void log_impl(LogLevel level, std::string_view component, std::string_view message,
@@ -104,8 +94,6 @@ void log_warn(std::string_view comp, std::string_view msg,
               const std::vector<LogField>& fields);
 void log_info(std::string_view comp, std::string_view msg,
               std::initializer_list<LogField> fields = {});
-void log_info(std::string_view comp, std::string_view msg,
-              const std::vector<LogField>& fields);
 void log_debug(std::string_view comp, std::string_view msg,
                std::initializer_list<LogField> fields = {});
 

@@ -60,17 +60,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return histograms_.try_emplace(std::string(name)).first->second;
 }
 
-void MetricsRegistry::set_help(std::string_view name, std::string_view help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  help_.insert_or_assign(std::string(name), std::string(help));
-}
-
-std::string MetricsRegistry::help(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = help_.find(name);
-  return it == help_.end() ? std::string() : it->second;
-}
-
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, c] : counters_) c.reset();
@@ -203,11 +192,8 @@ void prom_number(std::ostream& os, double v) {
 
 void MetricsRegistry::write_prometheus(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Caller holds mutex_, so look help up directly instead of via help().
-  const auto help_line = [this, &os](const std::string& name, const std::string& prom) {
-    const auto it = help_.find(name);
-    const std::string& text = it == help_.end() ? name : it->second;
-    os << "# HELP " << prom << " " << prometheus_escape_help(text) << "\n";
+  const auto help_line = [&os](const std::string& name, const std::string& prom) {
+    os << "# HELP " << prom << " " << prometheus_escape_help(name) << "\n";
   };
   for (const auto& [name, c] : counters_) {
     const std::string prom = prometheus_sanitize_name(name);

@@ -5,8 +5,7 @@
 // negligible cost; histograms reuse support::MomentAccumulator, giving
 // mean / sd / central moments / min / max without storing samples.
 // Nothing is ever printed unless a caller asks for write_json() (the
-// CLI's --metrics flag, the bench JSON reports), so default output is
-// untouched.
+// CLI's --metrics flag), so default output is untouched.
 //
 // Hot-path idiom — resolve the handle once, then increment:
 //
@@ -24,7 +23,7 @@
 // Per-run views are layered on top by obs::RunContext / MetricsScope
 // (run_context.hpp): the registry can snapshot every counter, and a scope
 // deltas the snapshot against live values — process-lifetime handles stay
-// lock-free while `terrors serve`-style callers get per-request numbers.
+// lock-free while each analyze() gets its own per-run numbers.
 #pragma once
 
 #include <atomic>
@@ -130,14 +129,6 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  /// Attach operator-facing help text to a metric name, surfaced as the
-  /// Prometheus `# HELP` line.  Idempotent; last writer wins.  Metrics
-  /// without help fall back to their raw (pre-sanitisation) name, so the
-  /// exposition always carries a HELP line per family.
-  void set_help(std::string_view name, std::string_view help);
-  /// The registered help text for `name`, or "" when none was set.
-  [[nodiscard]] std::string help(std::string_view name) const;
-
   /// Zero every registered metric (registrations stay).
   void reset();
   /// Total number of registered metrics across the three kinds.
@@ -147,21 +138,14 @@ class MetricsRegistry {
   /// delta views (obs::MetricsScope).  Names are sorted (std::map).
   [[nodiscard]] std::map<std::string, std::uint64_t> counter_values() const;
 
-  /// Fork hygiene (serve/worker.hpp): held across fork() so a child never
-  /// inherits the registration mutex locked by a non-forking thread.  See
-  /// Logger::lock_for_fork for the protocol.  Per-Histogram mutexes are
-  /// NOT covered — worker children and session threads touch disjoint
-  /// histogram families by construction.
-  void lock_for_fork() { mutex_.lock(); }
-  void unlock_after_fork() { mutex_.unlock(); }
-
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,mean,...}}}
   /// Histogram entries include reservoir quantiles p50/p95/p99.
   void write_json(std::ostream& os) const;
 
   /// Prometheus text exposition format (version 0.0.4): counters and
   /// gauges as single samples, histograms as summaries (quantile-labelled
-  /// samples plus _sum/_count).  Metric names are sanitised to the
+  /// samples plus _sum/_count).  Each family's HELP line carries its raw
+  /// (pre-sanitisation) name.  Metric names are sanitised to the
   /// Prometheus charset under a "terrors_" prefix; label values are
   /// escaped per the format spec (see prometheus_escape_label).
   void write_prometheus(std::ostream& os) const;
@@ -173,7 +157,6 @@ class MetricsRegistry {
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
-  std::map<std::string, std::string, std::less<>> help_;
 };
 
 /// Escape Prometheus HELP text: backslash and newline must be

@@ -1,7 +1,5 @@
 #include "obs/run_context.hpp"
 
-#include <mutex>
-
 namespace terrors::obs {
 
 namespace {
@@ -9,12 +7,6 @@ namespace {
 // the analyzing thread, readers (pool workers, the degradation log) only
 // dereference immutable members.
 std::atomic<RunContext*> g_current{nullptr};
-
-// The installed request id.  Unlike the context pointer this is a mutable
-// string, so reads take a lock and return a copy — request installation
-// happens once per served analyze, far off any hot path.
-std::mutex g_request_mutex;
-std::string g_request_id;
 }  // namespace
 
 std::uint64_t MetricsScope::delta(std::string_view name) const {
@@ -46,7 +38,7 @@ std::string format_run_id(std::uint64_t key) {
 
 RunContext::RunContext(std::uint64_t key, std::string label)
     : key_(key), id_(format_run_id(key)), label_(std::move(label)),
-      request_id_(current_request_id()), metrics_(MetricsRegistry::instance()) {}
+      metrics_(MetricsRegistry::instance()) {}
 
 void RunContext::set_phase_seconds(std::string_view phase, double seconds) {
   for (auto& [name, value] : phases_) {
@@ -68,22 +60,6 @@ RunContext::Scope::~Scope() { g_current.store(previous_, std::memory_order_relea
 std::string current_run_id() {
   const RunContext* ctx = RunContext::current();
   return ctx == nullptr ? std::string() : ctx->id();
-}
-
-RequestScope::RequestScope(std::string request_id) {
-  const std::lock_guard<std::mutex> lock(g_request_mutex);
-  previous_ = std::move(g_request_id);
-  g_request_id = std::move(request_id);
-}
-
-RequestScope::~RequestScope() {
-  const std::lock_guard<std::mutex> lock(g_request_mutex);
-  g_request_id = std::move(previous_);
-}
-
-std::string current_request_id() {
-  const std::lock_guard<std::mutex> lock(g_request_mutex);
-  return g_request_id;
 }
 
 }  // namespace terrors::obs

@@ -19,8 +19,7 @@
 // RunContext::current() is the propagation seam: the framework installs
 // the context for the duration of analyze() (RAII Scope), and downstream
 // layers that cannot take a parameter — the degradation log, cache log
-// lines — annotate their output with the active run id.  `terrors serve`
-// will install one context per request on the same seam.
+// lines — annotate their output with the active run id.
 //
 // Everything here is observational: a RunContext never feeds back into
 // the estimate, so runs with and without one attached are bit-identical.
@@ -71,9 +70,6 @@ class RunContext {
   [[nodiscard]] std::uint64_t key() const { return key_; }
   [[nodiscard]] const std::string& id() const { return id_; }
   [[nodiscard]] const std::string& label() const { return label_; }
-  /// The serve request id active when this context was built ("" outside
-  /// the daemon).  Captured once so pool workers can read it lock-free.
-  [[nodiscard]] const std::string& request_id() const { return request_id_; }
 
   [[nodiscard]] MetricsScope& metrics() { return metrics_; }
   [[nodiscard]] const MetricsScope& metrics() const { return metrics_; }
@@ -108,7 +104,6 @@ class RunContext {
   std::uint64_t key_;
   std::string id_;
   std::string label_;
-  std::string request_id_;
   MetricsScope metrics_;
   std::vector<std::pair<std::string, double>> phases_;
 };
@@ -116,24 +111,5 @@ class RunContext {
 /// The active run id, or "" when no run is in flight — for log/journal
 /// call sites that want a field value without null checks.
 [[nodiscard]] std::string current_run_id();
-
-/// RAII installer for the serve request id (DESIGN §5i): the daemon's
-/// executor wraps each analyze in a RequestScope so RunContexts built
-/// inside capture the id and degradation warnings can tag `req=`.
-/// Restores the previous id on destruction, mirroring RunContext::Scope.
-class RequestScope {
- public:
-  explicit RequestScope(std::string request_id);
-  ~RequestScope();
-  RequestScope(const RequestScope&) = delete;
-  RequestScope& operator=(const RequestScope&) = delete;
-
- private:
-  std::string previous_;
-};
-
-/// The request id installed by the innermost active RequestScope, or ""
-/// outside the daemon.  Mutex-guarded: callers get a copy, never a view.
-[[nodiscard]] std::string current_request_id();
 
 }  // namespace terrors::obs

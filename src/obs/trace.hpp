@@ -61,7 +61,7 @@ class Tracer {
   /// Sentinel index returned by begin_span once the buffer is full; the
   /// matching end_span / span_counter calls are no-ops.
   static constexpr std::size_t kDroppedSpan = static_cast<std::size_t>(-2);
-  /// Default span cap: generous for any CLI run, finite for a daemon.
+  /// Default span cap: generous for any CLI run, yet finite.
   static constexpr std::size_t kDefaultSpanLimit = std::size_t{1} << 20;
 
   void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }

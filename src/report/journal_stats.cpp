@@ -29,7 +29,6 @@ obs::RunEvent event_from_json(const JsonValue& doc) {
   obs::RunEvent e;
   e.schema_version = version;
   e.run_id = doc.at("run_id").as_string();
-  if (const JsonValue* v = doc.find("request_id")) e.request_id = v->as_string();
   e.unix_ms = doc.get_uint("unix_ms");
   e.program = doc.at("program").as_string();
   if (const JsonValue* v = doc.find("config_hash")) e.config_hash = v->as_string();
@@ -186,193 +185,6 @@ void write_stats_text(const JournalStats& s, std::ostream& os) {
        << std::setprecision(2) << std::setw(8) << p.last_vs_p50 << "x  " << std::scientific
        << std::setprecision(3) << p.last_lambda_mean << std::defaultfloat << std::setprecision(6)
        << "\n";
-  }
-  os.flags(flags);
-}
-
-obs::AccessEvent access_event_from_json(const JsonValue& doc) {
-  if (!doc.is_object())
-    robust::raise(robust::Category::kArtifact, "access event: not an object");
-  const JsonValue* kind = doc.find("kind");
-  if (kind == nullptr || !kind->is_string() || kind->as_string() != obs::kAccessJournalKind) {
-    robust::raise(robust::Category::kArtifact,
-                  "access event: not a terrors_access_event document");
-  }
-  const auto version = static_cast<int>(doc.at("schema_version").as_uint());
-  if (version != obs::kAccessJournalSchemaVersion) {
-    robust::raise(robust::Category::kArtifact,
-                  "access event: unsupported schema_version " + std::to_string(version) +
-                      " (expected " + std::to_string(obs::kAccessJournalSchemaVersion) + ")");
-  }
-
-  obs::AccessEvent e;
-  e.schema_version = version;
-  e.request_id = doc.at("request_id").as_string();
-  e.op = doc.at("op").as_string();
-  if (const JsonValue* v = doc.find("signature")) e.signature = v->as_string();
-  if (const JsonValue* v = doc.find("run_id")) e.run_id = v->as_string();
-  e.unix_ms = doc.get_uint("unix_ms");
-  const JsonValue& timing = doc.at("timing");
-  e.queue_wait_seconds = timing.get_number("queue_wait_seconds");
-  e.executor_seconds = timing.get_number("executor_seconds");
-  e.total_seconds = timing.get_number("total_seconds");
-  if (const JsonValue* v = doc.find("coalesced")) e.coalesced = v->as_bool();
-  if (const JsonValue* v = doc.find("rejected")) e.rejected = v->as_bool();
-  if (const JsonValue* v = doc.find("ok")) e.ok = v->as_bool();
-  if (const JsonValue* v = doc.find("error_category")) e.error_category = v->as_string();
-  e.response_bytes = doc.get_uint("response_bytes");
-  e.queue_depth_peak = doc.get_uint("queue_depth_peak");
-  // Supervision fields are emitted only when set (PR 10); their absence
-  // reads as the defaults, so old journals stay loadable.
-  if (const JsonValue* v = doc.find("kill_reason")) e.kill_reason = v->as_string();
-  if (const JsonValue* v = doc.find("breaker_tripped")) e.breaker_tripped = v->as_bool();
-  if (const JsonValue* v = doc.find("breaker_rejected")) e.breaker_rejected = v->as_bool();
-  e.retry_after_ms = doc.get_uint("retry_after_ms");
-  return e;
-}
-
-std::vector<obs::AccessEvent> load_access_journal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    robust::raise(robust::Category::kResource, "cannot open access journal '" + path + "'");
-  }
-  std::vector<obs::AccessEvent> events;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    try {
-      events.push_back(access_event_from_json(JsonValue::parse(line)));
-    } catch (const std::exception& e) {
-      throw robust::Error::wrap(
-          "access journal '" + path + "' line " + std::to_string(lineno), e,
-          robust::Category::kArtifact);
-    }
-  }
-  return events;
-}
-
-AccessStats aggregate_access(const std::vector<obs::AccessEvent>& events) {
-  AccessStats s;
-  s.events = events.size();
-  std::vector<double> analyze_total;
-  std::vector<double> queue_wait;
-  std::vector<double> executor;
-  double analyze_total_sum = 0.0;
-  double queue_wait_sum = 0.0;
-  std::map<std::string, std::vector<double>> per_op;
-  std::map<std::string, std::uint64_t> per_op_errors;
-  for (const obs::AccessEvent& e : events) {
-    if (!e.ok) ++s.errors;
-    if (e.rejected) ++s.rejected;
-    if (e.coalesced) ++s.coalesced;
-    if (!e.kill_reason.empty()) ++s.worker_deaths;
-    if (e.breaker_tripped) ++s.breaker_trips;
-    if (e.breaker_rejected) ++s.breaker_rejected;
-    s.queue_depth_peak = std::max(s.queue_depth_peak, e.queue_depth_peak);
-    s.response_bytes += e.response_bytes;
-    per_op[e.op].push_back(e.total_seconds);
-    if (!e.ok) ++per_op_errors[e.op];
-    if (e.op == "analyze") {
-      ++s.analyze_events;
-      if (!e.rejected) {
-        analyze_total.push_back(e.total_seconds);
-        queue_wait.push_back(e.queue_wait_seconds);
-        executor.push_back(e.executor_seconds);
-        analyze_total_sum += e.total_seconds;
-        queue_wait_sum += e.queue_wait_seconds;
-      }
-    }
-  }
-  s.analyze_total_seconds = summarize(std::move(analyze_total));
-  s.queue_wait_seconds = summarize(std::move(queue_wait));
-  s.executor_seconds = summarize(std::move(executor));
-  if (s.events > 0) {
-    s.error_rate = static_cast<double>(s.errors) / static_cast<double>(s.events);
-  }
-  if (s.analyze_events > 0) {
-    s.coalesce_rate = static_cast<double>(s.coalesced) / static_cast<double>(s.analyze_events);
-  }
-  if (analyze_total_sum > 0.0) s.queue_wait_share = queue_wait_sum / analyze_total_sum;
-  for (auto& [op, seconds] : per_op) {
-    OpStats o;
-    o.op = op;
-    o.events = seconds.size();
-    if (const auto it = per_op_errors.find(op); it != per_op_errors.end()) o.errors = it->second;
-    o.total_seconds = summarize(std::move(seconds));
-    s.ops.push_back(std::move(o));
-  }
-  return s;
-}
-
-SloResult check_slo(const AccessStats& stats, const SloConfig& cfg) {
-  SloResult r;
-  r.p99_ms = stats.analyze_total_seconds.p99 * 1000.0;
-  r.error_rate = stats.error_rate;
-  if (cfg.p99_ms > 0.0) {
-    r.latency_checked = true;
-    r.latency_ok = r.p99_ms <= cfg.p99_ms;
-  }
-  if (cfg.error_rate >= 0.0) {
-    r.errors_checked = true;
-    r.errors_ok = r.error_rate <= cfg.error_rate;
-  }
-  return r;
-}
-
-void write_access_stats_text(const AccessStats& s, const SloResult* slo, std::ostream& os) {
-  const std::ios_base::fmtflags flags = os.flags();
-  os << "serve access stats: " << s.events << " request(s)\n";
-  rule(os);
-  if (s.events == 0) {
-    os.flags(flags);
-    return;
-  }
-  os << "per op (total seconds)\n";
-  os << "  op                events  errors        p50        p95        p99\n";
-  for (const OpStats& o : s.ops) {
-    os << "  " << std::setw(12) << std::left << o.op << std::right << "  " << std::setw(8)
-       << o.events << "  " << std::setw(6) << o.errors << "  " << std::fixed
-       << std::setprecision(4) << std::setw(9) << o.total_seconds.p50 << "  " << std::setw(9)
-       << o.total_seconds.p95 << "  " << std::setw(9) << o.total_seconds.p99 << std::defaultfloat
-       << std::setprecision(6) << "\n";
-  }
-  os << "\nanalyze         " << s.analyze_events << " request(s), " << s.rejected
-     << " rejected, " << s.coalesced << " coalesced";
-  if (s.analyze_events > 0) {
-    os << " (" << std::fixed << std::setprecision(1) << 100.0 * s.coalesce_rate
-       << "% coalesce rate)" << std::defaultfloat << std::setprecision(6);
-  }
-  os << "\nqueue wait      " << std::fixed << std::setprecision(1) << 100.0 * s.queue_wait_share
-     << "% of analyze wall time (p95 " << std::setprecision(4) << s.queue_wait_seconds.p95
-     << " s)" << std::defaultfloat << std::setprecision(6);
-  os << "\nexecutor        p50 " << std::fixed << std::setprecision(4) << s.executor_seconds.p50
-     << " s, p95 " << s.executor_seconds.p95 << " s" << std::defaultfloat << std::setprecision(6);
-  os << "\nerrors          " << s.errors << " of " << s.events << " request(s) (" << std::fixed
-     << std::setprecision(2) << 100.0 * s.error_rate << "%)" << std::defaultfloat
-     << std::setprecision(6);
-  os << "\nqueue depth     peak " << s.queue_depth_peak;
-  if (s.worker_deaths > 0 || s.breaker_trips > 0 || s.breaker_rejected > 0) {
-    os << "\nsupervision     " << s.worker_deaths << " worker death(s), " << s.breaker_trips
-       << " breaker trip(s), " << s.breaker_rejected << " breaker rejection(s)";
-  }
-  os << "\nresponse bytes  " << s.response_bytes << " total\n";
-  if (slo != nullptr) {
-    os << "\nSLO\n";
-    rule(os);
-    if (slo->latency_checked) {
-      os << "  analyze p99   " << std::fixed << std::setprecision(1) << slo->p99_ms << " ms  "
-         << (slo->latency_ok ? "OK" : "BURN") << std::defaultfloat << std::setprecision(6)
-         << "\n";
-    }
-    if (slo->errors_checked) {
-      os << "  error rate    " << std::fixed << std::setprecision(2) << 100.0 * slo->error_rate
-         << "%  " << (slo->errors_ok ? "OK" : "BURN") << std::defaultfloat << std::setprecision(6)
-         << "\n";
-    }
-    if (!slo->latency_checked && !slo->errors_checked) os << "  (no gates configured)\n";
   }
   os.flags(flags);
 }

@@ -1,15 +1,11 @@
-// Run-journal reading and aggregation (DESIGN §5g), plus the serve
-// access-journal read side (DESIGN §5i).
+// Run-journal reading and aggregation (DESIGN §5g).
 //
 // The obs layer only writes journal events (obs/journal.hpp); this is
 // the read side — it lives in report because the JSON parser and the
 // DistSummary machinery do.  `terrors stats JOURNAL` aggregates phase
 // wall times, cache behaviour, and per-program trends (last run vs its
 // own p50 — the "did this just get slower?" question); `terrors tail
-// JOURNAL` renders the most recent events one line each.  `terrors stats
-// --serve ACCESS` aggregates the daemon's access journal into per-op
-// latency quantiles, queue-wait share, coalesce/error rates, and an
-// optional SLO gate that exits non-zero on burn.
+// JOURNAL` renders the most recent events one line each.
 #pragma once
 
 #include <cstdint>
@@ -69,69 +65,5 @@ void write_stats_text(const JournalStats& stats, std::ostream& os);
 /// Render the last `n` events, one line each, oldest first
 /// (`terrors tail`).
 void write_tail_text(const std::vector<obs::RunEvent>& events, std::size_t n, std::ostream& os);
-
-/// Decode one serve access event.  Throws robust::Error (kArtifact) when
-/// the document is not a terrors_access_event or the schema version is
-/// unknown.
-[[nodiscard]] obs::AccessEvent access_event_from_json(const JsonValue& doc);
-
-/// Load a JSONL access journal; same error contract as load_journal.
-[[nodiscard]] std::vector<obs::AccessEvent> load_access_journal(const std::string& path);
-
-/// Per-op aggregate over an access journal.
-struct OpStats {
-  std::string op;
-  std::uint64_t events = 0;
-  std::uint64_t errors = 0;
-  DistSummary total_seconds;
-};
-
-struct AccessStats {
-  std::uint64_t events = 0;
-  std::uint64_t analyze_events = 0;  ///< analyze requests (incl. rejected)
-  std::uint64_t rejected = 0;
-  std::uint64_t coalesced = 0;
-  std::uint64_t errors = 0;
-  double error_rate = 0.0;     ///< errors / events (0 when empty)
-  double coalesce_rate = 0.0;  ///< coalesced / analyze_events
-  /// Share of analyze wall time spent in the admission queue:
-  /// sum(queue_wait) / sum(total) over analyze events.
-  double queue_wait_share = 0.0;
-  DistSummary analyze_total_seconds;  ///< non-rejected analyze requests
-  DistSummary queue_wait_seconds;
-  DistSummary executor_seconds;
-  std::uint64_t queue_depth_peak = 0;   ///< max over events
-  std::uint64_t response_bytes = 0;     ///< total bytes written
-  // Supervision outcomes (DESIGN §5j).
-  std::uint64_t worker_deaths = 0;      ///< events carrying a kill_reason
-  std::uint64_t breaker_trips = 0;      ///< failures that opened a breaker
-  std::uint64_t breaker_rejected = 0;   ///< requests bounced by a breaker
-  std::vector<OpStats> ops;             ///< name-sorted
-};
-
-[[nodiscard]] AccessStats aggregate_access(const std::vector<obs::AccessEvent>& events);
-
-/// SLO gate configuration (`terrors stats --serve`); non-positive p99_ms
-/// and negative error_rate disable the respective check.
-struct SloConfig {
-  double p99_ms = 0.0;
-  double error_rate = -1.0;
-};
-
-struct SloResult {
-  bool latency_checked = false;
-  bool latency_ok = true;
-  double p99_ms = 0.0;  ///< recorded analyze p99, milliseconds
-  bool errors_checked = false;
-  bool errors_ok = true;
-  double error_rate = 0.0;
-  [[nodiscard]] bool ok() const { return latency_ok && errors_ok; }
-};
-
-[[nodiscard]] SloResult check_slo(const AccessStats& stats, const SloConfig& cfg);
-
-/// Render the access-journal aggregate (`terrors stats --serve`); when
-/// `slo` is non-null the gate verdicts are appended.
-void write_access_stats_text(const AccessStats& stats, const SloResult* slo, std::ostream& os);
 
 }  // namespace terrors::report

@@ -38,16 +38,12 @@ void DegradationLog::note(std::string_view site, std::string_view detail) {
     }
   }
   if (first) {
-    // Tag the warning with the active run (and, under `terrors serve`,
-    // the request) so a shared log file attributes degradation to the
-    // analyze() call / request that suffered it.
+    // Tag the warning with the active run so a shared log file
+    // attributes degradation to the analyze() call that suffered it.
     std::vector<obs::LogField> fields = {{"site", std::string(site)},
                                          {"detail", std::string(detail)}};
     if (const std::string run = obs::current_run_id(); !run.empty()) {
       fields.push_back({"run", run});
-    }
-    if (const std::string req = obs::current_request_id(); !req.empty()) {
-      fields.push_back({"req", req});
     }
     obs::log_warn("robust", "degraded mode: serving best-effort result", fields);
   }

@@ -1,18 +1,11 @@
 #include "robust/doctor.hpp"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
-
-#include "robust/fault_injection.hpp"
 
 #include "cache/artifact_cache.hpp"
 #include "core/framework.hpp"
@@ -142,64 +135,6 @@ std::string check_analysis() {
   return "golden loop analysis ok (rate " + std::to_string(rate) + ")";
 }
 
-std::string check_worker() {
-  // Spawn-and-reap probe for the serve isolation tier (DESIGN §5j): fork
-  // a child that answers over a pipe, read the answer, reap it.  This is
-  // deliberately plain fork/pipe/waitpid — doctor links below src/serve —
-  // and exercises the same primitives run_in_worker() depends on, so an
-  // environment where forked workers cannot run (fork limits, a broken
-  // wait configuration) fails here instead of inside the daemon.
-  maybe_fault("worker.spawn");
-  int fds[2] = {-1, -1};
-  if (::pipe(fds) != 0) {
-    raise(Category::kResource, std::string("probe worker pipe failed: ") + std::strerror(errno));
-  }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fds[0]);
-    ::close(fds[1]);
-    raise(Category::kResource, "probe worker fork failed: " + err);
-  }
-  if (pid == 0) {
-    ::close(fds[0]);
-    const char probe[] = "doctor-worker";
-    ssize_t left = sizeof(probe);
-    const char* p = probe;
-    while (left > 0) {
-      const ssize_t w = ::write(fds[1], p, static_cast<std::size_t>(left));
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        ::_exit(1);
-      }
-      p += w;
-      left -= w;
-    }
-    ::_exit(0);
-  }
-  ::close(fds[1]);
-  std::string got;
-  char chunk[64];
-  for (;;) {
-    const ssize_t n = ::read(fds[0], chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    got.append(chunk, static_cast<std::size_t>(n));
-  }
-  ::close(fds[0]);
-  int status = 0;
-  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-  }
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    raise(Category::kResource,
-          "probe worker died unexpectedly (status " + std::to_string(status) + ")");
-  }
-  if (got != std::string("doctor-worker") + '\0') {
-    raise(Category::kResource, "probe worker answered '" + got + "'");
-  }
-  return "probe worker spawned, answered, and was reaped";
-}
-
 }  // namespace
 
 bool DoctorReport::ok() const {
@@ -221,7 +156,6 @@ DoctorReport run_doctor(const DoctorOptions& options) {
   report.findings.push_back(run_check("cache", [&] { return check_cache(options); }));
   report.findings.push_back(run_check("pool", check_pool));
   report.findings.push_back(run_check("solver", check_solver));
-  report.findings.push_back(run_check("worker", check_worker));
   report.findings.push_back(run_check("analysis", check_analysis));
   return report;
 }

@@ -38,13 +38,6 @@ const std::vector<FaultSite>& fault_sites() {
       {"vcd.parse", Category::kInput, false, "VCD stream parse"},
       {"solver.pivot", Category::kNumerical, true, "SCC linear-solve pivot (key = SCC id)"},
       {"pool.task", Category::kInternal, true, "thread-pool task entry (key = loop index)"},
-      // Serve worker supervision (DESIGN §5j).  All three are decided in
-      // the supervisor process before fork, so serial nth= counting stays
-      // deterministic across sandbox children.
-      {"worker.spawn", Category::kResource, false, "serve worker fork (spawn failure)"},
-      {"worker.hang", Category::kResource, false, "serve worker past its deadline (SIGKILL)"},
-      {"worker.crash", Category::kInternal, false, "serve worker abort mid-analysis"},
-      {"worker.oom", Category::kResource, false, "serve worker memory-budget exhaustion"},
   };
   return sites;
 }

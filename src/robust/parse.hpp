@@ -1,5 +1,4 @@
-// Checked numeric parsing for user-facing input surfaces (CLI flags, the
-// serve protocol).
+// Checked numeric parsing for user-facing input surfaces (CLI flags).
 //
 // The standard std::sto* family is the wrong tool at a trust boundary:
 // it throws untyped std::invalid_argument / std::out_of_range on garbage,
@@ -8,8 +7,8 @@
 // 2^64-1 workers).  These helpers parse the *entire* value with
 // std::from_chars — locale-independent by construction — and turn every
 // failure mode into a robust::Error of category kInput that names the
-// flag and the offending value, so a daemon's flag surface can never kill
-// the process with an untyped crash (DESIGN §5h).
+// flag and the offending value, so a bad flag exits 3 with a typed error
+// instead of an untyped crash.
 #pragma once
 
 #include <cstdint>

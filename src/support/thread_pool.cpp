@@ -265,19 +265,4 @@ ThreadPool& global_pool() {
   return *g_pool;
 }
 
-void lock_global_pool_for_fork() { g_pool_mutex.lock(); }
-
-void unlock_global_pool_after_fork(bool in_child) {
-  if (in_child) {
-    // fork() clones only the calling thread: the pool's worker threads do
-    // not exist in the child, so joining them (the ThreadPool destructor)
-    // would hang forever.  Deliberately leak the object and let the next
-    // global_pool() call build a fresh pool with live threads.  The child
-    // is a short-lived sandbox that exits via _exit(), so the leak is
-    // bounded to one pool header per worker process.
-    (void)g_pool.release();
-  }
-  g_pool_mutex.unlock();
-}
-
 }  // namespace terrors::support

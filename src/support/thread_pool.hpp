@@ -107,14 +107,6 @@ void set_global_threads(std::size_t threads);
 /// The currently configured global pool size (after env / flag resolution).
 std::size_t global_threads();
 
-/// Fork hygiene (serve/worker.hpp): hold the global-pool registry mutex
-/// across fork() so a child never inherits it locked by another thread.
-/// In the child, the inherited pool object is abandoned (its worker
-/// threads were not cloned by fork, so destroying it would hang on join);
-/// the next global_pool() call rebuilds a fresh pool with live threads.
-void lock_global_pool_for_fork();
-void unlock_global_pool_after_fork(bool in_child);
-
 /// Cross-cutting hooks, installed once by the robust layer (support is
 /// the bottom of the link order and cannot call obs/robust directly).
 ///

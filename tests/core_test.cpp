@@ -4,7 +4,9 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "core/error_model.hpp"
@@ -410,6 +412,21 @@ TEST_F(FrameworkFixture, DeterministicAcrossRepeats) {
   const auto rb = b.analyze(f.p, {isa::ProgramInput{}});
   EXPECT_DOUBLE_EQ(ra.estimate.rate_mean(), rb.estimate.rate_mean());
   EXPECT_DOUBLE_EQ(ra.estimate.dk_count, rb.estimate.dk_count);
+}
+
+TEST_F(FrameworkFixture, RejectsNonPositiveOrNonFiniteClockPeriod) {
+  FrameworkConfig good;
+  good.spec = timing::TimingSpec{1300.0};
+  ErrorRateFramework fw(pipeline(), good);
+  for (const double period : {0.0, -1300.0, std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    FrameworkConfig cfg;
+    cfg.spec = timing::TimingSpec{period};
+    EXPECT_THROW(ErrorRateFramework(pipeline(), cfg), std::invalid_argument) << period;
+    EXPECT_THROW(fw.set_spec(timing::TimingSpec{period}), std::invalid_argument) << period;
+  }
+  // A rejected set_spec leaves the operating point unchanged.
+  EXPECT_EQ(fw.config().spec.period_ps, 1300.0);
 }
 
 // --- Instruction error model against its per-slot formula ---------------------

@@ -379,6 +379,8 @@ TEST(PrometheusTest, EscapeLabelHandlesBackslashQuoteNewline) {
   EXPECT_EQ(obs::prometheus_escape_label("a\"b"), "a\\\"b");
   EXPECT_EQ(obs::prometheus_escape_label("a\nb"), "a\\nb");
   EXPECT_EQ(obs::prometheus_escape_label("\\\"\n"), "\\\\\\\"\\n");
+  // HELP text escapes backslash and newline but keeps double quotes.
+  EXPECT_EQ(obs::prometheus_escape_help("a\\b\"c\nd"), "a\\\\b\"c\\nd");
 }
 
 TEST(PrometheusTest, SanitizeNamePrefixesAndMapsInvalidChars) {
@@ -395,17 +397,13 @@ TEST(PrometheusTest, ExpositionHasTypesValuesAndQuantileLabels) {
   auto& h = reg.histogram("test.prom_hist");
   h.reset();
   for (int i = 1; i <= 4; ++i) h.observe(static_cast<double>(i));
-  reg.set_help("test.prom_counter", "Registered help text.\nWith a newline \\ backslash.");
 
   std::ostringstream os;
   reg.write_prometheus(os);
   const std::string text = os.str();
-  // Every family gets a HELP line before its TYPE line: registered text
-  // (escaped per the exposition format) or the raw dotted name as a
-  // fallback, so scrapes always see the internal metric identity.
-  EXPECT_NE(text.find("# HELP terrors_test_prom_counter "
-                      "Registered help text.\\nWith a newline \\\\ backslash."),
-            std::string::npos)
+  // Every family gets a HELP line before its TYPE line carrying the raw
+  // dotted name, so scrapes always see the internal metric identity.
+  EXPECT_NE(text.find("# HELP terrors_test_prom_counter test.prom_counter"), std::string::npos)
       << text;
   EXPECT_NE(text.find("# HELP terrors_test_prom_gauge test.prom_gauge"), std::string::npos)
       << text;

@@ -1,4 +1,4 @@
-// The report subsystem's three contracts:
+// The report subsystem's four contracts:
 //  1. Determinism (DESIGN §5e): attaching an AttributionCollector to
 //     analyze() is bit-invisible — estimate, marginals, and every metric
 //     outside report.*/pool.* are identical with and without it, at any
@@ -8,8 +8,12 @@
 //     JSON schema round-trips byte-stably.
 //  3. Gating: diff_reports accepts an unchanged report and flags an
 //     injected regression (the CLI maps ok() onto its exit code).
+//  4. Locale independence: JSON numbers are written with '.' and read
+//     back bit-exactly under any LC_NUMERIC, including a comma locale.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <clocale>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -19,6 +23,7 @@
 
 #include "core/framework.hpp"
 #include "netlist/pipeline.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "report/attribution.hpp"
@@ -308,6 +313,70 @@ TEST(TraceExport, FourThreadAnalyzeEmitsParsableEventsWithTids) {
     EXPECT_TRUE(tid->is_number());
   }
   obs::Tracer::instance().reset();
+}
+
+TEST(LocaleIndependentJson, NumbersRoundTripBitExactly) {
+  const double values[] = {0.0,   1.0,    -1.0,      3.14,       1.0 / 3.0, 1e-308,
+                           1e308, 6.02e23, -2.5e-3,  1300.0,     0.1,       123456789.123456789};
+  for (const double v : values) {
+    std::ostringstream os;
+    obs::json_number(os, v);
+    const auto back = obs::parse_double(os.str());
+    ASSERT_TRUE(back.has_value()) << os.str();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*back), std::bit_cast<std::uint64_t>(v)) << os.str();
+  }
+  // Partial and malformed numbers are rejected, not truncated.
+  EXPECT_FALSE(obs::parse_double("3.14abc").has_value());
+  EXPECT_FALSE(obs::parse_double("").has_value());
+  EXPECT_FALSE(obs::parse_double("1,5").has_value());
+}
+
+TEST(LocaleIndependentJson, RoundTripsUnderForcedCommaDecimalLocale) {
+  const char* candidates[] = {"de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "de_DE"};
+  const char* previous = std::setlocale(LC_NUMERIC, nullptr);
+  const std::string saved = previous != nullptr ? previous : "C";
+  // Only a locale whose decimal separator really is ',' exercises the
+  // regression; a name that silently resolves to '.' proves nothing.
+  bool forced = false;
+  for (const char* name : candidates) {
+    if (std::setlocale(LC_NUMERIC, name) != nullptr &&
+        std::localeconv()->decimal_point[0] == ',') {
+      forced = true;
+      break;
+    }
+  }
+  if (!forced) {
+    std::setlocale(LC_NUMERIC, saved.c_str());
+    GTEST_SKIP() << "no comma-decimal locale installed in this image";
+  }
+
+  // Under the comma locale, the writer must still emit '.' numbers and
+  // the parsers must still read them whole — this is the regression for
+  // the strtod/%g locale sensitivity in json_value.cpp and obs/json.cpp.
+  std::ostringstream os;
+  obs::json_number(os, 3.14);
+  EXPECT_EQ(os.str(), "3.14");
+  EXPECT_EQ(obs::parse_double("3.14").value_or(0.0), 3.14);
+
+  const report::JsonValue doc =
+      report::JsonValue::parse("{\"x\":3.14,\"y\":-2.5e-3,\"z\":1300}");
+  EXPECT_DOUBLE_EQ(doc.at("x").as_number(), 3.14);
+  EXPECT_DOUBLE_EQ(doc.at("y").as_number(), -2.5e-3);
+
+  // A full report round-trip stays bit-exact.
+  report::RunReport report;
+  report.program = "locale";
+  report.rate_mean = 0.123456789e-3;
+  report.period_ps = 1300.5;
+  std::ostringstream first;
+  report.write_json(first);
+  const report::RunReport parsed =
+      report::RunReport::from_json(report::JsonValue::parse(first.str()));
+  std::ostringstream second;
+  parsed.write_json(second);
+  EXPECT_EQ(first.str(), second.str());
+
+  std::setlocale(LC_NUMERIC, saved.c_str());
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "robust/error.hpp"
 #include "robust/fault_injection.hpp"
 #include "robust/hooks.hpp"
+#include "robust/parse.hpp"
 #include "sim/vcd_parser.hpp"
 #include "support/thread_pool.hpp"
 #include "timing/variation.hpp"
@@ -438,7 +439,54 @@ TEST_F(RobustTest, DoctorPassesInAHealthyEnvironment) {
   }
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.exit_code(), 0);
-  ASSERT_EQ(report.findings.size(), 5u);  // cache, pool, solver, worker, analysis
+  ASSERT_EQ(report.findings.size(), 4u);  // cache, pool, solver, analysis
+}
+
+// --- checked flag parsing ----------------------------------------------------
+
+TEST(CheckedFlagParsing, RejectsGarbageNegativesAndTrailingJunkWithTypedErrors) {
+  struct Case {
+    const char* value;
+    bool ok_uint;
+    bool ok_double;
+  };
+  const Case cases[] = {
+      {"12", true, true},     {"0", true, true},       {"1300.5", false, true},
+      {"abc", false, false},  {"-3", false, true},     {"12abc", false, false},
+      {"1e3", false, true},   {"", false, false},      {" 12", false, false},
+      {"0x10", false, false}, {"99999999999999999999", false, true},
+      {"nan", false, false},  {"inf", false, false},
+  };
+  for (const Case& c : cases) {
+    if (c.ok_uint) {
+      EXPECT_NO_THROW((void)robust::parse_uint_arg("--runs", c.value)) << c.value;
+    } else {
+      try {
+        (void)robust::parse_uint_arg("--runs", c.value);
+        ADD_FAILURE() << "uint accepted: '" << c.value << "'";
+      } catch (const robust::Error& e) {
+        EXPECT_EQ(e.category(), robust::Category::kInput) << c.value;
+        // The message names the flag and the offending value.
+        EXPECT_NE(std::string(e.what()).find("--runs"), std::string::npos);
+        EXPECT_EQ(robust::exit_code_for(e.category()), 3);
+      }
+    }
+    if (c.ok_double) {
+      EXPECT_NO_THROW((void)robust::parse_double_arg("--period", c.value)) << c.value;
+    } else {
+      try {
+        (void)robust::parse_double_arg("--period", c.value);
+        ADD_FAILURE() << "double accepted: '" << c.value << "'";
+      } catch (const robust::Error& e) {
+        EXPECT_EQ(e.category(), robust::Category::kInput) << c.value;
+        EXPECT_NE(std::string(e.what()).find("--period"), std::string::npos);
+      }
+    }
+  }
+  // Values parse exactly, and negatives never wrap into huge unsigneds.
+  EXPECT_EQ(robust::parse_uint_arg("--runs", "18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_DOUBLE_EQ(robust::parse_double_arg("--scale", "1e-4"), 1e-4);
 }
 
 }  // namespace

@@ -13,8 +13,6 @@
 //                   [--profile-interval-us U] [--log-level L]
 //                   [--cache-dir D]      full error-rate analysis row
 //   terrors stats <journal>              aggregate a run-journal JSONL file
-//   terrors stats --serve <access>       aggregate a serve access journal; SLO gate
-//   terrors top --socket S [--interval]  live monitor over a running daemon
 //   terrors tail <journal> [--n N]       render the newest journal events
 //   terrors profile <folded> [--top N]   hotspot table from folded stacks
 //   terrors vcd <name> [--cycles N]      VCD dump of a benchmark window
@@ -25,20 +23,12 @@
 // 6 resource, 7 internal (0 ok, 1 generic, 2 diff regression).  A fault
 // plan from --inject-faults / TERRORS_FAULTS arms deterministic chaos
 // (see src/robust/fault_injection.hpp).
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/framework.hpp"
@@ -52,7 +42,6 @@
 #include "report/attribution.hpp"
 #include "report/diff.hpp"
 #include "report/journal_stats.hpp"
-#include "report/json_value.hpp"
 #include "report/render.hpp"
 #include "report/run_report.hpp"
 #include "robust/degrade.hpp"
@@ -60,8 +49,6 @@
 #include "robust/error.hpp"
 #include "robust/fault_injection.hpp"
 #include "robust/parse.hpp"
-#include "serve/monitor.hpp"
-#include "serve/server.hpp"
 #include "sim/vcd.hpp"
 #include "support/thread_pool.hpp"
 #include "timing/report.hpp"
@@ -434,45 +421,8 @@ int cmd_analyze(int argc, char** argv, const char* name) {
 }
 
 int cmd_stats(int argc, char** argv) {
-  // Access-journal mode: `terrors stats --serve ACCESS` aggregates the
-  // daemon's per-request journal and optionally gates on SLOs (exit 2 on
-  // burn, matching the diff regression gate).
-  if (argc >= 3 && std::strncmp(argv[2], "--", 2) == 0) {
-    std::map<std::string, std::string> flags;
-    if (!parse_flags(argc, argv, 2,
-                     {{"--serve", true}, {"--slo-p99-ms", true}, {"--slo-error-rate", true}},
-                     flags)) {
-      return 1;
-    }
-    const auto serve_it = flags.find("--serve");
-    if (serve_it == flags.end()) {
-      std::fprintf(stderr,
-                   "usage: terrors stats <journal.jsonl>\n"
-                   "       terrors stats --serve <access.jsonl> [--slo-p99-ms MS]"
-                   " [--slo-error-rate R]\n");
-      return 1;
-    }
-    try {
-      const auto events = report::load_access_journal(serve_it->second);
-      const report::AccessStats stats = report::aggregate_access(events);
-      report::SloConfig slo_cfg;
-      slo_cfg.p99_ms = num_flag(flags, "--slo-p99-ms", 0.0);
-      slo_cfg.error_rate = flags.count("--slo-error-rate") > 0
-                               ? num_flag(flags, "--slo-error-rate", -1.0)
-                               : -1.0;
-      const report::SloResult slo = report::check_slo(stats, slo_cfg);
-      report::write_access_stats_text(stats, &slo, std::cout);
-      if (!slo.ok()) return 2;
-    } catch (const std::exception& e) {
-      return print_error(e);
-    }
-    return 0;
-  }
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: terrors stats <journal.jsonl>\n"
-                 "       terrors stats --serve <access.jsonl> [--slo-p99-ms MS]"
-                 " [--slo-error-rate R]\n");
+  if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
+    std::fprintf(stderr, "usage: terrors stats <journal.jsonl>\n");
     return 1;
   }
   std::map<std::string, std::string> flags;
@@ -620,188 +570,8 @@ int cmd_vcd(int argc, char** argv, const char* name) {
   return 0;
 }
 
-// The running daemon, for the signal handlers.  request_stop_from_signal
-// only writes one byte to a pipe, which is async-signal-safe.
-serve::Server* g_server = nullptr;
-
-void handle_stop_signal(int) {
-  if (g_server != nullptr) g_server->request_stop_from_signal();
-}
-
-int cmd_serve(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  if (!parse_flags(argc, argv, 2,
-                   {{"--socket", true},
-                    {"--tcp", true},
-                    {"--threads", true},
-                    {"--memory-cache-mb", true},
-                    {"--max-queue", true},
-                    {"--cache-dir", true},
-                    {"--access-journal", true},
-                    {"--request-timeout-s", true},
-                    {"--worker-memory-mb", true},
-                    {"--breaker-trips", true},
-                    {"--breaker-cooldown-s", true},
-                    {"--idle-timeout-s", true},
-                    {"--no-isolation", false},
-                    {"--log-level", true}},
-                   flags))
-    return 1;
-  const auto sock = flags.find("--socket");
-  if (sock == flags.end()) {
-    std::fprintf(stderr, "usage: terrors serve --socket PATH [--tcp PORT] [--threads T]\n"
-                         "               [--memory-cache-mb N] [--max-queue N] [--cache-dir D]\n"
-                         "               [--access-journal FILE] [--request-timeout-s S]\n"
-                         "               [--worker-memory-mb N] [--breaker-trips N]\n"
-                         "               [--breaker-cooldown-s S] [--idle-timeout-s S]\n"
-                         "               [--no-isolation]\n");
-    return 1;
-  }
-  if (const auto it = flags.find("--log-level"); it != flags.end()) {
-    const auto lvl = obs::parse_log_level(it->second);
-    if (!lvl.has_value()) {
-      std::fprintf(stderr, "unknown log level '%s'\n", it->second.c_str());
-      return 1;
-    }
-    obs::Logger::instance().set_level(*lvl);
-  }
-  if (const auto it = flags.find("--threads"); it != flags.end())
-    support::set_global_threads(
-        static_cast<std::size_t>(robust::parse_uint_arg("--threads", it->second)));
-
-  serve::ServerConfig cfg;
-  cfg.socket_path = sock->second;
-  if (const auto it = flags.find("--tcp"); it != flags.end()) {
-    const std::uint64_t port = robust::parse_uint_arg("--tcp", it->second);
-    if (port > 65535) {
-      robust::raise(robust::Category::kInput,
-                    "--tcp: port out of range '" + it->second + "'");
-    }
-    cfg.tcp_port = static_cast<int>(port);
-  }
-  cfg.memory_cache_mb = static_cast<std::size_t>(uint_flag(flags, "--memory-cache-mb", 64));
-  cfg.max_queue = static_cast<std::size_t>(uint_flag(flags, "--max-queue", 32));
-  if (const auto it = flags.find("--cache-dir"); it != flags.end()) cfg.cache_dir = it->second;
-  if (const auto it = flags.find("--access-journal"); it != flags.end()) {
-    cfg.access_journal_path = it->second;
-  }
-  // Worker supervision (DESIGN §5j): isolation is on by default; the
-  // deadline and the memory budget are opt-in, the breaker is always
-  // armed but only sees infra failures.
-  cfg.isolation = flags.find("--no-isolation") == flags.end();
-  cfg.request_timeout_s = num_flag(flags, "--request-timeout-s", 0.0);
-  cfg.worker_memory_mb = static_cast<std::size_t>(uint_flag(flags, "--worker-memory-mb", 0));
-  cfg.breaker_trips = static_cast<int>(uint_flag(flags, "--breaker-trips", 3));
-  cfg.breaker_cooldown_s = num_flag(flags, "--breaker-cooldown-s", 30.0);
-  cfg.idle_timeout_s = num_flag(flags, "--idle-timeout-s", 0.0);
-  if (cfg.request_timeout_s < 0.0 || cfg.breaker_cooldown_s < 0.0 || cfg.idle_timeout_s < 0.0) {
-    robust::raise(robust::Category::kInput,
-                  "serve: timeout/cooldown values must be non-negative");
-  }
-
-  serve::Server server(pipe(), cfg);
-  g_server = &server;
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-  std::signal(SIGPIPE, SIG_IGN);  // a vanished client must not kill the daemon
-  server.start();
-  std::printf("terrors serve: listening on %s", cfg.socket_path.c_str());
-  if (server.tcp_port() >= 0) std::printf(" and 127.0.0.1:%d", server.tcp_port());
-  std::printf(" (%zu worker threads)\n", support::global_pool().size());
-  std::fflush(stdout);
-  server.run();
-  g_server = nullptr;
-  return 0;
-}
-
-/// One `metrics` round trip against a running daemon: fresh connection,
-/// one request line, one response line.  Throws robust::Error on connect
-/// or protocol failures.
-serve::MonitorSample poll_daemon_metrics(const std::string& socket_path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    robust::raise(robust::Category::kResource,
-                  std::string("cannot create socket: ") + std::strerror(errno));
-  }
-  struct FdCloser {
-    int fd;
-    ~FdCloser() { ::close(fd); }
-  } closer{fd};
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    robust::raise(robust::Category::kInput, "socket path too long: '" + socket_path + "'");
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    robust::raise(robust::Category::kResource,
-                  "cannot connect to '" + socket_path + "': " + std::strerror(errno));
-  }
-  const std::string request = "{\"op\":\"metrics\"}\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) {
-      robust::raise(robust::Category::kResource, "daemon closed the connection mid-request");
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char chunk[4096];
-  while (response.find('\n') == std::string::npos) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      robust::raise(robust::Category::kResource, "daemon closed the connection mid-response");
-    }
-    response.append(chunk, static_cast<std::size_t>(n));
-  }
-  response.resize(response.find('\n'));
-  const report::JsonValue doc = report::JsonValue::parse(response);
-  const report::JsonValue* ok = doc.find("ok");
-  if (ok == nullptr || !ok->as_bool()) {
-    robust::raise(robust::Category::kInternal, "daemon answered with an error envelope");
-  }
-  return serve::parse_metrics_sample(doc.at("metrics"));
-}
-
-int cmd_top(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  if (!parse_flags(argc, argv, 2,
-                   {{"--socket", true}, {"--interval", true}, {"--once", false}}, flags)) {
-    return 1;
-  }
-  const auto sock = flags.find("--socket");
-  if (sock == flags.end()) {
-    std::fprintf(stderr, "usage: terrors top --socket PATH [--interval SEC] [--once]\n");
-    return 1;
-  }
-  const double interval = num_flag(flags, "--interval", 2.0);
-  if (interval <= 0.0) {
-    robust::raise(robust::Category::kInput, "--interval must be positive");
-  }
-  const bool once = flags.count("--once") > 0;
-  // Clear-and-home between frames only when a human is watching; piped
-  // output stays plain text (and CI smoke uses --once anyway).
-  const bool tty = ::isatty(STDOUT_FILENO) != 0;
-  serve::MonitorSample prev;
-  bool have_prev = false;
-  for (;;) {
-    const serve::MonitorSample cur = poll_daemon_metrics(sock->second);
-    std::ostringstream frame;
-    serve::write_monitor_text(have_prev ? &prev : nullptr, cur, interval, frame);
-    if (tty && !once) std::fputs("\x1b[2J\x1b[H", stdout);
-    std::fputs(frame.str().c_str(), stdout);
-    std::fflush(stdout);
-    if (once) return 0;
-    prev = cur;
-    have_prev = true;
-    std::this_thread::sleep_for(std::chrono::duration<double>(interval));
-  }
-}
-
 constexpr const char* kCommands[] = {"info", "list", "program", "report", "diff", "analyze",
-                                     "stats", "tail", "profile", "vcd", "doctor", "serve",
-                                     "top"};
+                                     "stats", "tail", "profile", "vcd", "doctor"};
 
 void usage() {
   std::fputs(
@@ -836,23 +606,10 @@ void usage() {
       "          [--strict]            fail on peripheral write errors\n"
       "  stats <journal>               aggregate a run journal (phase p50/p95, cache,\n"
       "                                per-program last-vs-typical)\n"
-      "  stats --serve <access>        aggregate a serve access journal (per-op\n"
-      "        [--slo-p99-ms MS]       p50/p95/p99, queue-wait share, coalesce and\n"
-      "        [--slo-error-rate R]    error rates); SLO flags exit 2 on burn\n"
       "  tail <journal> [--n N]        render the newest N journal events (default 10)\n"
       "  profile <folded> [--top N]    hotspot table from a folded-stack file\n"
       "  vcd <name> [--cycles N]       dump a VCD window to stdout\n"
       "  doctor [--cache-dir D]        self-test the environment; category exit codes\n"
-      "  serve --socket PATH           analysis daemon: line-delimited JSON requests\n"
-      "        [--tcp PORT]            also listen on 127.0.0.1:PORT (0 = ephemeral)\n"
-      "        [--threads T]           worker threads for the analyses\n"
-      "        [--memory-cache-mb N]   in-memory LRU artifact tier budget (default 64)\n"
-      "        [--max-queue N]         pending-analysis admission bound (default 32)\n"
-      "        [--cache-dir D]         on-disk artifact tier below the memory tier\n"
-      "        [--access-journal F]    append one wide JSONL event per request\n"
-      "  top --socket PATH             live daemon monitor (requests, queue, latency\n"
-      "      [--interval SEC]          quantiles, cache hit rates; default 2s)\n"
-      "      [--once]                  print a single frame and exit (CI smoke)\n"
       "flags accept both '--flag value' and '--flag=value'\n"
       "error exit codes: 1 generic, 2 diff regression, 3 input, 4 artifact,\n"
       "                  5 numerical, 6 resource, 7 internal\n",
@@ -885,8 +642,6 @@ int main(int argc, char** argv) {
     if (cmd == "tail") return cmd_tail(argc, argv);
     if (cmd == "profile") return cmd_profile(argc, argv);
     if (cmd == "doctor") return cmd_doctor(argc, argv);
-    if (cmd == "serve") return cmd_serve(argc, argv);
-    if (cmd == "top") return cmd_top(argc, argv);
     if (cmd == "program" && argc >= 3) return cmd_program(argv[2]);
     if (cmd == "analyze" && argc >= 3) return cmd_analyze(argc, argv, argv[2]);
     if (cmd == "vcd" && argc >= 3) return cmd_vcd(argc, argv, argv[2]);
