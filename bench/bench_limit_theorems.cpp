@@ -22,7 +22,6 @@
 
 #include "bench/common.hpp"
 #include "core/monte_carlo.hpp"
-#include "stat/metrics.hpp"
 #include "support/math.hpp"
 
 using namespace terrors;

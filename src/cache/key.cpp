@@ -76,13 +76,6 @@ std::uint64_t hash_dts_config(const dta::DtsConfig& cfg) {
   return h.digest();
 }
 
-std::uint64_t hash_path_config(const timing::PathConfig& cfg) {
-  HashStream h;
-  h.u64(cfg.max_paths);
-  h.u64(cfg.max_expansions);
-  return h.digest();
-}
-
 std::uint64_t hash_characterizer_config(const dta::ControlCharacterizerConfig& cfg) {
   HashStream h;
   h.i32(cfg.pred_tail);

@@ -5,7 +5,6 @@
 //
 // Invalidation rules (what each artifact's key covers):
 //   datapath  : model version + netlist + variation config + DTS config
-//   paths     : model version + netlist + path config + top_k
 //   control   : model version + netlist + variation config + DTS config +
 //               characterizer config + timing spec + program + profile
 #pragma once
@@ -18,7 +17,6 @@
 #include "isa/executor.hpp"
 #include "isa/program.hpp"
 #include "netlist/netlist.hpp"
-#include "timing/paths.hpp"
 #include "timing/sta.hpp"
 #include "timing/variation.hpp"
 
@@ -32,7 +30,6 @@ inline constexpr std::uint32_t kModelVersion = 1;
 [[nodiscard]] std::uint64_t hash_variation(const timing::VariationConfig& cfg);
 [[nodiscard]] std::uint64_t hash_spec(const timing::TimingSpec& spec);
 [[nodiscard]] std::uint64_t hash_dts_config(const dta::DtsConfig& cfg);
-[[nodiscard]] std::uint64_t hash_path_config(const timing::PathConfig& cfg);
 [[nodiscard]] std::uint64_t hash_characterizer_config(const dta::ControlCharacterizerConfig& cfg);
 [[nodiscard]] std::uint64_t hash_program(const isa::Program& program);
 [[nodiscard]] std::uint64_t hash_profile(const isa::ProgramProfile& profile);

@@ -157,49 +157,4 @@ std::optional<dta::DatapathModel::Params> decode_datapath(ByteReader& r) {
   return p;
 }
 
-void encode_paths(const std::vector<timing::PathEnumerator::WarmedEndpoint>& warmed,
-                  ByteWriter& w) {
-  w.u64(warmed.size());
-  for (const auto& we : warmed) {
-    w.u32(we.endpoint);
-    w.u8(we.done ? 1 : 0);
-    w.u8(we.guard_tripped ? 1 : 0);
-    w.u64(we.paths.size());
-    for (const auto& p : we.paths) {
-      w.u32(p.endpoint);
-      w.f64(p.delay_ps);
-      w.u64(p.gates.size());
-      for (const netlist::GateId g : p.gates) w.u32(g);
-    }
-  }
-}
-
-std::optional<std::vector<timing::PathEnumerator::WarmedEndpoint>> decode_paths(ByteReader& r) {
-  const std::uint64_t n = r.count(6);
-  std::vector<timing::PathEnumerator::WarmedEndpoint> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    timing::PathEnumerator::WarmedEndpoint we;
-    we.endpoint = r.u32();
-    we.done = r.u8() != 0;
-    we.guard_tripped = r.u8() != 0;
-    const std::uint64_t np = r.count(12);
-    if (!r.ok()) break;
-    we.paths.reserve(np);
-    for (std::uint64_t j = 0; j < np && r.ok(); ++j) {
-      timing::TimingPath p;
-      p.endpoint = r.u32();
-      p.delay_ps = r.f64();
-      const std::uint64_t ng = r.count(4);
-      if (!r.ok()) break;
-      p.gates.reserve(ng);
-      for (std::uint64_t k = 0; k < ng; ++k) p.gates.push_back(r.u32());
-      we.paths.push_back(std::move(p));
-    }
-    out.push_back(std::move(we));
-  }
-  if (!r.done()) return std::nullopt;
-  return out;
-}
-
 }  // namespace terrors::cache

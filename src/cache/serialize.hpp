@@ -1,9 +1,9 @@
-// Binary (de)serialisation of the three heavy artifacts the cache stores:
-// per-(block, edge) control DTS tables, trained datapath-model parameters,
-// and the frozen path-enumerator path set.  Encoding is little-endian
-// fixed-width with bit-exact doubles (std::bit_cast), so a decoded
-// artifact is byte-for-byte the value that was computed — the foundation
-// of the warm == cold bit-identity contract.
+// Binary (de)serialisation of the two artifacts the cache stores:
+// per-(block, edge) control DTS tables and trained datapath-model
+// parameters.  Encoding is little-endian fixed-width with bit-exact
+// doubles (std::bit_cast), so a decoded artifact is byte-for-byte the
+// value that was computed — the foundation of the warm == cold
+// bit-identity contract.
 //
 // Decoders are corruption-tolerant by construction: every read is
 // bounds-checked, counts are validated against the remaining byte budget,
@@ -17,7 +17,6 @@
 
 #include "dta/control_characterizer.hpp"
 #include "dta/datapath_model.hpp"
-#include "timing/paths.hpp"
 #include "timing/sta.hpp"
 
 namespace terrors::cache {
@@ -78,10 +77,5 @@ std::optional<std::vector<dta::BlockControlDts>> decode_control(ByteReader& r,
 // --- datapath model ----------------------------------------------------------
 void encode_datapath(const dta::DatapathModel::Params& params, ByteWriter& w);
 std::optional<dta::DatapathModel::Params> decode_datapath(ByteReader& r);
-
-// --- frozen path set ---------------------------------------------------------
-void encode_paths(const std::vector<timing::PathEnumerator::WarmedEndpoint>& warmed,
-                  ByteWriter& w);
-std::optional<std::vector<timing::PathEnumerator::WarmedEndpoint>> decode_paths(ByteReader& r);
 
 }  // namespace terrors::cache

@@ -160,7 +160,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto& in : inputs) last_.executor->run(in);
     result.simulation_seconds = seconds_since(t0);
-    ctx.set_phase_seconds("simulation", result.simulation_seconds);
     phase.counter("instructions",
                   static_cast<double>(last_.executor->profile().total_instructions));
   }
@@ -196,35 +195,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     }
 
     if (!loaded) {
-      if (cache_ && !paths_cache_checked_) {
-        // Seed the shared enumerator from the path artifact if present;
-        // characterize() then warms only what's missing.  The path set is
-        // spec- and variation-independent (nominal STA ordering only).
-        paths_cache_checked_ = true;
-        timing::PathEnumerator& paths = characterizer_->analyzer().paths();
-        const std::uint64_t paths_key = cache::combine(
-            {cache::kModelVersion, netlist_hash_, cache::hash_path_config(paths.config()),
-             static_cast<std::uint64_t>(config_.dts.top_k)});
-        bool paths_loaded = false;
-        if (auto bytes = safe_cache_load(*cache_, "paths", paths_key)) {
-          cache::ByteReader r(*bytes);
-          if (auto warmed = cache::decode_paths(r)) {
-            try {
-              paths.import_warmed(*warmed);
-              paths_loaded = true;
-            } catch (const std::exception& e) {
-              obs::log_warn("cache", "rejecting path artifact",
-                            {{"error", std::string(e.what())}});
-            }
-          }
-        }
-        characterizer_->warm_paths();
-        if (!paths_loaded) {
-          cache::ByteWriter w;
-          cache::encode_paths(paths.export_warmed(), w);
-          safe_cache_store(*cache_, "paths", paths_key, w.bytes());
-        }
-      }
       last_.control =
           characterizer_->characterize(program, *last_.cfg, last_.executor->profile());
       if (cache_) {
@@ -234,7 +204,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
       }
     }
     result.training_seconds = seconds_since(t0);
-    ctx.set_phase_seconds("training", result.training_seconds);
   }
   obs::log_info("core", "training phase done",
                 {{"seconds", result.training_seconds},
@@ -264,7 +233,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     est_in.observer = observer;
     result.estimate = estimate_error_rate(est_in);
     result.estimation_seconds = seconds_since(t0);
-    ctx.set_phase_seconds("estimation", result.estimation_seconds);
   }
   obs::log_info("core", "estimation phase done",
                 {{"seconds", result.estimation_seconds},

@@ -109,8 +109,6 @@ class ErrorRateFramework {
   void set_spec(timing::TimingSpec spec);
   /// Per-benchmark executor configuration (instruction budget, reservoir).
   void set_executor_config(const isa::ExecutorConfig& cfg) { config_.executor = cfg; }
-  /// Switch correction scheme / sample count for subsequent analyses.
-  void set_error_model_config(const ErrorModelConfig& cfg) { config_.error_model = cfg; }
 
   /// Intermediate artefacts of the last analyze() call, for ablation
   /// benches and tests.
@@ -134,9 +132,6 @@ class ErrorRateFramework {
   std::uint64_t variation_hash_ = 0;
   std::uint64_t dts_hash_ = 0;
   std::uint64_t charcfg_hash_ = 0;
-  /// The path artifact is consulted/stored at most once per framework:
-  /// after the first characterisation the enumerator already holds the set.
-  bool paths_cache_checked_ = false;
   /// Resolved journal path ("" = journaling off), fixed at construction.
   std::string journal_path_;
   /// Per-framework analyze() ordinal folded into the run key, so repeated

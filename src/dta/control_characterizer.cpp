@@ -21,8 +21,8 @@ ControlCharacterizer::ControlCharacterizer(const netlist::Pipeline& pipeline,
     : pipeline_(pipeline),
       vm_(vm),
       dts_config_(dts_config),
-      analyzer_(pipeline.netlist, vm, spec, dts_config),
-      driver_(pipeline),
+      paths_(pipeline.netlist),
+      own_(pipeline, vm, spec, dts_config, paths_),
       config_(config) {
   TE_REQUIRE(config.pred_tail >= 0 && config.warmup_nops >= 0, "negative context lengths");
 }
@@ -55,17 +55,12 @@ void append_block_slots(std::vector<FetchSlot>& slots, const isa::BasicBlock& bl
 
 }  // namespace
 
-EdgeControlDts ControlCharacterizer::characterize_edge(const isa::Program& program,
-                                                       const isa::Cfg& cfg,
-                                                       const isa::ProgramProfile& profile,
-                                                       BlockId block, std::ptrdiff_t edge) {
-  return characterize_edge_with(analyzer_, driver_, program, cfg, profile, block, edge);
-}
-
-EdgeControlDts ControlCharacterizer::characterize_edge_with(
-    DtsAnalyzer& analyzer, PipelineDriver& driver, const isa::Program& program,
-    const isa::Cfg& cfg, const isa::ProgramProfile& profile, BlockId block,
-    std::ptrdiff_t edge) const {
+EdgeControlDts ControlCharacterizer::characterize_edge_with(WorkerContext& ctx,
+                                                            const isa::Program& program,
+                                                            const isa::Cfg& cfg,
+                                                            const isa::ProgramProfile& profile,
+                                                            BlockId block,
+                                                            std::ptrdiff_t edge) const {
   const isa::BasicBlock& blk = program.block(block);
   const isa::BlockProfile& bp = profile.blocks[block];
 
@@ -115,7 +110,7 @@ EdgeControlDts ControlCharacterizer::characterize_edge_with(
   edges_metric.increment();
   slots_metric.increment(slots.size());
 
-  auto cycles = driver.run(slots);
+  auto cycles = ctx.driver.run(slots);
 
   // Algorithm 2: instruction DTS = min over the stages it traverses.
   for (std::size_t k = 0; k < blk.size(); ++k) {
@@ -124,7 +119,7 @@ EdgeControlDts ControlCharacterizer::characterize_edge_with(
     for (std::uint8_t s = 0; s < netlist::Pipeline::kStages; ++s) {
       const std::size_t c = t + s;
       if (c >= cycles.size()) break;
-      auto stage = analyzer.stage_dts(s, cycles[c], netlist::EndpointClass::kControl);
+      auto stage = ctx.analyzer.stage_dts(s, cycles[c], netlist::EndpointClass::kControl);
       if (!stage.has_value()) continue;
       acc = acc.has_value() ? dts_min(*acc, *stage) : *stage;
     }
@@ -135,7 +130,7 @@ EdgeControlDts ControlCharacterizer::characterize_edge_with(
 
 void ControlCharacterizer::warm_paths() {
   if (paths_warmed_) return;
-  analyzer_.paths().warm(control_endpoints(), dts_config_.top_k);
+  paths_.warm(control_endpoints(), dts_config_.top_k);
   paths_warmed_ = true;
 }
 
@@ -156,26 +151,9 @@ std::vector<BlockControlDts> ControlCharacterizer::characterize(
   obs::ScopedSpan span("dta.characterize");
   span.counter("blocks", static_cast<double>(program.block_count()));
 
-  std::vector<BlockControlDts> out(program.block_count());
-  support::ThreadPool& pool = support::global_pool();
-
-  if (pool.size() <= 1) {
-    // Serial path: reuse the characterizer-owned analyzer and driver.
-    for (BlockId b = 0; b < program.block_count(); ++b) {
-      obs::ScopedSpan block_span("dta.block");
-      block_span.counter("block", static_cast<double>(b));
-      block_span.counter("edges", static_cast<double>(cfg.indegree(b)));
-      out[b].per_edge.resize(cfg.indegree(b));
-      for (std::size_t j = 0; j < cfg.indegree(b); ++j)
-        out[b].per_edge[j] =
-            characterize_edge(program, cfg, profile, b, static_cast<std::ptrdiff_t>(j));
-      out[b].entry = characterize_edge(program, cfg, profile, b, -1);
-    }
-    return out;
-  }
-
   // Flatten the (block, edge) task list and pre-size every result slot so
   // workers write disjoint memory and ordering never depends on schedule.
+  std::vector<BlockControlDts> out(program.block_count());
   struct Task {
     BlockId block;
     std::ptrdiff_t edge;  ///< -1 = entry
@@ -190,39 +168,34 @@ std::vector<BlockControlDts> ControlCharacterizer::characterize(
   }
   span.counter("tasks", static_cast<double>(tasks.size()));
 
-  // Pre-warm the shared enumerator once with every control endpoint, then
-  // freeze it for the parallel region: workers only read the path lists.
-  timing::PathEnumerator& shared_paths = analyzer_.paths();
+  // Warm the shared enumerator once with every control endpoint, then
+  // freeze it for the loop: workers only read the path lists.
   warm_paths();
-  shared_paths.set_frozen(true);
+  paths_.set_frozen(true);
 
-  struct WorkerCtx {
-    DtsAnalyzer analyzer;
-    PipelineDriver driver;
-    WorkerCtx(const netlist::Pipeline& pipeline, const timing::VariationModel& vm,
-              timing::TimingSpec spec, DtsConfig dts_config, timing::PathEnumerator& paths)
-        : analyzer(pipeline.netlist, vm, spec, dts_config, paths), driver(pipeline) {}
-  };
-  std::vector<std::unique_ptr<WorkerCtx>> ctxs(pool.size());
-  const timing::TimingSpec spec = analyzer_.spec();
-
+  support::ThreadPool& pool = support::global_pool();
+  std::vector<std::unique_ptr<WorkerContext>> others(pool.size());
+  const timing::TimingSpec spec = own_.analyzer.spec();
   try {
     pool.parallel_for(tasks.size(), [&](std::size_t i, std::size_t w) {
-      auto& ctx = ctxs[w];
-      if (!ctx)
-        ctx = std::make_unique<WorkerCtx>(pipeline_, vm_, spec, dts_config_, shared_paths);
+      WorkerContext* ctx = &own_;
+      if (w != 0) {
+        if (!others[w])
+          others[w] = std::make_unique<WorkerContext>(pipeline_, vm_, spec, dts_config_, paths_);
+        ctx = others[w].get();
+      }
       obs::ScopedSpan edge_span("dta.edge");
       edge_span.counter("worker", static_cast<double>(w));
       edge_span.counter("block", static_cast<double>(tasks[i].block));
       edge_span.counter("edge", static_cast<double>(tasks[i].edge));
-      *tasks[i].slot = characterize_edge_with(ctx->analyzer, ctx->driver, program, cfg, profile,
-                                              tasks[i].block, tasks[i].edge);
+      *tasks[i].slot =
+          characterize_edge_with(*ctx, program, cfg, profile, tasks[i].block, tasks[i].edge);
     });
   } catch (...) {
-    shared_paths.set_frozen(false);
+    paths_.set_frozen(false);
     throw;
   }
-  shared_paths.set_frozen(false);
+  paths_.set_frozen(false);
   return out;
 }
 

@@ -48,27 +48,24 @@ class ControlCharacterizer {
   /// executor profile's sampled contexts as representative operand values.
   /// Unexecuted edges get empty (nullopt) characterisations.
   ///
-  /// The (block, edge) tasks fan out across support::global_pool(): each
-  /// worker owns a thread-local DtsAnalyzer + PipelineDriver over this
-  /// characterizer's shared, pre-warmed (frozen) PathEnumerator, and every
-  /// result lands in its pre-sized slot indexed by (block, edge) — so AP
-  /// ordering and Clark-min folding are bit-identical to the serial run at
-  /// any worker count.
+  /// The (block, edge) tasks run through support::global_pool() at every
+  /// pool size, over this characterizer's shared PathEnumerator, warmed
+  /// with every control endpoint and frozen for the loop.  Worker 0 (the
+  /// caller, and the only worker of a one-thread pool) uses this
+  /// characterizer's own analyzer and driver, so their caches persist
+  /// across calls; every other worker builds its own.  Each result lands
+  /// in its pre-sized slot indexed by (block, edge), so AP ordering,
+  /// Clark-min folding and the paths enumerated are the same at any
+  /// worker count.
   [[nodiscard]] std::vector<BlockControlDts> characterize(const isa::Program& program,
                                                           const isa::Cfg& cfg,
                                                           const isa::ProgramProfile& profile);
 
-  /// Characterise a single (block, edge) pair; edge == -1 means entry.
-  [[nodiscard]] EdgeControlDts characterize_edge(const isa::Program& program, const isa::Cfg& cfg,
-                                                 const isa::ProgramProfile& profile,
-                                                 isa::BlockId block, std::ptrdiff_t edge);
-
-  [[nodiscard]] DtsAnalyzer& analyzer() { return analyzer_; }
+  [[nodiscard]] DtsAnalyzer& analyzer() { return own_.analyzer; }
 
   /// Pre-enumerate the shared path set over every control endpoint.
-  /// Idempotent; characterize() calls it before its parallel fan-out, and
-  /// the artifact cache uses it to materialise the path set for export.
-  /// After a PathEnumerator::import_warmed this is a cheap no-op pass.
+  /// Idempotent; characterize() calls it before freezing the enumerator,
+  /// and the report builder calls it to query culprit paths.
   void warm_paths();
 
   /// Control-class capture endpoints of every stage (the set Algorithm 2
@@ -76,19 +73,19 @@ class ControlCharacterizer {
   [[nodiscard]] std::vector<netlist::GateId> control_endpoints() const;
 
  private:
-  /// The shared characterisation body: pure function of its arguments
-  /// plus the (deterministic, order-independent) analyzer caches, so the
-  /// serial path and every worker compute bit-identical results.
-  EdgeControlDts characterize_edge_with(DtsAnalyzer& analyzer, PipelineDriver& driver,
-                                        const isa::Program& program, const isa::Cfg& cfg,
-                                        const isa::ProgramProfile& profile, isa::BlockId block,
-                                        std::ptrdiff_t edge) const;
+  /// The characterisation body of one (block, edge) pair; edge == -1
+  /// means entry.  A pure function of its arguments plus the
+  /// (deterministic, order-independent) analyzer caches, so every worker
+  /// computes bit-identical results.
+  EdgeControlDts characterize_edge_with(WorkerContext& ctx, const isa::Program& program,
+                                        const isa::Cfg& cfg, const isa::ProgramProfile& profile,
+                                        isa::BlockId block, std::ptrdiff_t edge) const;
 
   const netlist::Pipeline& pipeline_;
   const timing::VariationModel& vm_;
   DtsConfig dts_config_;
-  DtsAnalyzer analyzer_;
-  PipelineDriver driver_;
+  timing::PathEnumerator paths_;  ///< shared by every worker's analyzer
+  WorkerContext own_;             ///< worker 0's analyzer and driver
   ControlCharacterizerConfig config_;
   bool paths_warmed_ = false;
 };

@@ -138,8 +138,7 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
   const std::size_t pass_idx = tasks.size();
   tasks.push_back({Opcode::kMovi, 0, 0, Opcode::kMovi, 0, 0x1234u});
 
-  auto measure_with = [&](DtsAnalyzer& analyzer, PipelineDriver& driver,
-                          const MeasureTask& t) -> std::optional<DtsGaussian> {
+  auto measure = [&](WorkerContext& ctx, const MeasureTask& t) -> std::optional<DtsGaussian> {
     static obs::Counter& measurements =
         obs::MetricsRegistry::instance().counter("dta.train_measurements");
     measurements.increment();
@@ -164,9 +163,9 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
     slots.push_back(FetchSlot::from_context(cur_inst, cur_ctx));
     const std::size_t cur_slot = slots.size() - 1;
 
-    auto cycles = driver.run(slots);
+    auto cycles = ctx.driver.run(slots);
     CycleActivation& ex_cycle = cycles[cur_slot + kExStage];
-    auto dts = analyzer.stage_dts(kExStage, ex_cycle, netlist::EndpointClass::kData);
+    auto dts = ctx.analyzer.stage_dts(kExStage, ex_cycle, netlist::EndpointClass::kData);
     if (!dts.has_value()) return std::nullopt;
     // Convert slack statistics to arrival statistics.
     DtsGaussian arr;
@@ -175,40 +174,26 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
     return arr;
   };
 
-  std::vector<std::optional<DtsGaussian>> results(tasks.size());
-  support::ThreadPool& pool = support::global_pool();
-  if (pool.size() <= 1) {
-    DtsAnalyzer analyzer(pipeline.netlist, vm, spec, dts_config);
-    PipelineDriver driver(pipeline);
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-      results[i] = measure_with(analyzer, driver, tasks[i]);
-  } else {
-    // Shared pre-warmed enumerator (EX-stage data endpoints), one
-    // thread-local analyzer + driver per worker.
-    timing::PathEnumerator shared_paths(pipeline.netlist);
-    std::vector<netlist::GateId> endpoints;
-    for (netlist::GateId e : pipeline.netlist.stage_endpoints(kExStage)) {
-      if (pipeline.netlist.gate(e).endpoint_class == netlist::EndpointClass::kData)
-        endpoints.push_back(e);
-    }
-    shared_paths.warm(endpoints, dts_config.top_k);
-    shared_paths.set_frozen(true);
-    struct WorkerCtx {
-      DtsAnalyzer analyzer;
-      PipelineDriver driver;
-      WorkerCtx(const netlist::Pipeline& p, const timing::VariationModel& v,
-                timing::TimingSpec s, const DtsConfig& c, timing::PathEnumerator& paths)
-          : analyzer(p.netlist, v, s, c, paths), driver(p) {}
-    };
-    std::vector<std::unique_ptr<WorkerCtx>> ctxs(pool.size());
-    pool.parallel_for(tasks.size(), [&](std::size_t i, std::size_t w) {
-      auto& ctx = ctxs[w];
-      if (!ctx) ctx = std::make_unique<WorkerCtx>(pipeline, vm, spec, dts_config, shared_paths);
-      obs::ScopedSpan task_span("dta.train_measure");
-      task_span.counter("worker", static_cast<double>(w));
-      results[i] = measure_with(ctx->analyzer, ctx->driver, tasks[i]);
-    });
+  // One analyzer + driver per worker over a shared enumerator, warmed with
+  // the EX-stage data endpoints and frozen while the tasks run.
+  timing::PathEnumerator shared_paths(pipeline.netlist);
+  std::vector<netlist::GateId> endpoints;
+  for (netlist::GateId e : pipeline.netlist.stage_endpoints(kExStage)) {
+    if (pipeline.netlist.gate(e).endpoint_class == netlist::EndpointClass::kData)
+      endpoints.push_back(e);
   }
+  shared_paths.warm(endpoints, dts_config.top_k);
+  shared_paths.set_frozen(true);
+  support::ThreadPool& pool = support::global_pool();
+  std::vector<std::unique_ptr<WorkerContext>> ctxs(pool.size());
+  std::vector<std::optional<DtsGaussian>> results(tasks.size());
+  pool.parallel_for(tasks.size(), [&](std::size_t i, std::size_t w) {
+    auto& ctx = ctxs[w];
+    if (!ctx) ctx = std::make_unique<WorkerContext>(pipeline, vm, spec, dts_config, shared_paths);
+    obs::ScopedSpan task_span("dta.train_measure");
+    task_span.counter("worker", static_cast<double>(w));
+    results[i] = measure(*ctx, tasks[i]);
+  });
   span.counter("measurements", static_cast<double>(tasks.size()));
 
   DatapathModel model;

@@ -26,6 +26,17 @@ FetchSlot FetchSlot::nop(std::uint32_t pc) {
   return s;
 }
 
+namespace {
+
+/// ALU control-input values for an opcode, mirroring the netlist datapath.
+struct ExDrive {
+  std::uint8_t alu_sel = 3;  ///< 0 add/sub, 1 logic, 2 shift, 3 pass-B
+  std::uint8_t logic_sel = 0;
+  bool sel_imm = false;
+  bool sub_mode = false;
+  bool shift_dir = false;
+};
+
 ExDrive ex_drive_for(Opcode op) {
   ExDrive d;
   d.sel_imm = isa::uses_immediate(op);
@@ -75,6 +86,8 @@ ExDrive ex_drive_for(Opcode op) {
   return d;
 }
 
+}  // namespace
+
 PipelineDriver::PipelineDriver(const netlist::Pipeline& pipeline)
     : p_(pipeline), sim_(pipeline.netlist) {}
 
@@ -123,7 +136,8 @@ void PipelineDriver::drive_cycle(const std::vector<FetchSlot>& slots, std::size_
   sim_.set_input_word(ports.ctrl_noise, 0);
 }
 
-std::vector<CycleActivation> PipelineDriver::run(const std::vector<FetchSlot>& slots, int drain) {
+std::vector<CycleActivation> PipelineDriver::run(const std::vector<FetchSlot>& slots, int drain,
+                                                 const CycleObserver& on_cycle) {
   TE_REQUIRE(drain >= 0, "negative drain");
   sim_.reset();
   std::vector<CycleActivation> cycles;
@@ -132,6 +146,7 @@ std::vector<CycleActivation> PipelineDriver::run(const std::vector<FetchSlot>& s
   for (std::size_t t = 0; t < total; ++t) {
     drive_cycle(slots, t);
     sim_.step();
+    if (on_cycle) on_cycle(sim_);
     cycles.emplace_back(p_.netlist, sim_.activation_flags());
   }
   return cycles;

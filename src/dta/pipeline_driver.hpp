@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "dta/dts_analyzer.hpp"
@@ -32,25 +33,20 @@ struct FetchSlot {
   static FetchSlot nop(std::uint32_t pc = 0);
 };
 
-/// ALU control-input values for an opcode, mirroring the netlist datapath.
-struct ExDrive {
-  std::uint8_t alu_sel = 3;  ///< 0 add/sub, 1 logic, 2 shift, 3 pass-B
-  std::uint8_t logic_sel = 0;
-  bool sel_imm = false;
-  bool sub_mode = false;
-  bool shift_dir = false;
-};
-[[nodiscard]] ExDrive ex_drive_for(isa::Opcode op);
-
 class PipelineDriver {
  public:
   explicit PipelineDriver(const netlist::Pipeline& pipeline);
+
+  /// Called once per simulated cycle with the settled simulator, before
+  /// that cycle's CycleActivation is recorded (e.g. to dump a VCD).
+  using CycleObserver = std::function<void(const sim::LogicSimulator&)>;
 
   /// Simulate the slot stream from reset plus `drain` trailing bubbles.
   /// Returns one CycleActivation per simulated cycle; the instruction of
   /// slots[t] occupies pipeline stage s in cycle t + s.
   [[nodiscard]] std::vector<CycleActivation> run(const std::vector<FetchSlot>& slots,
-                                                 int drain = netlist::Pipeline::kStages);
+                                                 int drain = netlist::Pipeline::kStages,
+                                                 const CycleObserver& on_cycle = {});
 
   [[nodiscard]] const netlist::Pipeline& pipeline() const { return p_; }
 
@@ -59,6 +55,18 @@ class PipelineDriver {
 
   const netlist::Pipeline& p_;
   sim::LogicSimulator sim_;
+};
+
+/// One worker's share of a parallel gate-level loop: an analyzer over a
+/// shared, pre-warmed (frozen) path enumerator plus its own driver.
+struct WorkerContext {
+  WorkerContext(const netlist::Pipeline& pipeline, const timing::VariationModel& vm,
+                timing::TimingSpec spec, const DtsConfig& dts_config,
+                timing::PathEnumerator& paths)
+      : analyzer(pipeline.netlist, vm, spec, dts_config, paths), driver(pipeline) {}
+
+  DtsAnalyzer analyzer;
+  PipelineDriver driver;
 };
 
 }  // namespace terrors::dta

@@ -40,16 +40,6 @@ RunContext::RunContext(std::uint64_t key, std::string label)
     : key_(key), id_(format_run_id(key)), label_(std::move(label)),
       metrics_(MetricsRegistry::instance()) {}
 
-void RunContext::set_phase_seconds(std::string_view phase, double seconds) {
-  for (auto& [name, value] : phases_) {
-    if (name == phase) {
-      value = seconds;
-      return;
-    }
-  }
-  phases_.emplace_back(std::string(phase), seconds);
-}
-
 RunContext* RunContext::current() { return g_current.load(std::memory_order_acquire); }
 
 RunContext::Scope::Scope(RunContext& ctx)

@@ -14,7 +14,9 @@
 //     produce identical ids — deterministic like every other artifact of
 //     the pipeline; the run journal's wall-clock timestamp distinguishes
 //     repeated occurrences in time.
-//   * phase wall times, recorded by the framework as each phase closes.
+//
+// Phase wall times are not recorded here: they live in the framework's
+// BenchmarkResult, which is where the run journal takes them from.
 //
 // RunContext::current() is the propagation seam: the framework installs
 // the context for the duration of analyze() (RAII Scope), and downstream
@@ -31,7 +33,6 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -74,13 +75,6 @@ class RunContext {
   [[nodiscard]] MetricsScope& metrics() { return metrics_; }
   [[nodiscard]] const MetricsScope& metrics() const { return metrics_; }
 
-  /// Record a phase wall time (insertion order preserved; re-recording a
-  /// phase overwrites it, so retries report their final time).
-  void set_phase_seconds(std::string_view phase, double seconds);
-  [[nodiscard]] const std::vector<std::pair<std::string, double>>& phases() const {
-    return phases_;
-  }
-
   /// The context installed by the innermost active Scope (nullptr outside
   /// any run).  Safe to call from pool workers: the id/label of an
   /// installed context are immutable.
@@ -105,7 +99,6 @@ class RunContext {
   std::string id_;
   std::string label_;
   MetricsScope metrics_;
-  std::vector<std::pair<std::string, double>> phases_;
 };
 
 /// The active run id, or "" when no run is in flight — for log/journal

@@ -59,8 +59,8 @@ double clark_min_cov(double cov_ay, double cov_by, double tightness_a) {
 
 namespace {
 
-// Shared implementation: maintains the active set and a covariance matrix,
-// combining two elements per step until one remains.
+// Works on copies of the inputs: maintains the active set and a covariance
+// matrix, combining two elements per step until one remains.
 Gaussian statistical_min_impl(std::vector<Gaussian> vars, std::vector<double> cov,
                               MinOrdering ordering) {
   const std::size_t n0 = vars.size();
@@ -143,13 +143,6 @@ Gaussian statistical_min_impl(std::vector<Gaussian> vars, std::vector<double> co
 
 Gaussian statistical_min(const std::vector<Gaussian>& vars, const std::vector<double>& cov,
                          MinOrdering ordering) {
-  return statistical_min_impl(vars, cov, ordering);
-}
-
-Gaussian statistical_min_independent(const std::vector<Gaussian>& vars, MinOrdering ordering) {
-  const std::size_t n = vars.size();
-  std::vector<double> cov(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) cov[i * n + i] = vars[i].variance();
   return statistical_min_impl(vars, cov, ordering);
 }
 

@@ -49,8 +49,4 @@ enum class MinOrdering {
 Gaussian statistical_min(const std::vector<Gaussian>& vars, const std::vector<double>& cov,
                          MinOrdering ordering = MinOrdering::kGreedyTightness);
 
-/// Convenience overload for independent variables.
-Gaussian statistical_min_independent(const std::vector<Gaussian>& vars,
-                                     MinOrdering ordering = MinOrdering::kGreedyTightness);
-
 }  // namespace terrors::stat

@@ -7,9 +7,9 @@
 //    results into pre-sized slots keyed by index, so the output is
 //    bit-identical regardless of worker count or scheduling.  The pool
 //    itself never reorders observable results.
-//  * Serial fallback: a pool of size 1 runs every index inline on the
-//    calling thread, in order, with no locking — `threads=1` is exactly
-//    the old serial code path.
+//  * One code path at every size: a pool of size 1 runs every index
+//    inline on the calling thread, in order, with no locking, so callers
+//    need no separate serial branch.
 //  * Exception containment: an index that throws is recorded (it does
 //    not cancel the remaining indices) and retried ONCE, serially, on
 //    the calling thread after the loop quiesces — transient failures

@@ -92,9 +92,6 @@ struct PathEnumerator::Search {
   std::size_t expansions = 0;
   bool done = false;
   bool guard_tripped = false;
-  /// Installed via import_warmed: no heap/arena state, so it can serve
-  /// lookups but must never be extended.
-  bool imported = false;
 };
 
 PathEnumerator::PathEnumerator(const netlist::Netlist& nl, PathConfig config)
@@ -119,7 +116,6 @@ PathEnumerator::Search& PathEnumerator::search_for(GateId endpoint) {
 }
 
 void PathEnumerator::extend(Search& s, std::size_t k) {
-  TE_CHECK(!s.imported, "imported path list queried beyond its warmed depth");
   const std::size_t expansions_before = s.expansions;
   const std::size_t paths_before = s.paths.size();
   while (s.paths.size() < k && !s.done) {
@@ -196,36 +192,6 @@ bool PathEnumerator::exhausted(GateId endpoint) const {
   auto it = searches_.find(endpoint);
   if (it == searches_.end()) return false;
   return it->second->done && !it->second->guard_tripped;
-}
-
-std::vector<PathEnumerator::WarmedEndpoint> PathEnumerator::export_warmed() const {
-  std::vector<WarmedEndpoint> out;
-  out.reserve(searches_.size());
-  for (const auto& [endpoint, search] : searches_)
-    out.push_back({endpoint, search->done, search->guard_tripped, search->paths});
-  std::sort(out.begin(), out.end(),
-            [](const WarmedEndpoint& a, const WarmedEndpoint& b) { return a.endpoint < b.endpoint; });
-  return out;
-}
-
-void PathEnumerator::import_warmed(const std::vector<WarmedEndpoint>& warmed) {
-  TE_REQUIRE(!frozen_, "cannot import into a frozen PathEnumerator");
-  for (const WarmedEndpoint& we : warmed) {
-    TE_REQUIRE(we.endpoint < nl_.size() && nl_.gate(we.endpoint).is_capture_endpoint(),
-               "imported path list names a non-endpoint gate");
-    for (const TimingPath& p : we.paths) {
-      TE_REQUIRE(p.endpoint == we.endpoint, "imported path list endpoint mismatch");
-      for (const GateId g : p.gates)
-        TE_REQUIRE(g < nl_.size(), "imported path references an out-of-range gate");
-    }
-    auto s = std::make_unique<Search>();
-    s->endpoint = we.endpoint;
-    s->paths = we.paths;
-    s->done = we.done;
-    s->guard_tripped = we.guard_tripped;
-    s->imported = true;
-    searches_[we.endpoint] = std::move(s);
-  }
 }
 
 }  // namespace terrors::timing

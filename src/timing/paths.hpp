@@ -91,27 +91,7 @@ class PathEnumerator {
   /// paths of the endpoint (search exhausted, no guard tripped).
   [[nodiscard]] bool exhausted(netlist::GateId endpoint) const;
 
-  /// Serializable snapshot of one endpoint's enumerated path list, for the
-  /// on-disk artifact cache.
-  struct WarmedEndpoint {
-    netlist::GateId endpoint = netlist::kNoGate;
-    bool done = false;
-    bool guard_tripped = false;
-    std::vector<TimingPath> paths;
-  };
-  /// Snapshot every search's path list, sorted by endpoint id so the
-  /// serialized bytes are deterministic.
-  [[nodiscard]] std::vector<WarmedEndpoint> export_warmed() const;
-  /// Install previously exported lists (replacing any existing search for
-  /// those endpoints).  Imported lists are lookup-only: they serve
-  /// top_paths(e, k) for any k up to the depth they were warmed with, and
-  /// throw if a caller tries to extend them deeper, rather than silently
-  /// returning a truncated list.  Unlisted endpoints still enumerate
-  /// normally.
-  void import_warmed(const std::vector<WarmedEndpoint>& warmed);
-
   [[nodiscard]] const netlist::Netlist& nl() const { return nl_; }
-  [[nodiscard]] const PathConfig& config() const { return config_; }
 
  private:
   struct Search;

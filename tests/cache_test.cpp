@@ -88,11 +88,6 @@ TEST(Keys, SpecAndConfigHashesReactToEveryField) {
   dts.top_k += 1;
   EXPECT_NE(hash_dts_config(dts), dts_base);
 
-  timing::PathConfig pc;
-  const std::uint64_t pc_base = hash_path_config(pc);
-  pc.max_paths += 1;
-  EXPECT_NE(hash_path_config(pc), pc_base);
-
   dta::ControlCharacterizerConfig cc;
   const std::uint64_t cc_base = hash_characterizer_config(cc);
   cc.pred_tail += 1;
@@ -186,42 +181,16 @@ TEST(Codec, DatapathRoundTripsExactly) {
   EXPECT_EQ(w.bytes(), w2.bytes());
 }
 
-TEST(Codec, PathsRoundTripsExactly) {
-  std::vector<timing::PathEnumerator::WarmedEndpoint> warmed(2);
-  warmed[0].endpoint = 17;
-  warmed[0].done = true;
-  timing::TimingPath path;
-  path.endpoint = 17;
-  path.delay_ps = 812.5;
-  path.gates = {3, 9, 17};
-  warmed[0].paths = {path};
-  warmed[1].endpoint = 23;
-  warmed[1].guard_tripped = true;
-
+TEST(Codec, ControlRejectsGarbageLengths) {
+  // A huge block count must not allocate: the reader validates it against
+  // the remaining byte budget.
+  const timing::TimingSpec spec{1300.0};
   ByteWriter w;
-  encode_paths(warmed, w);
-  ByteReader r(w.bytes());
-  const auto back = decode_paths(r);
-  ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->size(), 2u);
-  EXPECT_EQ((*back)[0].endpoint, 17u);
-  EXPECT_TRUE((*back)[0].done);
-  ASSERT_EQ((*back)[0].paths.size(), 1u);
-  EXPECT_EQ((*back)[0].paths[0].gates, path.gates);
-  EXPECT_TRUE((*back)[1].guard_tripped);
-
-  ByteWriter w2;
-  encode_paths(*back, w2);
-  EXPECT_EQ(w.bytes(), w2.bytes());
-}
-
-TEST(Codec, PathsRejectsGarbageLengths) {
-  // A huge count must not allocate: the reader validates it against the
-  // remaining byte budget.
-  ByteWriter w;
+  w.f64(spec.period_ps);
+  w.f64(spec.setup_ps);
   w.u64(0xffffffffffffull);
   ByteReader r(w.bytes());
-  EXPECT_FALSE(decode_paths(r).has_value());
+  EXPECT_FALSE(decode_control(r, spec).has_value());
 }
 
 // --- artifact files ----------------------------------------------------------
@@ -242,21 +211,21 @@ TEST(ArtifactCache, RejectsCorruptedFile) {
   const TempDir dir("corrupt");
   const ArtifactCache cache(dir.path.string());
   std::vector<std::uint8_t> payload(64, 0xAB);
-  cache.store("paths", 7, payload);
+  cache.store("control", 7, payload);
 
   // Flip one payload byte on disk: the checksum must catch it.
-  const std::string file = cache.path_for("paths", 7);
+  const std::string file = cache.path_for("control", 7);
   {
     std::fstream f(file, std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(f.good());
     f.seekp(30);
     f.put('\x00');
   }
-  EXPECT_FALSE(cache.load("paths", 7).has_value());
+  EXPECT_FALSE(cache.load("control", 7).has_value());
 
   // Truncation must be caught as well.
   fs::resize_file(file, 10);
-  EXPECT_FALSE(cache.load("paths", 7).has_value());
+  EXPECT_FALSE(cache.load("control", 7).has_value());
 }
 
 TEST(ArtifactCache, ResolveDirPrefersExplicitConfig) {
@@ -360,7 +329,7 @@ TEST(WarmStart, CorruptArtifactSilentlyRecomputes) {
     f.put('\xA5');
     ++damaged;
   }
-  ASSERT_GE(damaged, 2u);  // control + paths at least (datapath too)
+  ASSERT_EQ(damaged, 2u);  // control + datapath
 
   const std::uint64_t corrupt_before =
       obs::MetricsRegistry::instance().counter("cache.corrupt").value();

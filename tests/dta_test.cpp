@@ -76,6 +76,25 @@ TEST(PipelineDriver, PcFollowsFetchStream) {
   EXPECT_EQ(cycles.size(), slots.size() + Pipeline::kStages);
 }
 
+TEST(PipelineDriver, CycleObserverSeesEveryReturnedCycle) {
+  PipelineDriver driver(shared_pipeline());
+  std::vector<FetchSlot> slots;
+  for (int i = 0; i < 4; ++i) slots.push_back(FetchSlot::nop(4u * static_cast<std::uint32_t>(i)));
+  for (std::uint32_t a : {0x3u, 0x0FFFFFFFu, 0xF0F0F0F0u}) {
+    isa::InstrDynContext ctx;
+    ctx.cur = {a, 1u, isa::ExUnit::kAdder, Opcode::kAdd};
+    ctx.pc = 0x100;
+    slots.push_back(FetchSlot::from_context(make(Opcode::kAdd, 3, 1, 2), ctx));
+  }
+  std::vector<std::vector<std::uint8_t>> seen;
+  const auto cycles = driver.run(slots, Pipeline::kStages, [&](const sim::LogicSimulator& sim) {
+    seen.push_back(sim.activation_flags());
+  });
+  ASSERT_EQ(seen.size(), cycles.size());
+  for (std::size_t t = 0; t < cycles.size(); ++t)
+    EXPECT_EQ(seen[t], cycles[t].flags()) << "cycle " << t;
+}
+
 TEST(DtsAnalyzer, QuietCycleHasNoStageDts) {
   PipelineDriver driver(shared_pipeline());
   // All-bubble stream: after warmup the pipeline goes quiet.

@@ -567,29 +567,18 @@ TEST(RunContextTest, ScopeInstallsAndRestoresNested) {
   EXPECT_EQ(obs::RunContext::current(), nullptr);
 }
 
-TEST(RunContextTest, PhaseSecondsOverwriteByName) {
-  obs::RunContext ctx(1, "phases");
-  ctx.set_phase_seconds("simulation", 1.0);
-  ctx.set_phase_seconds("training", 2.0);
-  ctx.set_phase_seconds("simulation", 3.0);  // re-record wins
-  ASSERT_EQ(ctx.phases().size(), 2u);
-  EXPECT_EQ(ctx.phases()[0].first, "simulation");
-  EXPECT_DOUBLE_EQ(ctx.phases()[0].second, 3.0);
-  EXPECT_EQ(ctx.phases()[1].first, "training");
-}
-
 // ---------------------------------------------------------------------------
 
 TEST(ProfilerTest, FoldedRoundTripAndHotspots) {
   std::istringstream in(
-      "analyze;training;dta.block 40\n"
+      "analyze;training;dta.edge 40\n"
       "analyze;training 10\n"
       "analyze;estimation 5\n"
       "\n"
       "framework.init 2\n");
   const auto folded = obs::parse_folded(in);
   ASSERT_EQ(folded.size(), 4u);
-  EXPECT_EQ(folded.at("analyze;training;dta.block"), 40u);
+  EXPECT_EQ(folded.at("analyze;training;dta.edge"), 40u);
 
   const auto spots = obs::hotspots_from_folded(folded);
   ASSERT_FALSE(spots.empty());

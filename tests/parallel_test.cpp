@@ -1,18 +1,22 @@
 // Determinism contract of the parallel estimation engine: analyze() must
-// be bit-identical at any thread count (results land in pre-sized slots
-// keyed by index; no reduction order depends on scheduling), and the
-// thread pool must propagate worker exceptions to the caller and stay
-// usable afterwards.
+// be bit-identical, and do the same work, at any thread count (results
+// land in pre-sized slots keyed by index; no reduction order depends on
+// scheduling), and the thread pool must propagate worker exceptions to
+// the caller and stay usable afterwards.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/framework.hpp"
 #include "dta/dts_analyzer.hpp"
 #include "netlist/pipeline.hpp"
+#include "obs/metrics.hpp"
+#include "obs/run_context.hpp"
 #include "support/thread_pool.hpp"
 #include "timing/sta.hpp"
 #include "workloads/generator.hpp"
@@ -42,22 +46,37 @@ const workloads::WorkloadSpec& spec_named(const char* name) {
   return workloads::mibench_specs()[0];
 }
 
+/// Work counters that must not depend on the thread count.  Left out:
+/// dta.dp_cache_collisions (depends on which worker's memo saw which
+/// edge) and the pool.* / cache.* counters.
+constexpr const char* kWorkCounters[] = {
+    "sim.cycles",           "sim.gate_toggles",      "timing.paths_enumerated",
+    "timing.path_expansions", "dta.stage_dts_queries", "dta.edges_characterized",
+    "dta.slots_driven",     "dta.dp_fallbacks",      "dta.train_measurements",
+    "stat.clark_min_calls", "solver.linear_solves",
+};
+
 /// Everything analyze() produces that the determinism contract covers.
 struct AnalyzeSnapshot {
   double rate_mean = 0.0;
   double rate_sd = 0.0;
   std::vector<core::BlockMarginals> marginals;
+  /// kWorkCounters deltas over framework construction plus analyze().
+  std::map<std::string, std::uint64_t> work;
 };
 
 AnalyzeSnapshot analyze_with_threads(const workloads::WorkloadSpec& spec, std::size_t threads) {
   support::set_global_threads(threads);
+  const isa::Program program = workloads::generate_program(spec);
+  const auto inputs = workloads::generate_inputs(spec, 2, 7);
+  const obs::MetricsScope scope(obs::MetricsRegistry::instance());
   core::ErrorRateFramework fw(pipeline(), small_config());
-  const auto r =
-      fw.analyze(workloads::generate_program(spec), workloads::generate_inputs(spec, 2, 7));
+  const auto r = fw.analyze(program, inputs);
   AnalyzeSnapshot snap;
   snap.rate_mean = r.estimate.rate_mean();
   snap.rate_sd = r.estimate.rate_sd();
   snap.marginals = fw.last().marginals;
+  for (const char* name : kWorkCounters) snap.work[name] = scope.delta(name);
   return snap;
 }
 
@@ -77,6 +96,7 @@ void expect_identical(const AnalyzeSnapshot& a, const AnalyzeSnapshot& b,
     for (std::size_t k = 0; k < ma.instr.size(); ++k)
       EXPECT_EQ(ma.instr[k].values(), mb.instr[k].values());
   }
+  for (const char* name : kWorkCounters) EXPECT_EQ(a.work.at(name), b.work.at(name)) << name;
 }
 
 class AnalyzeDeterminism : public ::testing::TestWithParam<const char*> {
@@ -87,6 +107,7 @@ class AnalyzeDeterminism : public ::testing::TestWithParam<const char*> {
 TEST_P(AnalyzeDeterminism, BitIdenticalAcrossThreadCounts) {
   const auto& spec = spec_named(GetParam());
   const AnalyzeSnapshot serial = analyze_with_threads(spec, 1);
+  for (const char* name : kWorkCounters) EXPECT_GT(serial.work.at(name), 0u) << name;
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     const AnalyzeSnapshot parallel = analyze_with_threads(spec, threads);
     expect_identical(serial, parallel, threads);

@@ -7,7 +7,6 @@
 #include "netlist/builder.hpp"
 #include "netlist/pipeline.hpp"
 #include "obs/metrics.hpp"
-#include "sim/activation.hpp"
 #include "sim/logic_sim.hpp"
 #include "sim/vcd.hpp"
 #include "support/rng.hpp"
@@ -295,24 +294,6 @@ TEST(LogicSim, CompiledProgramMatchesReferenceEvaluator) {
       for (GateId g : const1_fed) const1_fed_toggles += sim.activated(g) ? 1 : 0;
   }
   EXPECT_GT(const1_fed_toggles, 0u);
-}
-
-TEST(ActivationTrace, RecordsAndQueries) {
-  ActivationTrace tr(130);
-  std::vector<std::uint8_t> flags(130, 0);
-  flags[0] = 1;
-  flags[64] = 1;
-  flags[129] = 1;
-  tr.record(flags);
-  std::fill(flags.begin(), flags.end(), 0);
-  tr.record(flags);
-  EXPECT_EQ(tr.cycles(), 2u);
-  EXPECT_TRUE(tr.activated(0, 0));
-  EXPECT_TRUE(tr.activated(0, 64));
-  EXPECT_TRUE(tr.activated(0, 129));
-  EXPECT_FALSE(tr.activated(0, 1));
-  EXPECT_FALSE(tr.activated(1, 0));
-  EXPECT_THROW(tr.activated(2, 0), std::invalid_argument);
 }
 
 TEST(Vcd, EmitsValidHeaderAndChanges) {

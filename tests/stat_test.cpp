@@ -6,9 +6,7 @@
 #include <vector>
 
 #include "stat/clark.hpp"
-#include "stat/discrete.hpp"
 #include "stat/gaussian.hpp"
-#include "stat/metrics.hpp"
 #include "stat/poisson_mixture.hpp"
 #include "stat/samples.hpp"
 #include "stat/stein.hpp"
@@ -142,12 +140,12 @@ INSTANTIATE_TEST_SUITE_P(AllOrderings, StatisticalMinOrdering,
 
 TEST(StatisticalMin, SingleElementIsExact) {
   const Gaussian g{2.0, 3.0};
-  EXPECT_EQ(statistical_min_independent({g}).mean, 2.0);
-  EXPECT_EQ(statistical_min_independent({g}).sd, 3.0);
+  EXPECT_EQ(statistical_min({g}, {g.variance()}).mean, 2.0);
+  EXPECT_EQ(statistical_min({g}, {g.variance()}).sd, 3.0);
 }
 
 TEST(StatisticalMin, EmptySetThrows) {
-  EXPECT_THROW(statistical_min_independent({}), std::invalid_argument);
+  EXPECT_THROW(statistical_min({}, {}), std::invalid_argument);
 }
 
 // --- Samples ----------------------------------------------------------------
@@ -177,57 +175,6 @@ TEST(Samples, SizeMismatchThrows) {
 TEST(Samples, CorrelationOfIdenticalVectorsIsOne) {
   Samples a(std::vector<double>{1.0, 2.0, 3.0, 4.0});
   EXPECT_NEAR(correlation(a, a), 1.0, 1e-12);
-}
-
-// --- DiscreteDistribution ----------------------------------------------------
-
-TEST(Discrete, NormalisesWeightsAndSortsSupport) {
-  DiscreteDistribution d({3.0, 1.0, 2.0}, {2.0, 1.0, 1.0});
-  EXPECT_EQ(d.values()[0], 1.0);
-  EXPECT_EQ(d.values()[2], 3.0);
-  EXPECT_NEAR(d.weights()[0], 0.25, 1e-12);
-  EXPECT_NEAR(d.mean(), 0.25 * 1 + 0.25 * 2 + 0.5 * 3, 1e-12);
-}
-
-TEST(Discrete, MomentsOfBernoulli) {
-  DiscreteDistribution d({0.0, 1.0}, {0.7, 0.3});
-  EXPECT_NEAR(d.mean(), 0.3, 1e-12);
-  EXPECT_NEAR(d.variance(), 0.21, 1e-12);
-  // E|X - p|^3 = p(1-p)((1-p)^2 + p^2)
-  EXPECT_NEAR(d.abs_central_moment3(), 0.3 * 0.7 * (0.49 + 0.09), 1e-12);
-}
-
-TEST(Discrete, CdfIsRightContinuousStep) {
-  DiscreteDistribution d({1.0, 2.0}, {0.5, 0.5});
-  EXPECT_EQ(d.cdf(0.99), 0.0);
-  EXPECT_EQ(d.cdf(1.0), 0.5);
-  EXPECT_EQ(d.cdf(1.5), 0.5);
-  EXPECT_EQ(d.cdf(2.0), 1.0);
-}
-
-TEST(Discrete, CompactMergesNearbyAtoms) {
-  DiscreteDistribution d({1.0, 1.0001, 5.0}, {1.0, 1.0, 2.0});
-  const DiscreteDistribution c = d.compacted(0.01);
-  EXPECT_EQ(c.support_size(), 2u);
-  EXPECT_NEAR(c.mean(), d.mean(), 1e-9);
-}
-
-TEST(Discrete, CompactBucketSpanBoundedByTolerance) {
-  // A chain of atoms each within tol of its neighbour must not collapse
-  // into one bucket spanning far more than tol: buckets are anchored at
-  // their first value, so each bucket covers at most [anchor, anchor+tol].
-  const std::vector<double> values = {0.0, 0.009, 0.018, 0.027, 0.036};
-  DiscreteDistribution d(values, {1.0, 1.0, 1.0, 1.0, 1.0});
-  const double tol = 0.01;
-  const DiscreteDistribution c = d.compacted(tol);
-  EXPECT_EQ(c.support_size(), 3u);
-  EXPECT_NEAR(c.mean(), d.mean(), 1e-12);
-  // Every source atom sits within tol of the bucket it merged into.
-  for (double v : values) {
-    double best = 1e300;
-    for (double cv : c.values()) best = std::min(best, std::fabs(cv - v));
-    EXPECT_LE(best, tol) << "atom " << v << " drifted beyond tol";
-  }
 }
 
 // --- PoissonMixture ----------------------------------------------------------
@@ -348,33 +295,6 @@ TEST(ChenStein, PoissonApproximationOfBinomialWithinBound) {
   }
   EXPECT_LE(d, bound);
   EXPECT_GT(d, 0.0);
-}
-
-// --- Metrics -------------------------------------------------------------------
-
-TEST(Metrics, KolmogorovOfIdenticalCdfsIsZero) {
-  auto f = [](double x) { return support::normal_cdf(x); };
-  std::vector<double> grid;
-  for (double x = -4.0; x <= 4.0; x += 0.1) grid.push_back(x);
-  EXPECT_EQ(kolmogorov_distance(f, f, grid), 0.0);
-}
-
-TEST(Metrics, KolmogorovDetectsShift) {
-  auto f = [](double x) { return support::normal_cdf(x); };
-  auto g = [](double x) { return support::normal_cdf(x - 1.0); };
-  std::vector<double> grid;
-  for (double x = -5.0; x <= 5.0; x += 0.01) grid.push_back(x);
-  // Max |Phi(x) - Phi(x-1)| = Phi(0.5) - Phi(-0.5) ~ 0.3829.
-  EXPECT_NEAR(kolmogorov_distance(f, g, grid), 0.3829, 0.001);
-}
-
-TEST(Metrics, KsStatisticOfSameSampleIsZero) {
-  std::vector<double> a = {1.0, 2.0, 3.0};
-  EXPECT_EQ(ks_statistic(a, a), 0.0);
-}
-
-TEST(Metrics, TotalVariation) {
-  EXPECT_NEAR(total_variation({0.5, 0.5, 0.0}, {0.25, 0.25, 0.5}), 0.5, 1e-12);
 }
 
 }  // namespace

@@ -541,32 +541,9 @@ int cmd_vcd(int argc, char** argv, const char* name) {
   add_word(pipe().taps.pc_reg);
   add_word(pipe().taps.ex_result_reg);
   add_word(pipe().taps.cc_reg);
-  sim::LogicSimulator simulator(pipe().netlist);
   sim::VcdWriter writer(std::cout, pipe().netlist, watched, "1ps", 1300.0);
   dta::PipelineDriver driver(pipe());
-  auto traces = driver.run(slots);  // for structure; re-run with a watcher:
-  (void)traces;
-  // Re-drive manually so we can sample into the VCD.
-  simulator.reset();
-  for (std::size_t t = 0; t < slots.size(); ++t) {
-    // Reuse the driver's stage skew through a fresh driver run would not
-    // expose per-cycle sampling; drive the datapath inputs directly.
-    simulator.set_input_word(pipe().ports.instr, slots[t].word);
-    if (t >= 1) {
-      simulator.set_input_word(pipe().ports.op_a, slots[t - 1].ex.a);
-      simulator.set_input_word(pipe().ports.op_b, slots[t - 1].ex.b);
-    }
-    if (t >= 3) {
-      const auto d = dta::ex_drive_for(slots[t - 3].ex.op);
-      simulator.set_input_word(pipe().ports.alu_sel, d.alu_sel);
-      simulator.set_input_word(pipe().ports.logic_sel, d.logic_sel);
-      simulator.set_input(pipe().ports.sel_imm, d.sel_imm);
-      simulator.set_input(pipe().ports.sub_mode, d.sub_mode);
-      simulator.set_input(pipe().ports.shift_dir, d.shift_dir);
-    }
-    simulator.step();
-    writer.sample(simulator);
-  }
+  (void)driver.run(slots, 0, [&](const sim::LogicSimulator& sim) { writer.sample(sim); });
   return 0;
 }
 
