@@ -84,7 +84,6 @@ ErrorRateEstimate estimate_error_rate(const EstimatorInputs& in) {
     const auto& bm = marg[b];
     const auto& bc = cond[b];
     const std::size_t radius = in.chen_stein_radius;
-    stat::Samples block_lambda(in.observer != nullptr ? m : 0, 0.0);
     for (std::size_t s = 0; s < m; ++s) {
       double block_sum = 0.0;
       double block_b1 = 0.0;
@@ -117,9 +116,7 @@ ErrorRateEstimate estimate_error_rate(const EstimatorInputs& in) {
       lambda_s[s] += e_i * block_sum;
       b1_s[s] += e_i * block_b1;
       b2_s[s] += e_i * block_b2;
-      if (in.observer != nullptr) block_lambda[s] = e_i * block_sum;
     }
-    if (in.observer != nullptr) in.observer->on_block_lambda(b, block_lambda);
     // Stein's moments (Thm 5.2): the CLT is over the dynamic instruction
     // *instances* — each execution of instruction k is one variable with
     // the distribution of p_{i_k} and a D=2 dependency neighbourhood —

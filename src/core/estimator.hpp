@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/marginal.hpp"
-#include "core/observer.hpp"
 #include "stat/gaussian.hpp"
 #include "stat/poisson_mixture.hpp"
 #include "stat/stein.hpp"
@@ -75,10 +74,6 @@ struct EstimatorInputs {
   /// instructions beyond distance one when p^e >> p^c (see
   /// bench_limit_theorems).
   std::size_t chen_stein_radius = 0;
-  /// Optional attribution sink: receives each executed block's lambda
-  /// contribution (per-sample, scaled by the block's execution weight).
-  /// Attaching it is bit-invisible to the returned estimate.
-  AnalysisObserver* observer = nullptr;
 };
 
 /// Computes lambda, the Stein and Chen–Stein bounds, and packages the

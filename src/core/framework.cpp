@@ -9,7 +9,6 @@
 #include "obs/journal.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/run_context.hpp"
 #include "obs/trace.hpp"
 #include "robust/degrade.hpp"
 #include "robust/hooks.hpp"
@@ -115,8 +114,7 @@ void ErrorRateFramework::set_spec(timing::TimingSpec spec) {
 }
 
 BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
-                                            const std::vector<isa::ProgramInput>& inputs,
-                                            AnalysisObserver* observer) {
+                                            const std::vector<isa::ProgramInput>& inputs) {
   TE_REQUIRE(!inputs.empty(), "analyze() needs at least one input dataset");
   static obs::Counter& analyze_calls =
       obs::MetricsRegistry::instance().counter("core.analyze_calls");
@@ -124,29 +122,28 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
       obs::MetricsRegistry::instance().counter("core.instructions_simulated");
   analyze_calls.increment();
 
-  // Per-run degradation bookkeeping starts clean, and the pool's fault /
-  // retry hooks are wired before any parallel region can run.
-  robust::DegradationLog::instance().begin_run();
+  // Run identity (DESIGN §5g): the same inputs at the same ordinal give
+  // the same id, so a run correlates across report, journal, and logs
+  // without any nondeterministic token.
+  BenchmarkResult result;
+  result.name = program.name();
+  result.run_id = obs::format_run_id(cache::combine(
+      {cache::kModelVersion, netlist_hash_, variation_hash_, dts_hash_, charcfg_hash_,
+       cache::hash_spec(config_.spec), cache::hash_program(program), analyze_ordinal_++}));
+  result.basic_blocks = program.block_count();
+
+  // Per-run degradation bookkeeping starts clean under this run's id, and
+  // the pool's fault / retry hooks are wired before any parallel region
+  // can run.
+  robust::DegradationLog::instance().begin_run(result.run_id);
   robust::install_pool_hooks();
 
   obs::ScopedSpan span("analyze");
   span.counter("inputs", static_cast<double>(inputs.size()));
-
-  // Run identity (DESIGN §5g): the same inputs at the same ordinal give
-  // the same id, so a run correlates across report, journal, and logs
-  // without any nondeterministic token.
-  const std::uint64_t run_key = cache::combine(
-      {cache::kModelVersion, netlist_hash_, variation_hash_, dts_hash_, charcfg_hash_,
-       cache::hash_spec(config_.spec), cache::hash_program(program), analyze_ordinal_++});
-  obs::RunContext ctx(run_key, program.name());
-  obs::RunContext::Scope run_scope(ctx);
+  // Per-run counter deltas for the result and the journal event.
+  const obs::MetricsScope run_metrics(obs::MetricsRegistry::instance());
   obs::log_info("core", "analyze start",
-                {{"program", program.name()}, {"inputs", inputs.size()}, {"run", ctx.id()}});
-
-  BenchmarkResult result;
-  result.name = program.name();
-  result.run_id = ctx.id();
-  result.basic_blocks = program.block_count();
+                {{"program", program.name()}, {"inputs", inputs.size()}, {"run", result.run_id}});
 
   const support::ThreadPool::Stats pool_before = support::global_pool().stats();
 
@@ -220,7 +217,7 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
           model.build(program, *last_.cfg, last_.executor->profile(), last_.control);
     }
     const MarginalSolver solver(program, *last_.cfg, last_.executor->profile());
-    last_.marginals = solver.solve(last_.conditionals, observer);
+    last_.marginals = solver.solve(last_.conditionals, &last_.sccs);
 
     obs::ScopedSpan estimate_span("estimate");
     EstimatorInputs est_in;
@@ -230,7 +227,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     est_in.marginals = &last_.marginals;
     est_in.execution_scale = config_.execution_scale;
     est_in.chen_stein_radius = config_.chen_stein_radius;
-    est_in.observer = observer;
     result.estimate = estimate_error_rate(est_in);
     result.estimation_seconds = seconds_since(t0);
   }
@@ -252,8 +248,8 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     // file byte-identical to builds without the robustness layer.
     if (stats.retries > 0) registry.gauge("pool.retries").set(static_cast<double>(stats.retries));
   }
-  result.cache_hits = ctx.metrics().delta("cache.hits");
-  result.cache_misses = ctx.metrics().delta("cache.misses");
+  result.cache_hits = run_metrics.delta("cache.hits");
+  result.cache_misses = run_metrics.delta("cache.misses");
   const auto& degradation = robust::DegradationLog::instance();
   result.degraded = degradation.degraded();
   result.degraded_sites = degradation.sites();
@@ -267,7 +263,7 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
   // degrades the run like any other peripheral I/O.
   if (!journal_path_.empty()) {
     obs::RunEvent event;
-    event.run_id = ctx.id();
+    event.run_id = result.run_id;
     event.unix_ms = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::system_clock::now().time_since_epoch())
@@ -284,7 +280,7 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     event.simulation_seconds = result.simulation_seconds;
     event.training_seconds = result.training_seconds;
     event.estimation_seconds = result.estimation_seconds;
-    event.counters = ctx.metrics().deltas();
+    event.counters = run_metrics.deltas();
     const support::ThreadPool::Stats pool_after = support::global_pool().stats();
     event.pool_tasks = pool_after.tasks - pool_before.tasks;
     event.pool_retries = pool_after.retries - pool_before.retries;

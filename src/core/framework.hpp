@@ -24,7 +24,6 @@
 #include "core/error_model.hpp"
 #include "core/estimator.hpp"
 #include "core/marginal.hpp"
-#include "core/observer.hpp"
 #include "dta/control_characterizer.hpp"
 #include "dta/datapath_model.hpp"
 #include "isa/executor.hpp"
@@ -59,9 +58,10 @@ struct FrameworkConfig {
 /// distribution accessors through `estimate`).
 struct BenchmarkResult {
   std::string name;
-  /// Deterministic 16-hex run id (obs::RunContext): identical framework
-  /// inputs + program + analyze ordinal give identical ids, so reports
-  /// and journal events from the same logical run correlate byte-stably.
+  /// Deterministic 16-hex run id (obs::format_run_id of the run key):
+  /// identical framework inputs + program + analyze ordinal give
+  /// identical ids, so reports, journal events and degradation warnings
+  /// from the same logical run correlate byte-stably.
   std::string run_id;
   std::uint64_t instructions = 0;  ///< simulated dynamic instructions (all runs)
   std::size_t basic_blocks = 0;
@@ -88,13 +88,10 @@ class ErrorRateFramework {
   /// positive and finite.
   ErrorRateFramework(const netlist::Pipeline& pipeline, FrameworkConfig config = {});
 
-  /// Analyse one program over the given input datasets.  An attached
-  /// observer receives solver and attribution diagnostics during the
-  /// (serial) estimation phase; it is bit-invisible to the returned
-  /// result, the artifacts, and every non-report metric (DESIGN §5e).
+  /// Analyse one program over the given input datasets.  Everything a
+  /// run report needs is retained in last() (DESIGN §5e).
   [[nodiscard]] BenchmarkResult analyze(const isa::Program& program,
-                                        const std::vector<isa::ProgramInput>& inputs,
-                                        AnalysisObserver* observer = nullptr);
+                                        const std::vector<isa::ProgramInput>& inputs);
 
   [[nodiscard]] const dta::DatapathModel& datapath_model() const { return *datapath_; }
   [[nodiscard]] const timing::VariationModel& variation_model() const { return vm_; }
@@ -110,14 +107,16 @@ class ErrorRateFramework {
   /// Per-benchmark executor configuration (instruction budget, reservoir).
   void set_executor_config(const isa::ExecutorConfig& cfg) { config_.executor = cfg; }
 
-  /// Intermediate artefacts of the last analyze() call, for ablation
-  /// benches and tests.
+  /// Intermediate artefacts of the last analyze() call, for run
+  /// reports, ablation benches and tests.
   struct Artifacts {
     std::unique_ptr<isa::Cfg> cfg;
     std::unique_ptr<isa::Executor> executor;
     std::vector<dta::BlockControlDts> control;
     std::vector<BlockErrorDistributions> conditionals;
     std::vector<BlockMarginals> marginals;
+    /// Per-SCC diagnostics of the marginal solve, in topological order.
+    std::vector<SccSolveDiag> sccs;
   };
   [[nodiscard]] const Artifacts& last() const { return last_; }
 

@@ -164,7 +164,7 @@ MarginalSolver::MarginalSolver(const isa::Program& program, const isa::Cfg& cfg,
 }
 
 std::vector<BlockMarginals> MarginalSolver::solve(
-    const std::vector<BlockErrorDistributions>& cond, AnalysisObserver* observer) const {
+    const std::vector<BlockErrorDistributions>& cond, std::vector<SccSolveDiag>* sccs) const {
   const std::size_t nb = program_.block_count();
   TE_REQUIRE(cond.size() == nb, "conditional distributions/program mismatch");
   obs::ScopedSpan span("marginal.solve");
@@ -193,16 +193,14 @@ std::vector<BlockMarginals> MarginalSolver::solve(
   std::vector<double> alpha(nb, 0.0);
   std::vector<double> beta(nb, 0.0);
   std::vector<double> p_in(nb, 0.0);
-  // Observer diagnostics, aggregated across the M sample worlds.
-  std::vector<double> scc_residual;
-  std::vector<std::uint8_t> scc_touched;
-  if (observer != nullptr) {
-    scc_residual.assign(cfg_.scc_count(), 0.0);
-    scc_touched.assign(cfg_.scc_count(), 0);
-  }
-  // Degradation flags are tracked observer or not: the DegradationLog and
-  // run report need them even on plain CLI runs.
+  // Per-SCC diagnostics, aggregated across the M sample worlds.
+  std::vector<double> scc_residual(cfg_.scc_count(), 0.0);
   std::vector<std::uint8_t> scc_degraded(cfg_.scc_count(), 0);
+  const auto scc_executed = [&](std::uint32_t scc) {
+    const auto& members = cfg_.scc_members(scc);
+    return std::any_of(members.begin(), members.end(),
+                       [&](BlockId b) { return cond[b].executed; });
+  };
   for (std::size_t s = 0; s < m; ++s) {
     // Affine fold of Eq. (1): p_out = alpha + beta * p_in.
     for (BlockId b = 0; b < nb; ++b) {
@@ -242,13 +240,8 @@ std::vector<BlockMarginals> MarginalSolver::solve(
     std::fill(p_in.begin(), p_in.end(), 0.0);
     sccs_metric.increment(cfg_.scc_topo_order().size());
     for (std::uint32_t scc : cfg_.scc_topo_order()) {
+      if (!scc_executed(scc)) continue;
       const auto& members = cfg_.scc_members(scc);
-      // Skip SCCs with no executed blocks.
-      bool any = false;
-      for (BlockId b : members) any = any || cond[b].executed;
-      if (!any) continue;
-
-      if (observer != nullptr) scc_touched[scc] = 1;
       if (!cfg_.scc_is_cyclic(scc)) {
         const BlockId b = members[0];
         if (!cond[b].executed) continue;
@@ -299,8 +292,7 @@ std::vector<BlockMarginals> MarginalSolver::solve(
             "solver", "scc " + std::to_string(scc) +
                           " direct solve rejected; served refinement/fixed-point result");
       }
-      if (observer != nullptr)
-        scc_residual[scc] = std::max(scc_residual[scc], solved.residual);
+      scc_residual[scc] = std::max(scc_residual[scc], solved.residual);
       for (std::size_t i = 0; i < n; ++i) p_in[members[i]] = solved.x[i];
     }
 
@@ -318,16 +310,12 @@ std::vector<BlockMarginals> MarginalSolver::solve(
     }
   }
 
-  if (observer != nullptr) {
+  if (sccs != nullptr) {
+    sccs->clear();
     for (std::uint32_t scc : cfg_.scc_topo_order()) {
-      if (!scc_touched[scc]) continue;
-      SccSolveDiag diag;
-      diag.scc = scc;
-      diag.size = cfg_.scc_members(scc).size();
-      diag.cyclic = cfg_.scc_is_cyclic(scc);
-      diag.max_residual = scc_residual[scc];
-      diag.degraded = scc_degraded[scc] != 0;
-      observer->on_scc_solve(diag);
+      if (!scc_executed(scc)) continue;
+      sccs->push_back({scc, cfg_.scc_members(scc).size(), cfg_.scc_is_cyclic(scc),
+                       scc_residual[scc], scc_degraded[scc] != 0});
     }
   }
   return out;

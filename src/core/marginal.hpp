@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/error_model.hpp"
-#include "core/observer.hpp"
 #include "isa/cfg.hpp"
 #include "isa/executor.hpp"
 #include "isa/program.hpp"
@@ -33,18 +32,31 @@ struct BlockMarginals {
   bool executed = false;
 };
 
+/// Diagnostics of one strongly-connected component's marginal solve,
+/// aggregated over the M sample worlds.
+struct SccSolveDiag {
+  std::uint32_t scc = 0;
+  std::size_t size = 0;   ///< member blocks
+  bool cyclic = false;    ///< solved as a dense linear system
+  /// max_s max_i |A x - b| over the component's per-sample solves
+  /// (0 for acyclic components, which are solved by substitution).
+  double max_residual = 0.0;
+  /// True when at least one sample world needed the degradation path
+  /// (iterative refinement or the bounded fixed-point fallback) because
+  /// the direct solve was singular, non-finite, or ill-conditioned.
+  bool degraded = false;
+};
+
 class MarginalSolver {
  public:
   MarginalSolver(const isa::Program& program, const isa::Cfg& cfg,
                  const isa::ProgramProfile& profile);
 
-  /// With an observer attached, per-SCC solve diagnostics (size, cyclic,
-  /// max residual over sample worlds) are reported after the solve.  The
-  /// observer is bit-invisible to the returned marginals: residuals are
-  /// computed from pre-solve copies, never from the factored system.
+  /// When `sccs` is given it receives one diagnostic per SCC with an
+  /// executed block, in the condensation's topological order.
   [[nodiscard]] std::vector<BlockMarginals> solve(
       const std::vector<BlockErrorDistributions>& cond,
-      AnalysisObserver* observer = nullptr) const;
+      std::vector<SccSolveDiag>* sccs = nullptr) const;
 
  private:
   const isa::Program& program_;

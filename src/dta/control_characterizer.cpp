@@ -110,9 +110,14 @@ EdgeControlDts ControlCharacterizer::characterize_edge_with(WorkerContext& ctx,
   edges_metric.increment();
   slots_metric.increment(slots.size());
 
-  auto cycles = ctx.driver.run(slots);
+  std::vector<CycleActivation> cycles;
+  {
+    obs::ScopedSpan drive_span("sim.drive");
+    cycles = ctx.driver.run(slots);
+  }
 
   // Algorithm 2: instruction DTS = min over the stages it traverses.
+  obs::ScopedSpan dts_span("dta.stage_dts");
   for (std::size_t k = 0; k < blk.size(); ++k) {
     const std::size_t t = first_block_slot + k;
     std::optional<DtsGaussian> acc;

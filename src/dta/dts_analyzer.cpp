@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "support/check.hpp"
 #include "support/math.hpp"
 
@@ -86,8 +87,10 @@ CycleActivation::CycleActivation(const netlist::Netlist& nl, std::vector<std::ui
 }
 
 const std::vector<double>& CycleActivation::arrivals() const {
-  std::call_once(*arrivals_once_,
-                 [this] { arrivals_ = timing::activated_arrivals(nl_, flags_); });
+  std::call_once(*arrivals_once_, [this] {
+    obs::ScopedSpan span("timing.arrivals");
+    arrivals_ = timing::activated_arrivals(nl_, flags_);
+  });
   return arrivals_;
 }
 

@@ -23,7 +23,6 @@ GraphDta::GraphDta(const netlist::Netlist& nl, GraphDtaConfig config)
     for (GateId e : nl.stage_endpoints(s)) slot_of_[e] = next++;
   }
   n_worst_.resize(next);
-  stats_.resize(next);
 }
 
 void GraphDta::observe(CycleActivation& cycle) {
@@ -33,7 +32,6 @@ void GraphDta::observe(CycleActivation& cycle) {
       const double a = arr[nl_.gate(e).fanin[0]];
       if (a == -std::numeric_limits<double>::infinity()) continue;
       const std::uint32_t slot = slot_of_[e];
-      stats_[slot].add(a);
       worst_ = std::max(worst_, a);
       auto& worst_list = n_worst_[slot];
       // Insert in descending order, keeping at most n_worst entries.
@@ -52,12 +50,6 @@ const std::vector<double>& GraphDta::worst_arrivals(GateId endpoint) const {
   TE_REQUIRE(endpoint < slot_of_.size() && slot_of_[endpoint] != kNoSlot,
              "not a capture endpoint");
   return n_worst_[slot_of_[endpoint]];
-}
-
-const support::MomentAccumulator& GraphDta::arrival_stats(GateId endpoint) const {
-  TE_REQUIRE(endpoint < slot_of_.size() && slot_of_[endpoint] != kNoSlot,
-             "not a capture endpoint");
-  return stats_[slot_of_[endpoint]];
 }
 
 double GraphDta::error_free_frequency_mhz(double setup_ps, double margin) const {

@@ -18,7 +18,6 @@
 
 #include "dta/dts_analyzer.hpp"
 #include "netlist/netlist.hpp"
-#include "support/accumulator.hpp"
 #include "timing/sta.hpp"
 
 namespace terrors::dta {
@@ -43,9 +42,6 @@ class GraphDta {
   /// Design-wide worst activated arrival over the whole run.
   [[nodiscard]] double worst_arrival() const { return worst_; }
 
-  /// Arrival statistics per endpoint (mean/max over activated cycles).
-  [[nodiscard]] const support::MomentAccumulator& arrival_stats(netlist::GateId endpoint) const;
-
   /// Error-free operating frequency for the observed activity: the
   /// fastest clock at which every observed arrival still meets setup,
   /// derated by `margin` (the ISCA'16 use).
@@ -60,7 +56,6 @@ class GraphDta {
   /// Indexed by capture-endpoint *slot* (dense remap of endpoint ids).
   std::vector<std::uint32_t> slot_of_;  // gate id -> slot or npos
   std::vector<std::vector<double>> n_worst_;
-  std::vector<support::MomentAccumulator> stats_;
 };
 
 }  // namespace terrors::dta

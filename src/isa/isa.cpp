@@ -54,8 +54,6 @@ bool writes_register(Opcode op) {
   }
 }
 
-bool is_memory(Opcode op) { return op == Opcode::kLd || op == Opcode::kSt; }
-
 std::string_view mnemonic(Opcode op) {
   static constexpr std::array<std::string_view, kOpcodeCount> names = {
       "nop", "add",  "sub",  "and",  "or",   "xor",  "not", "sll",

@@ -55,7 +55,6 @@ struct Instruction {
 [[nodiscard]] bool is_conditional_branch(Opcode op);
 [[nodiscard]] bool uses_immediate(Opcode op);
 [[nodiscard]] bool writes_register(Opcode op);
-[[nodiscard]] bool is_memory(Opcode op);
 [[nodiscard]] std::string_view mnemonic(Opcode op);
 [[nodiscard]] std::string to_string(const Instruction& inst);
 

@@ -25,12 +25,6 @@ void Program::set_entry(BlockId id) {
   entry_ = id;
 }
 
-std::size_t Program::instruction_count() const {
-  std::size_t n = 0;
-  for (const auto& b : blocks_) n += b.instructions.size();
-  return n;
-}
-
 void Program::validate() const {
   TE_REQUIRE(entry_ != kNoBlock, "program has no entry block");
   TE_REQUIRE(entry_ < blocks_.size(), "entry block out of range");

@@ -39,9 +39,6 @@ class Program {
   void set_entry(BlockId id);
   [[nodiscard]] BlockId entry() const { return entry_; }
 
-  /// Total static instruction count.
-  [[nodiscard]] std::size_t instruction_count() const;
-
   /// Checks structural sanity: entry set, successor ids valid, conditional
   /// terminators have both successors, non-branch blocks have at most a
   /// fall-through, at least one exit block reachable.  Throws on violation.

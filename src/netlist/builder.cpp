@@ -180,10 +180,6 @@ NetlistBuilder::AdderResult NetlistBuilder::carry_select_adder(const Word& a, co
   return {std::move(sum), carry};
 }
 
-NetlistBuilder::AdderResult NetlistBuilder::subtractor(const Word& a, const Word& b) {
-  return ripple_adder(a, not_word(b), constant(true));
-}
-
 Word NetlistBuilder::shift_left(const Word& a, const Word& amount) {
   TE_REQUIRE(!a.empty(), "shifter width must be positive");
   Word cur = a;

@@ -68,8 +68,6 @@ class NetlistBuilder {
   /// carry — the classic speed/area trade against the plain ripple.
   AdderResult carry_select_adder(const Word& a, const Word& b, int block = 4,
                                  GateId carry_in = kNoGate);
-  /// a - b via two's complement (inverted b, carry-in 1).
-  AdderResult subtractor(const Word& a, const Word& b);
   /// Logarithmic barrel shifter; shift amount uses the low bits of `amount`.
   Word shift_left(const Word& a, const Word& amount);
   Word shift_right(const Word& a, const Word& amount);

@@ -175,12 +175,6 @@ const std::vector<GateId>& Netlist::stage_endpoints(std::uint8_t s) const {
   return stage_endpoints_[s];
 }
 
-const std::vector<GateId>& Netlist::fanout(GateId id) const {
-  TE_REQUIRE(finalized_, "netlist not finalized");
-  TE_REQUIRE(id < gates_.size(), "gate id out of range");
-  return fanouts_[id];
-}
-
 Netlist::Stats Netlist::stats() const {
   Stats s;
   s.gates = gates_.size();

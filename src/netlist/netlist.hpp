@@ -31,9 +31,6 @@ struct Gate {
   float delay_ps = 0.0f;  ///< nominal propagation delay of this instance
 
   [[nodiscard]] int arity() const { return info(kind).arity; }
-  [[nodiscard]] bool is_endpoint() const {
-    return kind == GateKind::kDff || kind == GateKind::kOutput || kind == GateKind::kInput;
-  }
   /// Endpoints that *terminate* paths (capture data): DFFs and outputs.
   [[nodiscard]] bool is_capture_endpoint() const {
     return kind == GateKind::kDff || kind == GateKind::kOutput;
@@ -97,7 +94,6 @@ class Netlist {
   [[nodiscard]] const std::vector<GateId>& outputs() const { return outputs_; }
   /// E(N, s): capture endpoints of pipeline stage s.
   [[nodiscard]] const std::vector<GateId>& stage_endpoints(std::uint8_t s) const;
-  [[nodiscard]] const std::vector<GateId>& fanout(GateId id) const;
 
   /// Summary counters for reporting.
   struct Stats {

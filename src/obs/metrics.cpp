@@ -127,6 +127,33 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   os << "}}\n";
 }
 
+std::uint64_t MetricsScope::delta(std::string_view name) const {
+  const std::uint64_t now = registry_->counter(name).value();
+  const auto it = baseline_.find(std::string(name));
+  const std::uint64_t before = it == baseline_.end() ? 0 : it->second;
+  return now >= before ? now - before : 0;
+}
+
+std::map<std::string, std::uint64_t> MetricsScope::deltas() const {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, now] : registry_->counter_values()) {
+    const auto it = baseline_.find(name);
+    const std::uint64_t before = it == baseline_.end() ? 0 : it->second;
+    if (now > before) out.emplace(name, now - before);
+  }
+  return out;
+}
+
+std::string format_run_id(std::uint64_t key) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string id(16, '0');
+  for (int i = 15; i >= 0; --i) {
+    id[static_cast<std::size_t>(i)] = kHex[key & 0xF];
+    key >>= 4;
+  }
+  return id;
+}
+
 std::string prometheus_escape_label(std::string_view value) {
   std::string out;
   out.reserve(value.size());

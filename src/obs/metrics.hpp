@@ -20,10 +20,10 @@
 // (cache load/store timings, solver residuals), so a short critical
 // section is cheaper than sharding.
 //
-// Per-run views are layered on top by obs::RunContext / MetricsScope
-// (run_context.hpp): the registry can snapshot every counter, and a scope
-// deltas the snapshot against live values — process-lifetime handles stay
-// lock-free while each analyze() gets its own per-run numbers.
+// Per-run views are layered on top by MetricsScope: the registry can
+// snapshot every counter, and a scope deltas the snapshot against live
+// values — process-lifetime handles stay lock-free while each analyze()
+// gets its own per-run numbers.
 #pragma once
 
 #include <atomic>
@@ -158,6 +158,30 @@ class MetricsRegistry {
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
+
+/// Per-run view over the cumulative MetricsRegistry counters: snapshots
+/// every counter at construction, exposes (live - snapshot) deltas.
+/// Counters registered after construction delta against zero.
+class MetricsScope {
+ public:
+  explicit MetricsScope(MetricsRegistry& registry)
+      : registry_(&registry), baseline_(registry.counter_values()) {}
+
+  /// Delta of one counter since the scope opened (0 if never registered).
+  [[nodiscard]] std::uint64_t delta(std::string_view name) const;
+
+  /// All counters with a nonzero delta since the scope opened, sorted by
+  /// name.  This is the "wide event" payload: self-describing, and only
+  /// as wide as what the run actually touched.
+  [[nodiscard]] std::map<std::string, std::uint64_t> deltas() const;
+
+ private:
+  MetricsRegistry* registry_;
+  std::map<std::string, std::uint64_t> baseline_;
+};
+
+/// Format a 64-bit run key as the canonical 16-hex-digit run id.
+[[nodiscard]] std::string format_run_id(std::uint64_t key);
 
 /// Escape Prometheus HELP text: backslash and newline must be
 /// backslash-escaped (double quotes are legal in HELP, unlike labels).

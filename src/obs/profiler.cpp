@@ -1,29 +1,15 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <istream>
 #include <ostream>
 #include <set>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
-
 namespace terrors::obs {
 
 namespace {
-
-/// Folded keys use ';' between frames and ' ' before the count; span
-/// names never should contain either, but a defensive mapping keeps the
-/// file parseable no matter what gets instrumented later.
-std::string sanitize_frame(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    if (c == ';' || c == ' ' || c == '\n' || c == '\t') c = '_';
-  }
-  return out;
-}
 
 std::vector<std::string> split_frames(const std::string& stack) {
   std::vector<std::string> frames;
@@ -41,64 +27,6 @@ std::vector<std::string> split_frames(const std::string& stack) {
 }
 
 }  // namespace
-
-SpanProfiler& SpanProfiler::instance() {
-  static SpanProfiler profiler;
-  return profiler;
-}
-
-void SpanProfiler::start(const ProfilerOptions& options) {
-  if (running_.exchange(true, std::memory_order_acq_rel)) return;
-  sampler_ = std::thread([this, interval = options.interval_us] { sampler_main(interval); });
-}
-
-void SpanProfiler::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  if (sampler_.joinable()) sampler_.join();
-}
-
-void SpanProfiler::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counts_.clear();
-  ticks_ = 0;
-}
-
-std::uint64_t SpanProfiler::samples() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ticks_;
-}
-
-std::map<std::string, std::uint64_t> SpanProfiler::folded() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counts_;
-}
-
-void SpanProfiler::write_folded(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [stack, count] : counts_) {
-    os << stack << " " << count << "\n";
-  }
-}
-
-void SpanProfiler::sampler_main(std::uint64_t interval_us) {
-  const auto interval = std::chrono::microseconds(interval_us);
-  while (running_.load(std::memory_order_relaxed)) {
-    const auto stacks = Tracer::instance().open_span_names();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++ticks_;
-      for (const auto& stack : stacks) {
-        std::string key;
-        for (const auto& name : stack) {
-          if (!key.empty()) key += ';';
-          key += sanitize_frame(name);
-        }
-        ++counts_[key];
-      }
-    }
-    std::this_thread::sleep_for(interval);
-  }
-}
 
 std::map<std::string, std::uint64_t> parse_folded(std::istream& is) {
   std::map<std::string, std::uint64_t> out;
@@ -158,8 +86,8 @@ void write_hotspots(const std::map<std::string, std::uint64_t>& folded, std::ost
   for (const auto& [stack, count] : folded) total += count;
   const auto spots = hotspots_from_folded(folded);
   char buf[160];
-  std::snprintf(buf, sizeof(buf), "%-32s %10s %7s %10s %7s\n", "span", "incl", "incl%",
-                "excl", "excl%");
+  std::snprintf(buf, sizeof(buf), "%-32s %10s %7s %10s %7s\n", "span", "incl_us", "incl%",
+                "excl_us", "excl%");
   os << buf;
   std::size_t shown = 0;
   for (const auto& spot : spots) {
@@ -172,7 +100,7 @@ void write_hotspots(const std::map<std::string, std::uint64_t>& folded, std::ost
                   100.0 * static_cast<double>(spot.exclusive) / denom);
     os << buf;
   }
-  std::snprintf(buf, sizeof(buf), "%llu sampled stack(s) across %zu span name(s)\n",
+  std::snprintf(buf, sizeof(buf), "%llu us across %zu span name(s)\n",
                 static_cast<unsigned long long>(total), spots.size());
   os << buf;
 }

@@ -1,92 +1,34 @@
-// Span-sampling profiler (DESIGN §5g): where does analyze time go?
+// Folded-stack profiles (DESIGN §5g): where does analyze time go?
 //
-// A sampler thread periodically walks the tracer's per-thread open-span
-// stacks (Tracer::open_span_names) and folds each stack into a
-// "root;child;leaf" key with a hit count — the collapsed-stack format
-// flamegraph.pl and speedscope consume directly.  No signal-based
-// unwinding: the sampler only ever observes names the instrumentation
-// already recorded, so it is portable, allocation-bounded, and
-// deterministic in *what* it can observe (counts vary with timing, names
-// never do).  Sampling cost is one tracer mutex acquisition per tick;
-// at the default 1 ms interval that is noise next to the pipeline's
-// critical sections.
-//
-// The profiler requires the tracer to be enabled (stacks are only
-// maintained for recorded spans); `terrors analyze --profile FILE` turns
-// both on, writes the folded stacks, and `terrors profile FILE` renders
-// the top hotspots with inclusive/exclusive sample counts.
-//
-// Like every obs facility, profiling is bit-invisible: it reads tracer
-// state and writes a side file, never anything the estimate consumes.
+// `terrors analyze --profile FILE` turns the tracer on and writes
+// Tracer::write_folded: one "root;child;leaf N" line per distinct span
+// path, N being the path's self time in microseconds — the
+// collapsed-stack format flamegraph.pl and speedscope consume directly.
+// This header is the reading side: `terrors profile FILE` parses such a
+// file and renders the top hotspots with inclusive/exclusive times.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace terrors::obs {
 
-struct ProfilerOptions {
-  /// Sampling period.  1 ms resolves phases and multi-ms kernels; drop to
-  /// ~100 us for short runs (the CLI's --profile-interval-us).
-  std::uint64_t interval_us = 1000;
-};
-
-class SpanProfiler {
- public:
-  static SpanProfiler& instance();
-
-  /// Launch the sampler thread.  No-op when already running.
-  void start(const ProfilerOptions& options = {});
-  /// Stop and join the sampler; the folded counts remain readable.
-  void stop();
-  [[nodiscard]] bool running() const { return running_.load(std::memory_order_relaxed); }
-
-  /// Drop accumulated counts (keeps the running sampler, if any).
-  void reset();
-
-  /// Total sampling ticks taken since the last reset (including ticks
-  /// that found no open span).
-  [[nodiscard]] std::uint64_t samples() const;
-  /// Collapsed-stack counts: "analyze;training;dta.characterize" -> hits.
-  [[nodiscard]] std::map<std::string, std::uint64_t> folded() const;
-
-  /// Folded-stack text, one "stack count" line per key, sorted by key —
-  /// feed to flamegraph.pl / speedscope.
-  void write_folded(std::ostream& os) const;
-
- private:
-  SpanProfiler() = default;
-  /// Join the sampler on teardown so an abandoned profiler (analyze threw
-  /// mid-run) never terminates the process at static destruction.
-  ~SpanProfiler() { stop(); }
-  void sampler_main(std::uint64_t interval_us);
-
-  std::atomic<bool> running_{false};
-  std::thread sampler_;
-  mutable std::mutex mutex_;  ///< guards counts_ + ticks_
-  std::map<std::string, std::uint64_t> counts_;
-  std::uint64_t ticks_ = 0;
-};
-
-/// Parse folded-stack text (inverse of write_folded; blank lines are
-/// skipped).  Throws std::runtime_error on a malformed line.
+/// Parse folded-stack text (inverse of Tracer::write_folded; blank lines
+/// are skipped).  Throws std::runtime_error on a malformed line.
 [[nodiscard]] std::map<std::string, std::uint64_t> parse_folded(std::istream& is);
 
-/// Per-span aggregate over a folded-stack map: inclusive = samples with
-/// the span anywhere on the stack, exclusive = samples with it on top.
+/// Per-span aggregate over a folded-stack map: inclusive = time of the
+/// stacks with the span anywhere on them, exclusive = time with it on top.
 struct SpanHotspot {
   std::string name;
   std::uint64_t inclusive = 0;
   std::uint64_t exclusive = 0;
 };
 
-/// Hotspots sorted by inclusive count (desc), ties by name.
+/// Hotspots sorted by inclusive time (desc), ties by name.
 [[nodiscard]] std::vector<SpanHotspot> hotspots_from_folded(
     const std::map<std::string, std::uint64_t>& folded);
 

@@ -2,12 +2,28 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "support/check.hpp"
 
 namespace terrors::obs {
+
+namespace {
+
+/// Folded keys use ';' between frames and ' ' before the count; span
+/// names never should contain either, but a defensive mapping keeps the
+/// file parseable no matter what gets instrumented later.
+std::string sanitize_frame(const std::string& name) {
+  std::string out = name;
+  for (char& c : out) {
+    if (c == ';' || c == ' ' || c == '\n' || c == '\t') c = '_';
+  }
+  return out;
+}
+
+}  // namespace
 
 Tracer& Tracer::instance() {
   static Tracer tracer;
@@ -31,11 +47,6 @@ void Tracer::reset() {
 void Tracer::set_span_limit(std::size_t limit) {
   std::lock_guard<std::mutex> lock(mutex_);
   limit_ = limit;
-}
-
-std::size_t Tracer::span_limit() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return limit_;
 }
 
 std::uint64_t Tracer::dropped() const {
@@ -91,28 +102,6 @@ void Tracer::span_counter(std::size_t index, std::string_view key, double value)
     }
   }
   counters.emplace_back(std::string(key), value);
-}
-
-std::vector<std::vector<std::string>> Tracer::open_span_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Order stacks by tid so two samples of the same state agree exactly.
-  std::vector<std::pair<std::uint32_t, const std::vector<std::size_t>*>> ordered;
-  ordered.reserve(stacks_.size());
-  for (const auto& [thread, stack] : stacks_) {
-    if (stack.empty()) continue;
-    ordered.emplace_back(tids_.at(thread), &stack);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::vector<std::string>> out;
-  out.reserve(ordered.size());
-  for (const auto& [tid, stack] : ordered) {
-    std::vector<std::string> names;
-    names.reserve(stack->size());
-    for (const std::size_t index : *stack) names.push_back(nodes_[index].name);
-    out.push_back(std::move(names));
-  }
-  return out;
 }
 
 void Tracer::write_chrome_trace(std::ostream& os) const {
@@ -183,6 +172,33 @@ void Tracer::write_text_tree(std::ostream& os) const {
     os << "\n";
     const auto& kids = children[f.index];
     for (auto it = kids.rbegin(); it != kids.rend(); ++it) work.push_back({*it, f.depth + 1});
+  }
+}
+
+void Tracer::write_folded(std::ostream& os) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Self time: a span's duration less its recorded children's.
+  std::vector<std::int64_t> self(nodes_.size(), 0);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = nodes_[i];
+    const auto dur =
+        static_cast<std::int64_t>(node.end_ns != 0 ? node.end_ns - node.start_ns : 0);
+    self[i] += dur;
+    if (node.parent != kNoParent) self[node.parent] -= dur;
+  }
+  // Sum per distinct path; a parent is always recorded before its children.
+  std::map<std::string, std::int64_t> totals;
+  std::vector<const std::string*> path(nodes_.size(), nullptr);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = nodes_[i];
+    std::string key = node.parent == kNoParent ? std::string() : *path[node.parent] + ';';
+    key += sanitize_frame(node.name);
+    const auto it = totals.try_emplace(std::move(key), 0).first;
+    it->second += std::max<std::int64_t>(self[i], 0);  // an open parent has zero duration
+    path[i] = &it->first;
+  }
+  for (const auto& [stack, ns] : totals) {
+    if (ns >= 1000) os << stack << ' ' << ns / 1000 << '\n';
   }
 }
 

@@ -24,10 +24,11 @@
 //
 // The span buffer is bounded (set_span_limit / --trace-limit, default
 // 1M spans): once full, new spans are counted in dropped() and the
-// `trace.dropped` metric instead of recorded, so long-running or served
-// processes cannot grow memory without bound.  The per-thread open-span
-// stacks stay consistent either way, which is what the span-sampling
-// profiler (obs/profiler.hpp) walks via open_span_names().
+// `trace.dropped` metric instead of recorded, so long-running processes
+// cannot grow memory without bound.
+//
+// The recorded spans are also the profile: write_folded() folds them
+// into per-path self times (obs/profiler.hpp reads the result back).
 #pragma once
 
 #include <atomic>
@@ -70,7 +71,6 @@ class Tracer {
   /// Cap the recorded-span buffer (existing spans are kept even if over a
   /// newly lowered cap; only future begin_span calls are affected).
   void set_span_limit(std::size_t limit);
-  [[nodiscard]] std::size_t span_limit() const;
   /// Spans discarded because the buffer was full (since last reset()).
   [[nodiscard]] std::uint64_t dropped() const;
 
@@ -84,11 +84,6 @@ class Tracer {
   void span_counter(std::size_t index, std::string_view key, double value);
 
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
-  /// Snapshot of the currently-open span names, one stack per recording
-  /// thread (outermost first), ordered by tid.  This is the span-sampling
-  /// profiler's view: it never touches closed spans, so sampling cost is
-  /// one mutex acquisition plus a name copy per open span.
-  [[nodiscard]] std::vector<std::vector<std::string>> open_span_names() const;
   /// Nanoseconds since the tracer's epoch (steady clock).
   [[nodiscard]] std::uint64_t now_ns() const;
 
@@ -97,6 +92,12 @@ class Tracer {
   void write_chrome_trace(std::ostream& os) const;
   /// Indented tree with per-span wall time in ms and counters.
   void write_text_tree(std::ostream& os) const;
+  /// Folded stacks for flamegraph.pl / speedscope: one "root;...;leaf N"
+  /// line per distinct span path, sorted by path, N = the path's total
+  /// self time (duration less recorded child spans) in whole
+  /// microseconds; paths under 1 us are left out.  A pool worker's spans
+  /// are roots of their own thread; open spans count as zero duration.
+  void write_folded(std::ostream& os) const;
 
  private:
   Tracer() : epoch_(std::chrono::steady_clock::now()) {}

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "core/monte_carlo.hpp"
 #include "isa/isa.hpp"
@@ -15,8 +17,8 @@ namespace terrors::report {
 
 namespace {
 
-/// The estimator's block contribution formula (kept in lockstep with
-/// estimate_error_rate), used when the observer hooks were not attached.
+/// Block b's share of Eq. 10's lambda, per sample: e_b * sum_k p_{b_k}(s),
+/// summed in the estimator's order so the values match it bit for bit.
 stat::Samples block_lambda_from_marginals(const core::BlockMarginals& bm, double e_b) {
   std::size_t m = bm.instr.empty() ? 0 : bm.instr[0].size();
   stat::Samples out(m, 0.0);
@@ -30,8 +32,8 @@ stat::Samples block_lambda_from_marginals(const core::BlockMarginals& bm, double
 
 }  // namespace
 
-RunReport AttributionCollector::build(core::ErrorRateFramework& fw, const isa::Program& program,
-                                      const core::BenchmarkResult& result) {
+RunReport build_report(core::ErrorRateFramework& fw, const isa::Program& program,
+                       const core::BenchmarkResult& result, const ReportOptions& options) {
   const core::ErrorRateFramework::Artifacts& art = fw.last();
   const isa::ProgramProfile& profile = art.executor->profile();
   const isa::Cfg& cfg = *art.cfg;
@@ -42,7 +44,7 @@ RunReport AttributionCollector::build(core::ErrorRateFramework& fw, const isa::P
   r.program = result.name;
   r.run_id = result.run_id;
   r.period_ps = spec.period_ps;
-  r.threads = config_.threads;
+  r.threads = options.threads;
   r.runs = profile.runs;
   r.instructions = result.instructions;
   r.total_instructions = est.total_instructions;
@@ -82,9 +84,7 @@ RunReport AttributionCollector::build(core::ErrorRateFramework& fw, const isa::P
     ba.block = b;
     ba.executions = bp.executions;
     ba.exec_weight = e_b;
-    const auto it = block_lambda_.find(b);
-    const stat::Samples lam =
-        it != block_lambda_.end() ? it->second : block_lambda_from_marginals(bm, e_b);
+    const stat::Samples lam = block_lambda_from_marginals(bm, e_b);
     ba.lambda_mean = lam.mean();
     ba.lambda_sd = lam.stddev();
     ba.share = lambda_total > 0.0 ? ba.lambda_mean / lambda_total : 0.0;
@@ -162,7 +162,7 @@ RunReport AttributionCollector::build(core::ErrorRateFramework& fw, const isa::P
   // --- per-stage slack histograms and culprit paths -----------------------
   // The characterizer's shared enumerator already holds every control
   // endpoint's candidate list after an analyze(); warm_paths() is an
-  // idempotent no-op then, and makes build() self-sufficient otherwise.
+  // idempotent no-op then, and makes the build self-sufficient otherwise.
   dta::ControlCharacterizer& chr = fw.characterizer();
   chr.warm_paths();
   dta::DtsAnalyzer& analyzer = chr.analyzer();
@@ -176,7 +176,7 @@ RunReport AttributionCollector::build(core::ErrorRateFramework& fw, const isa::P
       if (nl.gate(e).endpoint_class != netlist::EndpointClass::kControl) continue;
       ++st.endpoints;
       for (const dta::DtsAnalyzer::EndpointPath& ep :
-           analyzer.endpoint_path_stats(e, config_.top_k_paths)) {
+           analyzer.endpoint_path_stats(e, options.top_k_paths)) {
         const stat::Gaussian slack = ep.stat->slack(spec);
         means.push_back(slack.mean);
         CulpritPath c;
@@ -197,12 +197,12 @@ RunReport AttributionCollector::build(core::ErrorRateFramework& fw, const isa::P
     if (a.endpoint != b.endpoint) return a.endpoint < b.endpoint;
     return a.delay_ps > b.delay_ps;
   });
-  if (culprits.size() > config_.top_k_paths) culprits.resize(config_.top_k_paths);
+  if (culprits.size() > options.top_k_paths) culprits.resize(options.top_k_paths);
   r.culprits = std::move(culprits);
 
   // --- solver diagnostics --------------------------------------------------
-  r.solver.scc_count = sccs_.size();
-  for (const core::SccSolveDiag& d : sccs_) {
+  r.solver.scc_count = art.sccs.size();
+  for (const core::SccSolveDiag& d : art.sccs) {
     r.solver.max_scc_size = std::max(r.solver.max_scc_size, d.size);
     r.solver.max_residual = std::max(r.solver.max_residual, d.max_residual);
     if (d.cyclic) {
@@ -216,16 +216,16 @@ RunReport AttributionCollector::build(core::ErrorRateFramework& fw, const isa::P
   r.degraded_sites = result.degraded_sites;
 
   // --- Monte-Carlo cross-check ---------------------------------------------
-  if (config_.mc_trials > 0 && !profile.block_traces.empty()) {
-    support::Rng rng(config_.mc_seed);
+  if (options.mc_trials > 0 && !profile.block_traces.empty()) {
+    support::Rng rng(options.mc_seed);
     const std::vector<std::uint64_t> counts = core::monte_carlo_error_counts(
-        profile, art.conditionals, config_.mc_trials, rng);
+        profile, art.conditionals, options.mc_trials, rng);
     r.mc.enabled = true;
-    r.mc.trials = config_.mc_trials;
+    r.mc.trials = options.mc_trials;
     r.mc.divergence = core::mc_analytic_divergence(counts, est);
   }
 
-  // All collector-owned metrics live under report.*, the namespace the
+  // All report-owned metrics live under report.*, the namespace the
   // bit-identity contract explicitly excludes.
   obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
   reg.counter("report.builds").increment();

@@ -1,31 +1,26 @@
-// AttributionCollector: the core::AnalysisObserver that turns one
-// analyze() call into a RunReport.
+// build_report: turns one analyze() call into a RunReport.
 //
-// Collection happens in two parts.  During the (serial) estimation phase
-// the observer hooks record per-SCC solve diagnostics and every block's
-// lambda contribution sample vector.  Afterwards build() assembles the
-// full report from the framework's retained artifacts: per-block /
-// per-edge error attribution from the marginals and the executor profile,
-// per-stage and per-opcode control-DTS slack summaries from the shared
-// path enumerator, the top culprit timing paths, and (optionally) a
-// Monte-Carlo cross-check of the analytic count distribution.
+// The report is a pure function of what the run retained: per-block /
+// per-edge error attribution and each block's lambda contribution from
+// the marginals and the executor profile, per-SCC solve diagnostics from
+// ErrorRateFramework::last().sccs, per-stage and per-opcode control-DTS
+// slack summaries from the shared path enumerator, the top culprit timing
+// paths, and (optionally) a Monte-Carlo cross-check of the analytic count
+// distribution.
 //
-// Determinism contract (DESIGN §5e): attaching the collector is
-// bit-invisible to the analysis itself — it only reads, and the only
-// metrics it touches live under the report.* namespace.
+// Determinism contract (DESIGN §5e): building a report is bit-invisible
+// to the analysis — it only reads, and the only metrics it touches live
+// under the report.* namespace.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <vector>
 
 #include "core/framework.hpp"
-#include "core/observer.hpp"
 #include "report/run_report.hpp"
 
 namespace terrors::report {
 
-struct CollectorConfig {
+struct ReportOptions {
   /// Culprit paths listed in the report (and per-endpoint stats depth).
   std::size_t top_k_paths = 10;
   /// Monte-Carlo trials for the divergence diagnostic; 0 disables.  Needs
@@ -36,29 +31,10 @@ struct CollectorConfig {
   std::size_t threads = 1;
 };
 
-class AttributionCollector final : public core::AnalysisObserver {
- public:
-  explicit AttributionCollector(CollectorConfig config = {}) : config_(config) {}
-
-  void on_scc_solve(const core::SccSolveDiag& diag) override { sccs_.push_back(diag); }
-  void on_block_lambda(isa::BlockId b, const stat::Samples& contribution) override {
-    block_lambda_[b] = contribution;
-  }
-
-  /// Assemble the report for the analyze() call this collector observed.
-  /// `fw` must still hold that call's artifacts (ErrorRateFramework::last).
-  /// Works on a fresh collector too (e.g. when the caller could not attach
-  /// the observer): block contributions are then recomputed from the
-  /// marginals with the estimator's exact formula.
-  [[nodiscard]] RunReport build(core::ErrorRateFramework& fw, const isa::Program& program,
-                                const core::BenchmarkResult& result);
-
-  [[nodiscard]] const CollectorConfig& config() const { return config_; }
-
- private:
-  CollectorConfig config_;
-  std::vector<core::SccSolveDiag> sccs_;
-  std::map<isa::BlockId, stat::Samples> block_lambda_;
-};
+/// Assemble the report for the analyze() call that returned `result`.
+/// `fw` must still hold that call's artifacts (ErrorRateFramework::last).
+[[nodiscard]] RunReport build_report(core::ErrorRateFramework& fw, const isa::Program& program,
+                                     const core::BenchmarkResult& result,
+                                     const ReportOptions& options = {});
 
 }  // namespace terrors::report

@@ -119,9 +119,9 @@ struct McDiagnostics {
 struct RunReport {
   int schema_version = kSchemaVersion;
   std::string program;
-  /// Deterministic run id (obs::RunContext), correlating this report with
-  /// its journal event and log lines.  Written only when non-empty, so
-  /// pre-§5g reports round-trip byte-stably.
+  /// Deterministic run id (BenchmarkResult::run_id), correlating this
+  /// report with its journal event and log lines.  Written only when
+  /// non-empty, so pre-§5g reports round-trip byte-stably.
   std::string run_id;
   double period_ps = 0.0;
   std::size_t threads = 1;

@@ -1,10 +1,10 @@
 #include "robust/degrade.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/run_context.hpp"
 
 namespace terrors::robust {
 
@@ -13,9 +13,10 @@ DegradationLog& DegradationLog::instance() {
   return log;
 }
 
-void DegradationLog::begin_run() {
+void DegradationLog::begin_run(std::string run_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
+  run_id_ = std::move(run_id);
 }
 
 void DegradationLog::note(std::string_view site, std::string_view detail) {
@@ -26,6 +27,7 @@ void DegradationLog::note(std::string_view site, std::string_view detail) {
       .increment();
 
   bool first = false;
+  std::string run;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = std::find_if(entries_.begin(), entries_.end(),
@@ -33,18 +35,17 @@ void DegradationLog::note(std::string_view site, std::string_view detail) {
     if (it == entries_.end()) {
       entries_.push_back({std::string(site), std::string(detail), 1});
       first = true;
+      run = run_id_;
     } else {
       ++it->events;
     }
   }
   if (first) {
-    // Tag the warning with the active run so a shared log file
-    // attributes degradation to the analyze() call that suffered it.
+    // Tag the warning with the run so a shared log file attributes
+    // degradation to the analyze() call that suffered it.
     std::vector<obs::LogField> fields = {{"site", std::string(site)},
                                          {"detail", std::string(detail)}};
-    if (const std::string run = obs::current_run_id(); !run.empty()) {
-      fields.push_back({"run", run});
-    }
+    if (!run.empty()) fields.push_back({"run", run});
     obs::log_warn("robust", "degraded mode: serving best-effort result", fields);
   }
 }

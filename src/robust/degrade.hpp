@@ -11,8 +11,9 @@
 //   * an entry list the framework copies into BenchmarkResult /
 //     the run report's `degraded` section.
 //
-// begin_run() is called at the top of Framework::analyze; entries are
-// per-run, counters are cumulative like every other metric.
+// begin_run(run_id) is called at the top of Framework::analyze; entries
+// are per-run, counters are cumulative like every other metric, and the
+// run id tags every warning until the next begin_run.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +34,9 @@ class DegradationLog {
     std::uint64_t events = 0;
   };
 
-  /// Clear per-run entries (counters and logs are untouched).
-  void begin_run();
+  /// Clear per-run entries and tag later warnings with `run_id`
+  /// (counters and logs are untouched).
+  void begin_run(std::string run_id);
 
   /// Record one degradation event; warns (once per site per run) and
   /// bumps `robust.degraded` + `robust.degraded.<site>`.
@@ -50,6 +52,7 @@ class DegradationLog {
 
   mutable std::mutex mutex_;
   std::vector<Entry> entries_;
+  std::string run_id_;
 };
 
 /// Shorthand for DegradationLog::instance().note(...).

@@ -63,8 +63,6 @@ double MomentAccumulator::variance() const {
 
 double MomentAccumulator::stddev() const { return std::sqrt(variance()); }
 
-double MomentAccumulator::central_moment2() const { return variance(); }
-
 double MomentAccumulator::central_moment3() const {
   return n_ == 0 ? 0.0 : m3_ / static_cast<double>(n_);
 }

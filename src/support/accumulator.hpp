@@ -23,8 +23,7 @@ class MomentAccumulator {
   /// Population variance (divides by n).
   [[nodiscard]] double variance() const;
   [[nodiscard]] double stddev() const;
-  /// Central moments E[(X - mean)^k] for k = 2, 3, 4.
-  [[nodiscard]] double central_moment2() const;
+  /// Central moments E[(X - mean)^k] for k = 3, 4.
   [[nodiscard]] double central_moment3() const;
   [[nodiscard]] double central_moment4() const;
   [[nodiscard]] double min() const { return min_; }

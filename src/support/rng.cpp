@@ -64,12 +64,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   }
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  TE_REQUIRE(lo <= hi, "empty integer range");
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform_index(span));
-}
-
 double Rng::normal() {
   if (has_spare_normal_) {
     has_spare_normal_ = false;

@@ -33,8 +33,6 @@ class Rng {
   double uniform(double lo, double hi);
   /// Uniform integer in [0, n); requires n > 0.
   std::uint64_t uniform_index(std::uint64_t n);
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   /// Standard normal via Box–Muller (cached spare value).
   double normal();
   /// Normal with given mean / standard deviation (sd >= 0).

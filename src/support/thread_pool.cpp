@@ -80,11 +80,8 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
-std::size_t ThreadPool::current_worker() { return tl_worker; }
-
 ThreadPool::Stats ThreadPool::stats() const {
   Stats s;
-  s.jobs = jobs_.load(std::memory_order_relaxed);
   s.tasks = tasks_.load(std::memory_order_relaxed);
   s.steal_or_wait = waits_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
@@ -164,7 +161,6 @@ void ThreadPool::worker_main(std::size_t worker) {
 void ThreadPool::parallel_for(std::size_t n, std::size_t grain, const Task& fn) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
-  jobs_.fetch_add(1, std::memory_order_relaxed);
   const std::shared_ptr<const PoolHooks> hooks = hooks_snapshot();
 
   // Serial fallback and nested calls: run inline, in index order, with

@@ -58,16 +58,11 @@ class ThreadPool {
 
   /// Cumulative scheduling counters (exported as pool.* metrics).
   struct Stats {
-    std::uint64_t jobs = 0;           ///< parallel_for invocations
     std::uint64_t tasks = 0;          ///< chunks executed
     std::uint64_t steal_or_wait = 0;  ///< wake-ups that found no chunk left
     std::uint64_t retries = 0;        ///< failed indices re-run serially
   };
   [[nodiscard]] Stats stats() const;
-
-  /// Worker index of the calling thread: its id inside a parallel_for
-  /// task, 0 on the main thread / outside any pool region.
-  [[nodiscard]] static std::size_t current_worker();
 
  private:
   struct Job;
@@ -88,7 +83,6 @@ class ThreadPool {
   std::uint64_t generation_ = 0;
   bool stop_ = false;
 
-  std::atomic<std::uint64_t> jobs_{0};
   std::atomic<std::uint64_t> tasks_{0};
   std::atomic<std::uint64_t> waits_{0};
   std::atomic<std::uint64_t> retries_{0};

@@ -19,8 +19,6 @@ double PathStat::variance() const {
   return v;
 }
 
-stat::Gaussian PathStat::delay() const { return {mean, std::sqrt(variance())}; }
-
 stat::Gaussian PathStat::slack(const TimingSpec& spec) const {
   return {spec.period_ps - spec.setup_ps - mean, std::sqrt(variance())};
 }

@@ -46,7 +46,6 @@ struct PathStat {
   std::vector<netlist::GateId> sorted_gates;  ///< for shared-gate covariance
 
   [[nodiscard]] double variance() const;
-  [[nodiscard]] stat::Gaussian delay() const;
   /// Gaussian slack under `spec`.
   [[nodiscard]] stat::Gaussian slack(const TimingSpec& spec) const;
 };

@@ -321,7 +321,7 @@ TEST(GateLevelCrossCheck, PipelineComputesSampledAdd) {
           for (int i = 0; i < 6; ++i) slots.push_back(dta::FetchSlot::nop(4u * i));
           slots.push_back(
               dta::FetchSlot::from_context(program.block(b).instructions[k], ctx));
-          driver.run(slots);  // smoke: structural drive works
+          (void)driver.run(slots);  // smoke: structural drive works
           sim::LogicSimulator s(pipe.netlist);
           s.set_input_word(pipe.ports.op_a, ctx.cur.a);
           s.set_input_word(pipe.ports.op_b, ctx.cur.b);

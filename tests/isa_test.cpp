@@ -117,7 +117,9 @@ TEST(Cfg, TopologicalOrderRespectsEdges) {
   // Every CFG edge goes from an earlier or equal SCC position.
   for (BlockId b = 0; b < cfg.block_count(); ++b) {
     for (BlockId s : cfg.successors(b)) {
-      if (cfg.scc_of(b) != cfg.scc_of(s)) EXPECT_LT(pos[cfg.scc_of(b)], pos[cfg.scc_of(s)]);
+      if (cfg.scc_of(b) != cfg.scc_of(s)) {
+        EXPECT_LT(pos[cfg.scc_of(b)], pos[cfg.scc_of(s)]);
+      }
     }
   }
 }

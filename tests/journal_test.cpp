@@ -5,10 +5,10 @@
 //  2. Aggregation: terrors stats' aggregate() computes phase summaries,
 //     cache hit rates, and per-program last-vs-p50 deltas from a known
 //     event set; write_stats_text / write_tail_text render them.
-//  3. Bit-invisibility: an analyze() with the journal and profiler
-//     enabled produces byte-identical report JSON and bit-identical
-//     estimates to one without, at 1 and 4 threads.  Observability must
-//     never leak into the science.
+//  3. Bit-invisibility: an analyze() with the journal and the traced
+//     profile enabled produces byte-identical report JSON and
+//     bit-identical estimates to one without, at 1 and 4 threads.
+//     Observability must never leak into the science.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -22,8 +22,6 @@
 #include "netlist/pipeline.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/run_context.hpp"
 #include "obs/trace.hpp"
 #include "report/attribution.hpp"
 #include "report/journal_stats.hpp"
@@ -247,8 +245,9 @@ TEST(JournalStats, EmptyJournalAggregatesToZeros) {
 // ---------------------------------------------------------------------------
 
 /// Metrics snapshot comparable across runs (mirrors report_test):
-/// excludes report.* (observer-only), pool.* (process-cumulative),
-/// dta.dp_cache_collisions (insert-race count, varies run to run),
+/// excludes report.* (the report builder's own), pool.*
+/// (process-cumulative), dta.dp_cache_collisions (per-worker DP-cache
+/// collisions, varies with which worker characterised which edge),
 /// journal.* and trace.* (fire only when instrumentation is on — their
 /// absence elsewhere is exactly what this test proves).
 std::map<std::string, double> metrics_snapshot() {
@@ -281,7 +280,7 @@ struct InstrumentedRun {
 };
 
 /// One analyze() of pgp.encode at `threads`, optionally with the full
-/// observability stack (journal + profiler + tracer) switched on.
+/// observability stack (journal + tracer + folded profile) switched on.
 InstrumentedRun analyze_instrumented(std::size_t threads, bool instrumented) {
   const auto& spec = spec_named("pgp.encode");
   support::set_global_threads(threads);
@@ -293,21 +292,24 @@ InstrumentedRun analyze_instrumented(std::size_t threads, bool instrumented) {
     std::remove(journal.c_str());
     obs::Tracer::instance().reset();
     obs::Tracer::instance().set_enabled(true);
-    obs::SpanProfiler::instance().reset();
-    obs::SpanProfiler::instance().start({/*interval_us=*/200});
   }
 
   core::FrameworkConfig cfg = small_config();
   cfg.journal_path = journal;
   core::ErrorRateFramework fw(pipeline(), cfg);
-  report::AttributionCollector collector;
   InstrumentedRun run;
   const isa::Program program = workloads::generate_program(spec);
-  run.result = fw.analyze(program, workloads::generate_inputs(spec, 2, 7), &collector);
+  run.result = fw.analyze(program, workloads::generate_inputs(spec, 2, 7));
 
   if (instrumented) {
-    obs::SpanProfiler::instance().stop();
     obs::Tracer::instance().set_enabled(false);
+    // The profile sees below dta.edge: the drive, and the lazy arrival DP
+    // inside Algorithm 2's stage-DTS loop.
+    std::ostringstream folded;
+    obs::Tracer::instance().write_folded(folded);
+    EXPECT_NE(folded.str().find("dta.edge;sim.drive "), std::string::npos) << folded.str();
+    EXPECT_NE(folded.str().find("dta.edge;dta.stage_dts;timing.arrivals "), std::string::npos)
+        << folded.str();
     // The journal really was written.
     const auto events = report::load_journal(journal);
     EXPECT_EQ(events.size(), 1u);
@@ -321,7 +323,7 @@ InstrumentedRun analyze_instrumented(std::size_t threads, bool instrumented) {
   // Wall-clock phase times differ between any two analyze() calls, with
   // or without instrumentation — zero them so the byte comparison covers
   // every deterministic field (estimate, marginals, hotspots, run id).
-  report::RunReport report = collector.build(fw, program, run.result);
+  report::RunReport report = report::build_report(fw, program, run.result);
   report.training_seconds = 0.0;
   report.simulation_seconds = 0.0;
   report.estimation_seconds = 0.0;
@@ -338,7 +340,6 @@ class JournalInvisibility : public ::testing::Test {
     support::set_global_threads(1);
     obs::Tracer::instance().set_enabled(false);
     obs::Tracer::instance().reset();
-    obs::SpanProfiler::instance().reset();
   }
 };
 

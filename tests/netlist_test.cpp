@@ -74,7 +74,9 @@ TEST(Netlist, TopoOrderRespectsDependencies) {
   for (GateId g : nl.topo_order()) {
     for (int s = 0; s < nl.gate(g).arity(); ++s) {
       const GateId f = nl.gate(g).fanin[static_cast<std::size_t>(s)];
-      if (info(nl.gate(f).kind).combinational) EXPECT_LT(pos[f], pos[g]);
+      if (info(nl.gate(f).kind).combinational) {
+        EXPECT_LT(pos[f], pos[g]);
+      }
     }
   }
 }

@@ -1,8 +1,9 @@
 // Tests for the observability layer: tracer span nesting and timing,
 // metrics registry semantics (histograms vs MomentAccumulator), JSON
 // exporter well-formedness, log-level filtering, metric thread safety,
-// run-scoped metric views (RunContext / MetricsScope), the tracer span
-// cap, and the span-sampling profiler's folded-stack machinery.
+// run ids and per-run metric views (MetricsScope), the tracer span cap,
+// and the folded-stack profile the tracer writes and `terrors profile`
+// reads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +18,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/run_context.hpp"
 #include "obs/trace.hpp"
 #include "support/accumulator.hpp"
 
@@ -507,25 +507,15 @@ TEST_F(TracerTest, SpanLimitDropsExcessAndCountsThem) {
   tracer.set_span_limit(obs::Tracer::kDefaultSpanLimit);
 }
 
-TEST_F(TracerTest, OpenSpanNamesSeesLiveStacksOnly) {
-  obs::ScopedSpan outer("outer_live");
-  obs::ScopedSpan inner("inner_live");
-  const auto stacks = obs::Tracer::instance().open_span_names();
-  ASSERT_EQ(stacks.size(), 1u);
-  ASSERT_EQ(stacks[0].size(), 2u);
-  EXPECT_EQ(stacks[0][0], "outer_live");
-  EXPECT_EQ(stacks[0][1], "inner_live");
-}
-
 // ---------------------------------------------------------------------------
 
-TEST(RunContextTest, FormatRunIdIsSixteenHexDigits) {
+TEST(RunScopeTest, FormatRunIdIsSixteenHexDigits) {
   EXPECT_EQ(obs::format_run_id(0), "0000000000000000");
   EXPECT_EQ(obs::format_run_id(0xdeadbeefULL), "00000000deadbeef");
   EXPECT_EQ(obs::format_run_id(~0ULL), "ffffffffffffffff");
 }
 
-TEST(RunContextTest, MetricsScopeDeltasAgainstSnapshot) {
+TEST(RunScopeTest, MetricsScopeDeltasAgainstSnapshot) {
   auto& reg = obs::MetricsRegistry::instance();
   auto& c = reg.counter("test.scope_counter");
   c.reset();
@@ -545,26 +535,6 @@ TEST(RunContextTest, MetricsScopeDeltasAgainstSnapshot) {
   reg.counter("test.scope_late").increment(2);
   EXPECT_EQ(scope.delta("test.scope_late"), 2u);
   reg.counter("test.scope_late").reset();
-}
-
-TEST(RunContextTest, ScopeInstallsAndRestoresNested) {
-  EXPECT_EQ(obs::RunContext::current(), nullptr);
-  EXPECT_EQ(obs::current_run_id(), "");
-
-  obs::RunContext outer(0x1111, "outer");
-  {
-    obs::RunContext::Scope s1(outer);
-    EXPECT_EQ(obs::RunContext::current(), &outer);
-    EXPECT_EQ(obs::current_run_id(), outer.id());
-
-    obs::RunContext inner(0x2222, "inner");
-    {
-      obs::RunContext::Scope s2(inner);
-      EXPECT_EQ(obs::current_run_id(), inner.id());
-    }
-    EXPECT_EQ(obs::RunContext::current(), &outer);
-  }
-  EXPECT_EQ(obs::RunContext::current(), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -605,40 +575,45 @@ TEST(ProfilerTest, ParseFoldedRejectsMalformedLines) {
   }
 }
 
-TEST_F(TracerTest, ProfilerSamplesOnlyTracerSpanNames) {
-  auto& profiler = obs::SpanProfiler::instance();
-  profiler.reset();
-  profiler.start({/*interval_us=*/200});
+TEST_F(TracerTest, FoldedStacksAreTheSpansSelfTimes) {
+  auto& tracer = obs::Tracer::instance();
   {
-    obs::ScopedSpan outer("prof_outer");
-    obs::ScopedSpan inner("prof_inner");
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  profiler.stop();
-  EXPECT_GT(profiler.samples(), 0u);
-
-  const auto folded = profiler.folded();
-  ASSERT_FALSE(folded.empty());
-  // Every sampled frame is a name the tracer recorded — no synthesized
-  // frames, no signal-unwound addresses.
-  for (const auto& [stack, count] : folded) {
-    EXPECT_GT(count, 0u);
-    std::size_t start = 0;
-    while (start <= stack.size()) {
-      const std::size_t semi = stack.find(';', start);
-      const std::string frame =
-          semi == std::string::npos ? stack.substr(start) : stack.substr(start, semi - start);
-      EXPECT_TRUE(frame == "prof_outer" || frame == "prof_inner") << stack;
-      if (semi == std::string::npos) break;
-      start = semi + 1;
+    obs::ScopedSpan root("fold root");  // ' ' is sanitised to '_'
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    obs::ScopedSpan mid("fold_mid");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    for (int i = 0; i < 3; ++i) {
+      obs::ScopedSpan leaf("fold_leaf");
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-  // write_folded emits parseable folded-stack text that round-trips.
+  const obs::Tracer::Node& root = tracer.nodes().front();
+  const std::uint64_t root_us = (root.end_ns - root.start_ns) / 1000;
+
+  // A span still open at write time counts as zero duration.
+  obs::ScopedSpan open("fold_open");
   std::ostringstream os;
-  profiler.write_folded(os);
+  tracer.write_folded(os);
   std::istringstream in(os.str());
-  EXPECT_EQ(obs::parse_folded(in), folded);
-  profiler.reset();
+  const auto folded = obs::parse_folded(in);
+
+  // One line per distinct path (the three leaves fold into one), each
+  // holding that path's self time in microseconds.
+  ASSERT_EQ(folded.size(), 3u) << os.str();
+  EXPECT_GE(folded.at("fold_root"), 2000u);
+  EXPECT_GE(folded.at("fold_root;fold_mid"), 2000u);
+  EXPECT_GE(folded.at("fold_root;fold_mid;fold_leaf"), 3000u);
+  // Self times partition the root's duration, less the sub-microsecond
+  // remainder each path drops.
+  std::uint64_t total = 0;
+  for (const auto& [stack, us] : folded) total += us;
+  EXPECT_LE(total, root_us);
+  EXPECT_GE(total + folded.size(), root_us);
+
+  // The text is sorted by path, so parse_folded inverts it exactly.
+  std::ostringstream again;
+  for (const auto& [stack, us] : folded) again << stack << " " << us << "\n";
+  EXPECT_EQ(again.str(), os.str());
 }
 
 // ---------------------------------------------------------------------------

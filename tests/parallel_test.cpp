@@ -16,7 +16,6 @@
 #include "dta/dts_analyzer.hpp"
 #include "netlist/pipeline.hpp"
 #include "obs/metrics.hpp"
-#include "obs/run_context.hpp"
 #include "support/thread_pool.hpp"
 #include "timing/sta.hpp"
 #include "workloads/generator.hpp"

@@ -1,8 +1,8 @@
 // The report subsystem's four contracts:
-//  1. Determinism (DESIGN §5e): attaching an AttributionCollector to
-//     analyze() is bit-invisible — estimate, marginals, and every metric
-//     outside report.*/pool.* are identical with and without it, at any
-//     thread count.
+//  1. Determinism (DESIGN §5e): building a run report between two
+//     analyses is bit-invisible — the next analysis's estimate, marginals,
+//     and every metric outside report.*/pool.* are identical with and
+//     without it, at any thread count.
 //  2. Fidelity: the attribution decomposes the headline estimate — block
 //     lambda contributions sum to lambda.mean, shares sum to one, and the
 //     JSON schema round-trips byte-stably.
@@ -12,6 +12,7 @@
 //     back bit-exactly under any LC_NUMERIC, including a comma locale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <clocale>
 #include <cmath>
@@ -60,11 +61,10 @@ const workloads::WorkloadSpec& spec_named(const char* name) {
 }
 
 /// Metrics snapshot comparable across runs: every registered metric value
-/// except the report.* namespace (the collector's own), the pool.* gauges
-/// (process-cumulative, they track thread-pool resizes), and
-/// dta.dp_cache_collisions, which counts losses of concurrent DP-cache
-/// insert races and so varies between identical multi-threaded runs even
-/// with no observer attached.
+/// except the report.* namespace (the report builder's own), the pool.*
+/// gauges (process-cumulative, they track thread-pool resizes), and
+/// dta.dp_cache_collisions, which counts hash collisions in each worker's
+/// own DP cache and so varies with which worker characterised which edge.
 std::map<std::string, double> metrics_snapshot() {
   std::ostringstream os;
   obs::MetricsRegistry::instance().write_json(os);
@@ -93,15 +93,19 @@ struct ObservedRun {
   std::map<std::string, double> metrics;
 };
 
-ObservedRun analyze_once(const workloads::WorkloadSpec& spec, std::size_t threads,
-                         core::AnalysisObserver* observer) {
+/// Two analyses of `spec` on one framework; with `with_report`, a run
+/// report of the first is built before the second.  Observes the second.
+ObservedRun analyze_twice(const workloads::WorkloadSpec& spec, std::size_t threads,
+                          bool with_report) {
   support::set_global_threads(threads);
   obs::MetricsRegistry::instance().reset();
   core::ErrorRateFramework fw(pipeline(), small_config());
+  const isa::Program program = workloads::generate_program(spec);
+  const auto inputs = workloads::generate_inputs(spec, 2, 7);
+  const core::BenchmarkResult first = fw.analyze(program, inputs);
+  if (with_report) (void)report::build_report(fw, program, first);
   ObservedRun run;
-  run.result =
-      fw.analyze(workloads::generate_program(spec), workloads::generate_inputs(spec, 2, 7),
-                 observer);
+  run.result = fw.analyze(program, inputs);
   run.marginals = fw.last().marginals;
   run.metrics = metrics_snapshot();
   return run;
@@ -112,13 +116,13 @@ class ReportDeterminism : public ::testing::Test {
   void TearDown() override { support::set_global_threads(1); }
 };
 
-TEST_F(ReportDeterminism, CollectorIsBitInvisibleAtOneAndFourThreads) {
+TEST_F(ReportDeterminism, ReportBuildIsBitInvisibleAtOneAndFourThreads) {
   const auto& spec = spec_named("pgp.encode");
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const ObservedRun plain = analyze_once(spec, threads, nullptr);
-    report::AttributionCollector collector;
-    const ObservedRun observed = analyze_once(spec, threads, &collector);
+    const ObservedRun plain = analyze_twice(spec, threads, false);
+    const ObservedRun observed = analyze_twice(spec, threads, true);
+    EXPECT_EQ(plain.result.run_id, observed.result.run_id);
 
     // Estimate: bitwise identical (EXPECT_EQ on doubles is ==).
     EXPECT_EQ(plain.result.estimate.rate_mean(), observed.result.estimate.rate_mean());
@@ -148,12 +152,10 @@ class ReportFixture : public ::testing::Test {
     support::set_global_threads(1);
     fw_ = std::make_unique<core::ErrorRateFramework>(pipeline(), small_config());
     program_ = workloads::generate_program(spec_named("pgp.decode"));
-    result_ = fw_->analyze(program_, workloads::generate_inputs(spec_named("pgp.decode"), 2, 7),
-                           &collector_);
-    built_ = collector_.build(*fw_, program_, result_);
+    result_ = fw_->analyze(program_, workloads::generate_inputs(spec_named("pgp.decode"), 2, 7));
+    built_ = report::build_report(*fw_, program_, result_);
   }
 
-  report::AttributionCollector collector_;
   std::unique_ptr<core::ErrorRateFramework> fw_;
   isa::Program program_{"empty"};
   core::BenchmarkResult result_;
@@ -195,13 +197,40 @@ TEST_F(ReportFixture, AttributionTablesAreWellFormed) {
   // One stage entry per pipeline stage; culprits sorted tightest-first.
   EXPECT_EQ(built_.stages.size(), netlist::Pipeline::kStages);
   ASSERT_FALSE(built_.culprits.empty());
-  EXPECT_LE(built_.culprits.size(), collector_.config().top_k_paths);
+  EXPECT_LE(built_.culprits.size(), report::ReportOptions{}.top_k_paths);
   for (std::size_t i = 1; i < built_.culprits.size(); ++i)
     EXPECT_LE(built_.culprits[i - 1].slack_mean, built_.culprits[i].slack_mean);
 
   // The marginal solve visited at least one component.
   EXPECT_GT(built_.solver.scc_count, 0u);
   EXPECT_EQ(built_.mc.enabled, false);
+}
+
+TEST_F(ReportFixture, SolverDiagnosticsListEveryExecutedSccInTopologicalOrder) {
+  const core::ErrorRateFramework::Artifacts& art = fw_->last();
+  const isa::Cfg& cfg = *art.cfg;
+  std::vector<std::uint32_t> executed;
+  for (const std::uint32_t scc : cfg.scc_topo_order()) {
+    const auto& members = cfg.scc_members(scc);
+    if (std::any_of(members.begin(), members.end(),
+                    [&](isa::BlockId b) { return art.marginals[b].executed; }))
+      executed.push_back(scc);
+  }
+  ASSERT_FALSE(executed.empty());
+  ASSERT_EQ(art.sccs.size(), executed.size());
+  for (std::size_t i = 0; i < executed.size(); ++i) {
+    const core::SccSolveDiag& d = art.sccs[i];
+    EXPECT_EQ(d.scc, executed[i]);
+    EXPECT_EQ(d.size, cfg.scc_members(d.scc).size());
+    EXPECT_EQ(d.cyclic, cfg.scc_is_cyclic(d.scc));
+    EXPECT_GE(d.max_residual, 0.0);
+    if (!d.cyclic) {
+      EXPECT_EQ(d.max_residual, 0.0);  // solved by substitution
+    }
+    EXPECT_FALSE(d.degraded);
+  }
+  // The report's solver section summarises the same list.
+  EXPECT_EQ(built_.solver.scc_count, art.sccs.size());
 }
 
 TEST_F(ReportFixture, JsonRoundTripIsByteStable) {
@@ -277,11 +306,10 @@ TEST(ReportMonteCarlo, DivergenceDiagnosticIsPopulated) {
   core::ErrorRateFramework fw(pipeline(), cfg);
   const auto& spec = spec_named("pgp.encode");
   const isa::Program program = workloads::generate_program(spec);
-  report::CollectorConfig ccfg;
-  ccfg.mc_trials = 200;
-  report::AttributionCollector collector(ccfg);
-  const auto r = fw.analyze(program, workloads::generate_inputs(spec, 2, 7), &collector);
-  const report::RunReport rep = collector.build(fw, program, r);
+  report::ReportOptions options;
+  options.mc_trials = 200;
+  const auto r = fw.analyze(program, workloads::generate_inputs(spec, 2, 7));
+  const report::RunReport rep = report::build_report(fw, program, r, options);
   EXPECT_TRUE(rep.mc.enabled);
   EXPECT_EQ(rep.mc.trials, 200u);
   EXPECT_GE(rep.mc.divergence, 0.0);

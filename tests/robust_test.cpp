@@ -383,7 +383,7 @@ TEST_F(RobustTest, WorkerRetryReproducesSerialResultExactly) {
   };
   const std::vector<std::uint64_t> baseline = run_loop(1);
 
-  robust::DegradationLog::instance().begin_run();
+  robust::DegradationLog::instance().begin_run("");
   const std::uint64_t retries_before = counter("pool.task_retries");
   robust::FaultInjector::instance().arm(robust::FaultPlan::parse("pool.task:key=2"));
   const std::vector<std::uint64_t> serial = run_loop(1);

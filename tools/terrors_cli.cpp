@@ -10,8 +10,8 @@
 //                   [--trace F] [--trace-tree] [--trace-limit N]
 //                   [--metrics F] [--metrics-prom F] [--report F]
 //                   [--report-mc N] [--journal F] [--profile F]
-//                   [--profile-interval-us U] [--log-level L]
-//                   [--cache-dir D]      full error-rate analysis row
+//                   [--log-level L] [--cache-dir D]
+//                                        full error-rate analysis row
 //   terrors stats <journal>              aggregate a run-journal JSONL file
 //   terrors tail <journal> [--n N]       render the newest journal events
 //   terrors profile <folded> [--top N]   hotspot table from folded stacks
@@ -261,7 +261,6 @@ int cmd_analyze(int argc, char** argv, const char* name) {
                     {"--report-mc", true},
                     {"--journal", true},
                     {"--profile", true},
-                    {"--profile-interval-us", true},
                     {"--log-level", true},
                     {"--cache-dir", true},
                     {"--inject-faults", true},
@@ -295,18 +294,11 @@ int cmd_analyze(int argc, char** argv, const char* name) {
     obs::Tracer::instance().set_span_limit(
         static_cast<std::size_t>(robust::parse_uint_arg("--trace-limit", it->second)));
   }
-  // The profiler samples the tracer's open-span stacks, so --profile
-  // implies tracing even without a --trace output file.
-  const bool profiling = flags.count("--profile") != 0;
-  const bool tracing =
-      flags.count("--trace") != 0 || flags.count("--trace-tree") != 0 || profiling;
+  // The profile is a fold of the tracer's spans, so --profile implies
+  // tracing even without a --trace output file.
+  const bool tracing = flags.count("--trace") != 0 || flags.count("--trace-tree") != 0 ||
+                       flags.count("--profile") != 0;
   if (tracing) obs::Tracer::instance().set_enabled(true);
-  if (profiling) {
-    obs::ProfilerOptions popt;
-    popt.interval_us =
-        uint_flag(flags, "--profile-interval-us", 1000);
-    obs::SpanProfiler::instance().start(popt);
-  }
 
   core::FrameworkConfig cfg;
   cfg.spec = timing::TimingSpec{period};
@@ -321,22 +313,13 @@ int cmd_analyze(int argc, char** argv, const char* name) {
   // does not perturb the sampling RNG or the profile statistics.
   if (want_report && mc_trials > 0) ecfg.record_block_trace = true;
   framework.set_executor_config(ecfg);
-  report::CollectorConfig ccfg;
-  ccfg.mc_trials = mc_trials;
-  ccfg.threads = support::global_pool().size();
-  report::AttributionCollector collector(ccfg);
   const isa::Program program = workloads::generate_program(*spec);
   core::BenchmarkResult r;
   try {
-    r = framework.analyze(program, workloads::generate_inputs(*spec, runs, 2026),
-                          want_report ? &collector : nullptr);
+    r = framework.analyze(program, workloads::generate_inputs(*spec, runs, 2026));
   } catch (const std::exception& e) {
-    if (profiling) obs::SpanProfiler::instance().stop();
     return print_error(e);
   }
-  // Stop sampling before the peripheral writes: the folded stacks should
-  // cover the analysis, not the file I/O after it.
-  if (profiling) obs::SpanProfiler::instance().stop();
   const perf::TsProcessorModel ts;
   std::printf("%s @ %.1f MHz (scale %.0e, %zu runs)\n", spec->name.c_str(),
               cfg.spec.frequency_mhz(), scale, runs);
@@ -396,13 +379,15 @@ int cmd_analyze(int argc, char** argv, const char* name) {
   if (flags.count("--trace-tree") != 0) obs::Tracer::instance().write_text_tree(std::cerr);
   if (const auto it = flags.find("--profile"); it != flags.end()) {
     peripheral("profile", it->second,
-               [](std::ostream& out) { obs::SpanProfiler::instance().write_folded(out); });
+               [](std::ostream& out) { obs::Tracer::instance().write_folded(out); });
   }
   if (want_report) {
     const std::string& path = flags.at("--report");
     try {
-      const report::RunReport run_report = collector.build(framework, program, r);
-      run_report.save(path);
+      report::ReportOptions ropt;
+      ropt.mc_trials = mc_trials;
+      ropt.threads = support::global_pool().size();
+      report::build_report(framework, program, r, ropt).save(path);
     } catch (const std::exception& e) {
       robust::note_degraded("io", std::string("run report write failed: ") + e.what());
       std::fprintf(stderr, "warning: cannot write report '%s': %s\n", path.c_str(), e.what());
@@ -572,9 +557,8 @@ void usage() {
       "          [--report FILE]       write the error-attribution run report (JSON)\n"
       "          [--report-mc N]       add an N-trial Monte-Carlo cross-check\n"
       "          [--journal FILE]      append a wide run event (JSONL; or TERRORS_JOURNAL)\n"
-      "          [--profile FILE]      sample span stacks; write folded stacks for\n"
-      "                                flamegraph.pl / speedscope\n"
-      "          [--profile-interval-us U] sampling period (default 1000)\n"
+      "          [--profile FILE]      write span self times (us) as folded stacks\n"
+      "                                for flamegraph.pl / speedscope\n"
       "          [--log-level LVL]     error|warn|info|debug|trace (default off)\n"
       "          [--cache-dir DIR]     content-addressed artifact cache (or\n"
       "                                TERRORS_CACHE_DIR; off by default)\n"
