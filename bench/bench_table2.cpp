@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   std::printf("(working point %.1f MHz, scale %.0e, %zu runs per benchmark, %zu threads)\n\n",
               bench::working_spec().frequency_mhz(), rs.scale, rs.runs, rs.threads);
   std::printf("%-13s %14s %12s %6s | %9s %9s %9s | %8s %8s | %10s %10s | %8s\n", "Benchmark",
-              "Instr(paper)", "Instr(sim)", "BBs", "train(s)", "sim(s)", "total(s)", "Mean%%",
-              "SD%%", "dK(lam)", "dK(R_E)", "perf%%");
+              "Instr(paper)", "Instr(sim)", "BBs", "train(s)", "sim(s)", "total(s)", "Mean%",
+              "SD%", "dK(lam)", "dK(R_E)", "perf%");
   bench::hr(140);
 
   double total_train = 0.0;

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -11,7 +10,7 @@
 #include <iterator>
 #include <system_error>
 
-#include "cache/hash.hpp"
+#include "cache/key.hpp"
 #include "cache/serialize.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -19,6 +18,7 @@
 #include "robust/degrade.hpp"
 #include "robust/fault_injection.hpp"
 #include "support/check.hpp"
+#include "support/hash.hpp"
 
 namespace terrors::cache {
 
@@ -36,10 +36,6 @@ std::string hex16(std::uint64_t v) {
   return buf;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
 struct CacheMetrics {
   obs::Counter& hits = obs::MetricsRegistry::instance().counter("cache.hits");
   obs::Counter& misses = obs::MetricsRegistry::instance().counter("cache.misses");
@@ -49,9 +45,6 @@ struct CacheMetrics {
   /// Failed stores (write, publish-rename, or temp cleanup): the artifact
   /// is simply not persisted, but a silently cold cache must be visible.
   obs::Counter& store_errors = obs::MetricsRegistry::instance().counter("cache.store_errors");
-  obs::Histogram& load_seconds = obs::MetricsRegistry::instance().histogram("cache.load_seconds");
-  obs::Histogram& store_seconds =
-      obs::MetricsRegistry::instance().histogram("cache.store_seconds");
   static CacheMetrics& instance() {
     static CacheMetrics m;
     return m;
@@ -79,7 +72,6 @@ std::optional<std::vector<std::uint8_t>> ArtifactCache::load(std::string_view ki
   robust::maybe_fault("cache.read");
   CacheMetrics& m = CacheMetrics::instance();
   obs::ScopedSpan span("cache.load");
-  const auto t0 = std::chrono::steady_clock::now();
   const std::string path = path_for(kind, key);
 
   auto miss = [&](const char* why, bool corrupt) -> std::optional<std::vector<std::uint8_t>> {
@@ -91,7 +83,6 @@ std::optional<std::vector<std::uint8_t>> ArtifactCache::load(std::string_view ki
     } else {
       obs::log_debug("cache", "miss", {{"kind", std::string(kind)}, {"why", why}});
     }
-    m.load_seconds.observe(seconds_since(t0));
     return std::nullopt;
   };
 
@@ -112,11 +103,11 @@ std::optional<std::vector<std::uint8_t>> ArtifactCache::load(std::string_view ki
 
   const std::uint8_t* payload = file.data() + kHeaderBytes;
   ByteReader trailer(payload + payload_size, kTrailerBytes);
-  if (trailer.u64() != fnv1a(payload, payload_size)) return miss("checksum", true);
+  if (trailer.u64() != support::fnv1a(payload, payload_size, kKeyBasis))
+    return miss("checksum", true);
 
   m.hits.increment();
   m.bytes_read.increment(file.size());
-  m.load_seconds.observe(seconds_since(t0));
   span.counter("bytes", static_cast<double>(payload_size));
   obs::log_debug("cache", "hit",
                  {{"kind", std::string(kind)}, {"bytes", payload_size}});
@@ -128,7 +119,6 @@ void ArtifactCache::store(std::string_view kind, std::uint64_t key,
   robust::maybe_fault("cache.write");
   CacheMetrics& m = CacheMetrics::instance();
   obs::ScopedSpan span("cache.store");
-  const auto t0 = std::chrono::steady_clock::now();
   const std::string path = path_for(kind, key);
 
   // Unique temp name in the same directory so the final rename is atomic.
@@ -142,7 +132,7 @@ void ArtifactCache::store(std::string_view kind, std::uint64_t key,
   header.u64(key);
   header.u64(payload.size());
   ByteWriter trailer;
-  trailer.u64(fnv1a(payload.data(), payload.size()));
+  trailer.u64(support::fnv1a(payload.data(), payload.size(), kKeyBasis));
 
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);
@@ -184,7 +174,6 @@ void ArtifactCache::store(std::string_view kind, std::uint64_t key,
   }
   const std::uint64_t total = kHeaderBytes + payload.size() + kTrailerBytes;
   m.bytes_written.increment(total);
-  m.store_seconds.observe(seconds_since(t0));
   span.counter("bytes", static_cast<double>(payload.size()));
   obs::log_info("cache", "stored artifact",
                 {{"kind", std::string(kind)}, {"bytes", total}});

@@ -15,9 +15,9 @@
 // benignly — both rename identical bytes.
 //
 // Observability: cache.hits / cache.misses / cache.corrupt /
-// cache.bytes_written / cache.bytes_read counters, cache.load_seconds and
-// cache.store_seconds histograms, and cache.load / cache.store tracer
-// spans, all through the src/obs/ layer.
+// cache.bytes_written / cache.bytes_read / cache.store_errors counters
+// and cache.load / cache.store tracer spans, all through the src/obs/
+// layer.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,12 @@
 #include "cache/key.hpp"
 
-#include "cache/hash.hpp"
+#include "support/hash.hpp"
 
 namespace terrors::cache {
 
 namespace {
+
+using support::HashStream;
 
 void feed_ex_context(HashStream& h, const isa::ExContext& cx) {
   h.u32(cx.a);
@@ -30,7 +32,7 @@ void feed_edge_samples(HashStream& h, const isa::EdgeSamples& es) {
 }  // namespace
 
 std::uint64_t hash_netlist(const netlist::Netlist& nl) {
-  HashStream h;
+  HashStream h(kKeyBasis);
   h.u64(nl.size());
   h.u8(nl.stage_count());
   for (netlist::GateId g = 0; g < nl.size(); ++g) {
@@ -47,7 +49,7 @@ std::uint64_t hash_netlist(const netlist::Netlist& nl) {
 }
 
 std::uint64_t hash_variation(const timing::VariationConfig& cfg) {
-  HashStream h;
+  HashStream h(kKeyBasis);
   h.f64(cfg.sigma);
   h.f64(cfg.w_global);
   h.f64(cfg.w_spatial);
@@ -60,14 +62,14 @@ std::uint64_t hash_variation(const timing::VariationConfig& cfg) {
 }
 
 std::uint64_t hash_spec(const timing::TimingSpec& spec) {
-  HashStream h;
+  HashStream h(kKeyBasis);
   h.f64(spec.period_ps);
   h.f64(spec.setup_ps);
   return h.digest();
 }
 
 std::uint64_t hash_dts_config(const dta::DtsConfig& cfg) {
-  HashStream h;
+  HashStream h(kKeyBasis);
   h.u64(cfg.top_k);
   h.f64(cfg.percentile_low);
   h.f64(cfg.percentile_high);
@@ -77,7 +79,7 @@ std::uint64_t hash_dts_config(const dta::DtsConfig& cfg) {
 }
 
 std::uint64_t hash_characterizer_config(const dta::ControlCharacterizerConfig& cfg) {
-  HashStream h;
+  HashStream h(kKeyBasis);
   h.i32(cfg.pred_tail);
   h.i32(cfg.warmup_nops);
   return h.digest();
@@ -85,7 +87,7 @@ std::uint64_t hash_characterizer_config(const dta::ControlCharacterizerConfig& c
 
 std::uint64_t hash_program(const isa::Program& program) {
   // The name is cosmetic; only structure and instruction content matter.
-  HashStream h;
+  HashStream h(kKeyBasis);
   h.u64(program.block_count());
   h.u32(program.entry());
   for (isa::BlockId b = 0; b < program.block_count(); ++b) {
@@ -105,7 +107,7 @@ std::uint64_t hash_program(const isa::Program& program) {
 }
 
 std::uint64_t hash_profile(const isa::ProgramProfile& profile) {
-  HashStream h;
+  HashStream h(kKeyBasis);
   h.u64(profile.total_instructions);
   h.u64(profile.runs);
   h.u64(profile.blocks.size());
@@ -122,7 +124,7 @@ std::uint64_t hash_profile(const isa::ProgramProfile& profile) {
 }
 
 std::uint64_t combine(std::initializer_list<std::uint64_t> parts) {
-  HashStream h;
+  HashStream h(kKeyBasis);
   h.u64(parts.size());
   for (const std::uint64_t p : parts) h.u64(p);
   return h.digest();

@@ -26,6 +26,13 @@ namespace terrors::cache {
 /// folded into every key so stale artifacts are never even looked up.
 inline constexpr std::uint32_t kModelVersion = 1;
 
+/// FNV-1a offset basis of every cache digest: component hashes, keys,
+/// run ids and payload checksums.  It is the standard basis with its last
+/// decimal digit dropped (1469598103934665603, not 14695981039346656037);
+/// it hashes just as well, and another basis would rename every stored
+/// artifact and every run id.
+inline constexpr std::uint64_t kKeyBasis = 1469598103934665603ull;
+
 [[nodiscard]] std::uint64_t hash_netlist(const netlist::Netlist& nl);
 [[nodiscard]] std::uint64_t hash_variation(const timing::VariationConfig& cfg);
 [[nodiscard]] std::uint64_t hash_spec(const timing::TimingSpec& spec);

@@ -235,19 +235,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
                  {"rate_mean", result.estimate.rate_mean()},
                  {"rate_sd", result.estimate.rate_sd()}});
 
-  // Publish the pool's cumulative scheduling counters; support cannot link
-  // against obs (obs already links support), so the bridge lives here.
-  {
-    support::ThreadPool& pool = support::global_pool();
-    const auto stats = pool.stats();
-    auto& registry = obs::MetricsRegistry::instance();
-    registry.gauge("pool.threads").set(static_cast<double>(pool.size()));
-    registry.gauge("pool.tasks").set(static_cast<double>(stats.tasks));
-    registry.gauge("pool.steal_or_wait").set(static_cast<double>(stats.steal_or_wait));
-    // Registered lazily: a run with no serial retries keeps its metrics
-    // file byte-identical to builds without the robustness layer.
-    if (stats.retries > 0) registry.gauge("pool.retries").set(static_cast<double>(stats.retries));
-  }
   result.cache_hits = run_metrics.delta("cache.hits");
   result.cache_misses = run_metrics.delta("cache.misses");
   const auto& degradation = robust::DegradationLog::instance();

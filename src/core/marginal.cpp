@@ -18,10 +18,7 @@ std::vector<double> solve_dense(std::vector<double> a, std::vector<double> b) {
   const std::size_t n = b.size();
   TE_REQUIRE(a.size() == n * n, "matrix size mismatch");
   static obs::Counter& solves = obs::MetricsRegistry::instance().counter("solver.linear_solves");
-  static obs::Histogram& sizes =
-      obs::MetricsRegistry::instance().histogram("solver.system_size");
   solves.increment();
-  sizes.observe(static_cast<double>(n));
   // Singularity threshold relative to the system's scale: a uniformly
   // scaled matrix (e.g. tiny edge weights) must solve exactly like its
   // well-scaled counterpart instead of tripping an absolute cutoff.

@@ -6,7 +6,7 @@
 // string-matching what():
 //
 //   kInput      — the caller handed us something malformed (bad assembly,
-//                 corrupt VCD, unparsable JSON, unknown flag value).
+//                 unparsable JSON, unknown flag value).
 //   kArtifact   — a persisted artifact (cache entry, run report) is
 //                 corrupt, truncated, or from an incompatible version.
 //   kNumerical  — a solve failed or degenerated (singular SCC system,

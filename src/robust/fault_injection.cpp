@@ -7,27 +7,9 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "robust/hooks.hpp"
+#include "support/hash.hpp"
 
 namespace terrors::robust {
-
-namespace {
-
-// splitmix64: well-mixed 64-bit hash, the same construction the support
-// RNG uses for stream splitting.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_site(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ull;
-  return h;
-}
-
-}  // namespace
 
 const std::vector<FaultSite>& fault_sites() {
   static const std::vector<FaultSite> sites = {
@@ -35,7 +17,6 @@ const std::vector<FaultSite>& fault_sites() {
       {"cache.write", Category::kResource, false, "artifact cache store (publish)"},
       {"io.write", Category::kResource, false, "run-report / metrics file write"},
       {"report.read", Category::kInput, false, "run-report file read + parse"},
-      {"vcd.parse", Category::kInput, false, "VCD stream parse"},
       {"solver.pivot", Category::kNumerical, true, "SCC linear-solve pivot (key = SCC id)"},
       {"pool.task", Category::kInternal, true, "thread-pool task entry (key = loop index)"},
   };
@@ -175,7 +156,9 @@ bool FaultInjector::should_fire(std::string_view site, std::optional<std::uint64
       if (s.prob >= 1.0) {
         hit = true;
       } else {
-        const std::uint64_t h = mix64(s.seed ^ mix64(hash_site(site) ^ occurrence));
+        std::uint64_t x = support::fnv1a(site.data(), site.size()) ^ occurrence;
+        x = s.seed ^ support::splitmix64(x);
+        const std::uint64_t h = support::splitmix64(x);
         hit = static_cast<double>(h) < s.prob * 18446744073709551616.0;  // 2^64
       }
     }

@@ -16,10 +16,10 @@
 //
 // Determinism contract: a given plan fires at the same logical
 // occurrences at any thread count.
-//  * Serial sites (cache.read, cache.write, io.write, report.read,
-//    vcd.parse) count occurrences with an atomic per-entry counter;
-//    they are only reached from the (deterministically ordered) main
-//    thread, so `nth=N` means the Nth occurrence, 1-based.
+//  * Serial sites (cache.read, cache.write, io.write, report.read) count
+//    occurrences with an atomic per-entry counter; they are only reached
+//    from the (deterministically ordered) main thread, so `nth=N` means
+//    the Nth occurrence, 1-based.
 //  * Keyed sites (solver.pivot keyed by SCC id, pool.task keyed by loop
 //    index) derive the occurrence from the caller-supplied key instead
 //    of arrival order, so worker scheduling cannot reorder decisions:

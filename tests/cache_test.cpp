@@ -1,4 +1,4 @@
-// Tests for the content-addressed artifact cache: hashing, codecs,
+// Tests for the content-addressed artifact cache: keys, codecs,
 // corruption tolerance of the on-disk format, and the end-to-end
 // warm-start contract (warm analyze == cold analyze, bit for bit, with
 // the gate-level characterisation skipped).
@@ -15,12 +15,12 @@
 #include <vector>
 
 #include "cache/artifact_cache.hpp"
-#include "cache/hash.hpp"
 #include "cache/key.hpp"
 #include "cache/serialize.hpp"
 #include "core/framework.hpp"
 #include "netlist/pipeline.hpp"
 #include "obs/metrics.hpp"
+#include "support/hash.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/specs.hpp"
@@ -45,32 +45,11 @@ struct TempDir {
   }
 };
 
-// --- hashing -----------------------------------------------------------------
+// --- keys --------------------------------------------------------------------
 
-TEST(HashStream, DeterministicAndSensitive) {
-  HashStream a;
-  a.u32(7);
-  a.f64(1.5);
-  a.str("abc");
-  HashStream b;
-  b.u32(7);
-  b.f64(1.5);
-  b.str("abc");
-  EXPECT_EQ(a.digest(), b.digest());
-
-  HashStream c;
-  c.u32(7);
-  c.f64(1.5);
-  c.str("abd");
-  EXPECT_NE(a.digest(), c.digest());
-}
-
-TEST(HashStream, DoublesHashBitExact) {
-  HashStream pos;
-  pos.f64(0.0);
-  HashStream neg;
-  neg.f64(-0.0);
-  EXPECT_NE(pos.digest(), neg.digest());  // bit-exact, not value-equal
+TEST(Keys, DigestsKeepTheirBasis) {
+  // Every stored artifact name and run id hashes from kKeyBasis.
+  EXPECT_EQ(support::fnv1a("a", 1, kKeyBasis), 0x44bd8ad473cd9906ull);
 }
 
 TEST(Keys, CombineIsOrderSensitive) {

@@ -32,6 +32,8 @@
 #include "workloads/generator.hpp"
 #include "workloads/specs.hpp"
 
+#include "counter_snapshot.hpp"
+
 namespace terrors {
 namespace {
 
@@ -244,39 +246,10 @@ TEST(JournalStats, EmptyJournalAggregatesToZeros) {
 
 // ---------------------------------------------------------------------------
 
-/// Metrics snapshot comparable across runs (mirrors report_test):
-/// excludes report.* (the report builder's own), pool.*
-/// (process-cumulative), dta.dp_cache_collisions (per-worker DP-cache
-/// collisions, varies with which worker characterised which edge),
-/// journal.* and trace.* (fire only when instrumentation is on — their
-/// absence elsewhere is exactly what this test proves).
-std::map<std::string, double> metrics_snapshot() {
-  std::ostringstream os;
-  obs::MetricsRegistry::instance().write_json(os);
-  const report::JsonValue doc = report::JsonValue::parse(os.str());
-  std::map<std::string, double> out;
-  const auto keep = [](const std::string& name) {
-    return name.rfind("report.", 0) != 0 && name.rfind("pool.", 0) != 0 &&
-           name.rfind("journal.", 0) != 0 && name.rfind("trace.", 0) != 0 &&
-           name != "dta.dp_cache_collisions";
-  };
-  for (const auto& [name, v] : doc.at("counters").members()) {
-    if (keep(name)) out["c:" + name] = v.as_number();
-  }
-  for (const auto& [name, v] : doc.at("gauges").members()) {
-    if (keep(name)) out["g:" + name] = v.as_number();
-  }
-  for (const auto& [name, v] : doc.at("histograms").members()) {
-    if (!keep(name)) continue;
-    for (const auto& [field, fv] : v.members()) out["h:" + name + "." + field] = fv.as_number();
-  }
-  return out;
-}
-
 struct InstrumentedRun {
   core::BenchmarkResult result;
   std::string report_json;
-  std::map<std::string, double> metrics;
+  std::map<std::string, std::uint64_t> counters;
 };
 
 /// One analyze() of pgp.encode at `threads`, optionally with the full
@@ -330,7 +303,10 @@ InstrumentedRun analyze_instrumented(std::size_t threads, bool instrumented) {
   std::ostringstream os;
   report.write_json(os);
   run.report_json = os.str();
-  run.metrics = metrics_snapshot();
+  // report.* is the report builder's own; journal.* and trace.* fire only
+  // when instrumentation is on, and their absence elsewhere is exactly what
+  // the invisibility test proves.
+  run.counters = test::counter_snapshot({"report.", "journal.", "trace."});
   return run;
 }
 
@@ -362,8 +338,8 @@ TEST_F(JournalInvisibility, JournalAndProfilerAreBitInvisibleAtOneAndFourThreads
     EXPECT_EQ(plain.result.run_id, instrumented.result.run_id);
     EXPECT_EQ(plain.report_json, instrumented.report_json);
 
-    // Metrics outside the excluded namespaces: identical values.
-    EXPECT_EQ(plain.metrics, instrumented.metrics);
+    // Counters outside the excluded namespaces: identical values.
+    EXPECT_EQ(plain.counters, instrumented.counters);
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the observability layer: tracer span nesting and timing,
-// metrics registry semantics (histograms vs MomentAccumulator), JSON
-// exporter well-formedness, log-level filtering, metric thread safety,
+// counter registry semantics, JSON exporter well-formedness, log-level
+// filtering, counter thread safety,
 // run ids and per-run metric views (MetricsScope), the tracer span cap,
 // and the folded-stack profile the tracer writes and `terrors profile`
 // reads.
@@ -19,7 +19,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
-#include "support/accumulator.hpp"
 
 using namespace terrors;
 
@@ -269,165 +268,21 @@ TEST(MetricsTest, CounterAccumulatesAndResets) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(MetricsTest, HistogramMatchesMomentAccumulator) {
-  auto& h = obs::MetricsRegistry::instance().histogram("test.hist_moments");
-  h.reset();
-  support::MomentAccumulator ref;
-  const double values[] = {1.0, 2.5, -3.0, 7.25, 0.125, 2.5, 100.0, -42.0};
-  for (const double v : values) {
-    h.observe(v);
-    ref.add(v);
-  }
-  const auto& s = h.stats();
-  EXPECT_EQ(s.count(), ref.count());
-  EXPECT_DOUBLE_EQ(s.mean(), ref.mean());
-  EXPECT_DOUBLE_EQ(s.stddev(), ref.stddev());
-  EXPECT_DOUBLE_EQ(s.central_moment3(), ref.central_moment3());
-  EXPECT_DOUBLE_EQ(s.central_moment4(), ref.central_moment4());
-  EXPECT_DOUBLE_EQ(s.min(), ref.min());
-  EXPECT_DOUBLE_EQ(s.max(), ref.max());
-}
-
 TEST(MetricsTest, JsonExportIsWellFormedAndComplete) {
   auto& reg = obs::MetricsRegistry::instance();
+  reg.counter("test.json_counter").reset();
   reg.counter("test.json_counter").increment(7);
-  reg.gauge("test.json_gauge").set(-1.5);
-  auto& h = reg.histogram("test.json_hist");
-  h.reset();
-  h.observe(1.0);
-  h.observe(3.0);
 
   std::ostringstream os;
   reg.write_json(os);
   const std::string text = os.str();
   EXPECT_TRUE(JsonValidator(text).valid()) << text;
   EXPECT_NE(text.find("\"test.json_counter\":7"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"test.json_gauge\":-1.5"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"test.json_hist\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"mean\":2"), std::string::npos) << text;
-}
-
-TEST(MetricsTest, EmptyHistogramExportsZeros) {
-  auto& reg = obs::MetricsRegistry::instance();
-  reg.histogram("test.json_hist_empty").reset();
-  std::ostringstream os;
-  reg.write_json(os);
-  EXPECT_TRUE(JsonValidator(os.str()).valid()) << os.str();
-  // min/max of an empty MomentAccumulator are +/-inf; the exporter must
-  // not leak non-JSON tokens like "inf".
-  EXPECT_EQ(os.str().find("inf"), std::string::npos);
-}
-
-TEST(MetricsTest, HistogramQuantilesExactBelowReservoirDepth) {
-  obs::Histogram h;
-  // 1..50 in scrambled order: fits entirely in the reservoir, so
-  // quantiles are exact nearest-rank values.
-  for (int i = 0; i < 50; ++i) h.observe(static_cast<double>((i * 37) % 50 + 1));
-  ASSERT_LE(static_cast<std::size_t>(50), obs::Histogram::kReservoirDepth);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 26.0);  // nearest rank: idx floor(.5*50)
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 50.0);
-  EXPECT_DOUBLE_EQ(h.stats().min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.stats().max(), 50.0);
-}
-
-TEST(MetricsTest, HistogramReservoirIsDeterministicPastDepth) {
-  // Two identical streams far beyond the reservoir depth must agree
-  // exactly: the systematic (stride-doubling) sampler uses no RNG.
-  obs::Histogram a;
-  obs::Histogram b;
-  for (int i = 0; i < 10'000; ++i) {
-    const double v = static_cast<double>((i * 7919) % 10'000);
-    a.observe(v);
-    b.observe(v);
-  }
-  EXPECT_LE(a.reservoir().size(), obs::Histogram::kReservoirDepth);
-  EXPECT_EQ(a.reservoir(), b.reservoir());
-  for (const double p : {0.5, 0.95, 0.99}) {
-    EXPECT_EQ(a.quantile(p), b.quantile(p));
-    EXPECT_GE(a.quantile(p), 0.0);
-    EXPECT_LT(a.quantile(p), 10'000.0);
-  }
-  // Quantiles are monotone in p.
-  EXPECT_LE(a.quantile(0.5), a.quantile(0.95));
-  EXPECT_LE(a.quantile(0.95), a.quantile(0.99));
-  // Reset discards the reservoir along with the moments.
-  a.reset();
-  EXPECT_TRUE(a.reservoir().empty());
-  EXPECT_DOUBLE_EQ(a.quantile(0.5), 0.0);
-}
-
-TEST(MetricsTest, JsonExportIncludesQuantiles) {
-  auto& reg = obs::MetricsRegistry::instance();
-  auto& h = reg.histogram("test.json_hist_quant");
-  h.reset();
-  for (int i = 1; i <= 10; ++i) h.observe(static_cast<double>(i));
-  std::ostringstream os;
-  reg.write_json(os);
-  const std::string text = os.str();
-  EXPECT_TRUE(JsonValidator(text).valid()) << text;
-  EXPECT_NE(text.find("\"p50\":6"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"p95\":10"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"p99\":10"), std::string::npos) << text;
-}
-
-// ---------------------------------------------------------------------------
-
-TEST(PrometheusTest, EscapeLabelHandlesBackslashQuoteNewline) {
-  EXPECT_EQ(obs::prometheus_escape_label("plain"), "plain");
-  EXPECT_EQ(obs::prometheus_escape_label("a\\b"), "a\\\\b");
-  EXPECT_EQ(obs::prometheus_escape_label("a\"b"), "a\\\"b");
-  EXPECT_EQ(obs::prometheus_escape_label("a\nb"), "a\\nb");
-  EXPECT_EQ(obs::prometheus_escape_label("\\\"\n"), "\\\\\\\"\\n");
-  // HELP text escapes backslash and newline but keeps double quotes.
-  EXPECT_EQ(obs::prometheus_escape_help("a\\b\"c\nd"), "a\\\\b\"c\\nd");
-}
-
-TEST(PrometheusTest, SanitizeNamePrefixesAndMapsInvalidChars) {
-  EXPECT_EQ(obs::prometheus_sanitize_name("core.analyze_calls"),
-            "terrors_core_analyze_calls");
-  EXPECT_EQ(obs::prometheus_sanitize_name("a-b c"), "terrors_a_b_c");
-}
-
-TEST(PrometheusTest, ExpositionHasTypesValuesAndQuantileLabels) {
-  auto& reg = obs::MetricsRegistry::instance();
-  reg.counter("test.prom_counter").reset();
-  reg.counter("test.prom_counter").increment(3);
-  reg.gauge("test.prom_gauge").set(2.5);
-  auto& h = reg.histogram("test.prom_hist");
-  h.reset();
-  for (int i = 1; i <= 4; ++i) h.observe(static_cast<double>(i));
-
-  std::ostringstream os;
-  reg.write_prometheus(os);
-  const std::string text = os.str();
-  // Every family gets a HELP line before its TYPE line carrying the raw
-  // dotted name, so scrapes always see the internal metric identity.
-  EXPECT_NE(text.find("# HELP terrors_test_prom_counter test.prom_counter"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("# HELP terrors_test_prom_gauge test.prom_gauge"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("# HELP terrors_test_prom_hist test.prom_hist"), std::string::npos) << text;
-  EXPECT_NE(text.find("# TYPE terrors_test_prom_counter counter"), std::string::npos) << text;
-  EXPECT_NE(text.find("terrors_test_prom_counter 3"), std::string::npos) << text;
-  EXPECT_NE(text.find("# TYPE terrors_test_prom_gauge gauge"), std::string::npos) << text;
-  EXPECT_NE(text.find("terrors_test_prom_gauge 2.5"), std::string::npos) << text;
-  EXPECT_NE(text.find("# TYPE terrors_test_prom_hist summary"), std::string::npos) << text;
-  EXPECT_NE(text.find("terrors_test_prom_hist{quantile=\"0.5\"}"), std::string::npos) << text;
-  EXPECT_NE(text.find("terrors_test_prom_hist{quantile=\"0.95\"}"), std::string::npos) << text;
-  EXPECT_NE(text.find("terrors_test_prom_hist{quantile=\"0.99\"}"), std::string::npos) << text;
-  EXPECT_NE(text.find("terrors_test_prom_hist_count 4"), std::string::npos) << text;
-  EXPECT_NE(text.find("terrors_test_prom_hist_sum 10"), std::string::npos) << text;
-  // Every non-comment line is "name[{labels}] value" with a finite or
-  // Prometheus-style (NaN/+Inf/-Inf) value token.
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const auto sp = line.rfind(' ');
-    ASSERT_NE(sp, std::string::npos) << line;
-    EXPECT_EQ(line.rfind("terrors_", 0), 0u) << line;
-  }
+  // `counters` is the only top-level key: its values are plain numbers,
+  // so the first closing brace ends it and the second ends the document.
+  EXPECT_EQ(text.rfind("{\"counters\":{", 0), 0u) << text;
+  EXPECT_EQ(text.find('}'), text.size() - 3) << text;
+  EXPECT_EQ(text.substr(text.size() - 3), "}}\n") << text;
 }
 
 // ---------------------------------------------------------------------------
@@ -446,18 +301,13 @@ TEST(JsonHelpersTest, NonFiniteNumbersBecomeNull) {
   EXPECT_EQ(os.str(), "null null");
 }
 
-// All three metric kinds must tolerate concurrent mutation: pool workers
-// increment counters and observe histograms from inside parallel_for
-// regions.  Run under TSan (CI thread-sanitizer job) this is the data-race
-// proof; under plain builds it still checks the arithmetic.
+// Counters must tolerate concurrent increments: pool workers bump them
+// from inside parallel_for regions.  Run under TSan (CI thread-sanitizer
+// job) this is the data-race proof; under plain builds it still checks
+// the arithmetic.
 TEST(MetricsTest, ConcurrentMutationIsSafeAndExact) {
-  auto& reg = obs::MetricsRegistry::instance();
-  auto& c = reg.counter("test.concurrent_counter");
-  auto& g = reg.gauge("test.concurrent_gauge");
-  auto& h = reg.histogram("test.concurrent_hist");
+  auto& c = obs::MetricsRegistry::instance().counter("test.concurrent_counter");
   c.reset();
-  g.reset();
-  h.reset();
 
   constexpr int kThreads = 8;
   constexpr int kIters = 10'000;
@@ -465,20 +315,12 @@ TEST(MetricsTest, ConcurrentMutationIsSafeAndExact) {
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        c.increment();
-        g.add(1.0);
-        h.observe(1.0);
-      }
+      for (int i = 0; i < kIters; ++i) c.increment();
     });
   }
   for (auto& w : workers) w.join();
 
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kIters);
-  // Gauge adds are CAS loops over an atomic double: every +1.0 lands.
-  EXPECT_DOUBLE_EQ(g.value(), static_cast<double>(kThreads) * kIters);
-  EXPECT_EQ(h.stats().count(), static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_DOUBLE_EQ(h.stats().mean(), 1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@
 #include "workloads/generator.hpp"
 #include "workloads/specs.hpp"
 
+#include "counter_snapshot.hpp"
+
 namespace terrors {
 namespace {
 
@@ -60,37 +62,10 @@ const workloads::WorkloadSpec& spec_named(const char* name) {
   return workloads::mibench_specs()[0];
 }
 
-/// Metrics snapshot comparable across runs: every registered metric value
-/// except the report.* namespace (the report builder's own), the pool.*
-/// gauges (process-cumulative, they track thread-pool resizes), and
-/// dta.dp_cache_collisions, which counts hash collisions in each worker's
-/// own DP cache and so varies with which worker characterised which edge.
-std::map<std::string, double> metrics_snapshot() {
-  std::ostringstream os;
-  obs::MetricsRegistry::instance().write_json(os);
-  const report::JsonValue doc = report::JsonValue::parse(os.str());
-  std::map<std::string, double> out;
-  const auto keep = [](const std::string& name) {
-    return name.rfind("report.", 0) != 0 && name.rfind("pool.", 0) != 0 &&
-           name != "dta.dp_cache_collisions";
-  };
-  for (const auto& [name, v] : doc.at("counters").members()) {
-    if (keep(name)) out["c:" + name] = v.as_number();
-  }
-  for (const auto& [name, v] : doc.at("gauges").members()) {
-    if (keep(name)) out["g:" + name] = v.as_number();
-  }
-  for (const auto& [name, v] : doc.at("histograms").members()) {
-    if (!keep(name)) continue;
-    for (const auto& [field, fv] : v.members()) out["h:" + name + "." + field] = fv.as_number();
-  }
-  return out;
-}
-
 struct ObservedRun {
   core::BenchmarkResult result;
   std::vector<core::BlockMarginals> marginals;
-  std::map<std::string, double> metrics;
+  std::map<std::string, std::uint64_t> counters;
 };
 
 /// Two analyses of `spec` on one framework; with `with_report`, a run
@@ -107,7 +82,7 @@ ObservedRun analyze_twice(const workloads::WorkloadSpec& spec, std::size_t threa
   ObservedRun run;
   run.result = fw.analyze(program, inputs);
   run.marginals = fw.last().marginals;
-  run.metrics = metrics_snapshot();
+  run.counters = test::counter_snapshot({"report."});  // the report builder's own
   return run;
 }
 
@@ -141,8 +116,8 @@ TEST_F(ReportDeterminism, ReportBuildIsBitInvisibleAtOneAndFourThreads) {
         EXPECT_EQ(plain.marginals[b].instr[k].values(), observed.marginals[b].instr[k].values());
     }
 
-    // Metrics outside report.*/pool.*: identical values.
-    EXPECT_EQ(plain.metrics, observed.metrics);
+    // Counters outside report.*: identical values.
+    EXPECT_EQ(plain.counters, observed.counters);
   }
 }
 

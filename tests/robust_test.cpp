@@ -24,7 +24,6 @@
 #include "robust/fault_injection.hpp"
 #include "robust/hooks.hpp"
 #include "robust/parse.hpp"
-#include "sim/vcd_parser.hpp"
 #include "support/thread_pool.hpp"
 #include "timing/variation.hpp"
 #include "workloads/generator.hpp"
@@ -152,13 +151,13 @@ TEST_F(RobustTest, ProbabilisticFiresAreSeedReproducible) {
 }
 
 TEST_F(RobustTest, InjectedErrorsCarrySiteCategory) {
-  robust::FaultInjector::instance().arm(robust::FaultPlan::parse("vcd.parse:nth=1"));
+  robust::FaultInjector::instance().arm(robust::FaultPlan::parse("report.read:nth=1"));
   try {
-    robust::maybe_fault("vcd.parse");
+    robust::maybe_fault("report.read");
     FAIL() << "expected throw";
   } catch (const robust::Error& e) {
     EXPECT_EQ(e.category(), robust::Category::kInput);
-    EXPECT_NE(std::string(e.what()).find("injected fault at vcd.parse"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("injected fault at report.read"), std::string::npos);
   }
 }
 
@@ -181,52 +180,6 @@ TEST(JsonDepth, TenThousandLevelsIsACleanParseError) {
   }
   // A document at a sane depth still parses.
   EXPECT_NO_THROW((void)report::JsonValue::parse("[[[[[[[[[[42]]]]]]]]]]"));
-}
-
-// --- VCD hardening -----------------------------------------------------------
-
-TEST(VcdHardening, CorruptCorpusYieldsTypedInputErrors) {
-  const char* corpus[] = {
-      // non-monotonic timestamps
-      "$var wire 1 ! s $end $enddefinitions $end\n#2000 1!\n#1000 0!\n",
-      // overflowing timestamp
-      "$var wire 1 ! s $end $enddefinitions $end\n#99999999999999999999999 1!\n",
-      // signed / malformed timestamps
-      "$var wire 1 ! s $end $enddefinitions $end\n#+5 1!\n",
-      "$var wire 1 ! s $end $enddefinitions $end\n#12abc 1!\n",
-      "$var wire 1 ! s $end $enddefinitions $end\n#\n",
-      // undeclared identifiers (scalar and vector changes)
-      "$var wire 1 ! s $end $enddefinitions $end\n#0 1?\n",
-      "$var wire 1 ! s $end $enddefinitions $end\n#0 b101 ?\n",
-      // header corruption
-      "$var wire 1 !",
-      "$var wire 0 ! s $end $enddefinitions $end\n#0\n",
-      "$enddefinitions $end\n#0\n",
-      "$timescale 1ps $end #0 1!",
-      "hello",
-      "",
-  };
-  const sim::VcdParser parser(1000.0);
-  for (const char* doc : corpus) {
-    std::istringstream is(doc);
-    try {
-      (void)parser.parse(is);
-      FAIL() << "expected throw for: " << doc;
-    } catch (const robust::Error& e) {
-      EXPECT_EQ(e.category(), robust::Category::kInput) << doc;
-    }
-  }
-}
-
-TEST(VcdHardening, DiagnosticsCarryByteOffsets) {
-  std::istringstream is("$var wire 1 ! s $end $enddefinitions $end\n#0 1!\n#bad\n");
-  try {
-    (void)sim::VcdParser(1000.0).parse(is);
-    FAIL() << "expected throw";
-  } catch (const robust::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("at byte"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("#bad"), std::string::npos);
-  }
 }
 
 // --- degradation contracts ---------------------------------------------------

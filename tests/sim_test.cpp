@@ -304,17 +304,29 @@ TEST(Vcd, EmitsValidHeaderAndChanges) {
   b.netlist().finalize(1);
   LogicSimulator sim(b.netlist());
   std::ostringstream out;
-  VcdWriter vcd(out, b.netlist(), {in, q});
-  for (int t = 0; t < 4; ++t) {
-    sim.set_input(in, t % 2 == 0);
+  VcdWriter vcd(out, b.netlist(), {in, q}, "1ps", 1300.0);
+  // The flop trails the input by one cycle; the last cycle holds the
+  // input, so only `state` changes there.
+  for (const bool v : {true, false, true, false, false}) {
+    sim.set_input(in, v);
     sim.step();
     vcd.sample(sim);
   }
   const std::string s = out.str();
-  EXPECT_NE(s.find("$timescale"), std::string::npos);
-  EXPECT_NE(s.find("$enddefinitions"), std::string::npos);
-  EXPECT_NE(s.find("toggler"), std::string::npos);
-  EXPECT_NE(s.find("#0"), std::string::npos);
+  EXPECT_NE(s.find("$timescale 1ps $end\n"), std::string::npos) << s;
+  EXPECT_NE(s.find("$var wire 1 ! toggler $end\n"), std::string::npos) << s;
+  EXPECT_NE(s.find("$var wire 1 \" state $end\n"), std::string::npos) << s;
+  const std::string defs_end = "$enddefinitions $end\n";
+  const std::size_t body = s.find(defs_end);
+  ASSERT_NE(body, std::string::npos) << s;
+  // One `#k*period` stamp per cycle with a change, then one line per
+  // changed net; unchanged nets are not repeated.
+  EXPECT_EQ(s.substr(body + defs_end.size()),
+            "#0\n1!\n0\"\n"
+            "#1300\n0!\n1\"\n"
+            "#2600\n1!\n0\"\n"
+            "#3900\n0!\n1\"\n"
+            "#5200\n0\"\n");
 }
 
 TEST(PipelineSim, AddFlowsThroughDatapath) {

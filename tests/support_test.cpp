@@ -3,8 +3,8 @@
 #include <cmath>
 #include <vector>
 
-#include "support/accumulator.hpp"
 #include "support/check.hpp"
+#include "support/hash.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
 
@@ -148,47 +148,37 @@ TEST(Math, PoissonPmfSumsToCdf) {
   }
 }
 
-TEST(Accumulator, MatchesDirectMoments) {
-  const std::vector<double> xs = {1.5, -2.0, 0.25, 7.0, 3.0, -1.0, 4.5};
-  MomentAccumulator acc;
-  for (double x : xs) acc.add(x);
-  double mean = 0.0;
-  for (double x : xs) mean += x;
-  mean /= static_cast<double>(xs.size());
-  double m2 = 0.0;
-  double m3 = 0.0;
-  double m4 = 0.0;
-  for (double x : xs) {
-    const double d = x - mean;
-    m2 += d * d;
-    m3 += d * d * d;
-    m4 += d * d * d * d;
-  }
-  const auto n = static_cast<double>(xs.size());
-  EXPECT_NEAR(acc.mean(), mean, 1e-12);
-  EXPECT_NEAR(acc.variance(), m2 / n, 1e-12);
-  EXPECT_NEAR(acc.central_moment3(), m3 / n, 1e-9);
-  EXPECT_NEAR(acc.central_moment4(), m4 / n, 1e-9);
-  EXPECT_EQ(acc.min(), -2.0);
-  EXPECT_EQ(acc.max(), 7.0);
+TEST(Hash, KnownAnswers) {
+  EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
+  std::uint64_t state = 0;
+  EXPECT_EQ(splitmix64(state), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(state, 0x9e3779b97f4a7c15ull);
 }
 
-TEST(Accumulator, MergeEqualsBulk) {
-  Rng r(23);
-  MomentAccumulator all;
-  MomentAccumulator a;
-  MomentAccumulator b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = r.normal(3.0, 2.0);
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-10);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-8);
-  EXPECT_NEAR(a.central_moment3(), all.central_moment3(), 1e-6);
-  EXPECT_NEAR(a.central_moment4(), all.central_moment4(), 1e-5);
-  EXPECT_EQ(a.count(), all.count());
+TEST(HashStream, DeterministicAndSensitive) {
+  HashStream a;
+  a.u32(7);
+  a.f64(1.5);
+  a.str("abc");
+  HashStream b;
+  b.u32(7);
+  b.f64(1.5);
+  b.str("abc");
+  EXPECT_EQ(a.digest(), b.digest());
+
+  HashStream c;
+  c.u32(7);
+  c.f64(1.5);
+  c.str("abd");
+  EXPECT_NE(a.digest(), c.digest());
+}
+
+TEST(HashStream, DoublesHashBitExact) {
+  HashStream pos;
+  pos.f64(0.0);
+  HashStream neg;
+  neg.f64(-0.0);
+  EXPECT_NE(pos.digest(), neg.digest());  // bit-exact, not value-equal
 }
 
 TEST(Check, RequireThrowsInvalidArgument) {

@@ -8,7 +8,7 @@
 //   terrors diff <old> <new>             regression gate over two run reports
 //   terrors analyze <name> [--period P] [--scale S] [--runs R] [--threads T]
 //                   [--trace F] [--trace-tree] [--trace-limit N]
-//                   [--metrics F] [--metrics-prom F] [--report F]
+//                   [--metrics F] [--report F]
 //                   [--report-mc N] [--journal F] [--profile F]
 //                   [--log-level L] [--cache-dir D]
 //                                        full error-rate analysis row
@@ -256,7 +256,6 @@ int cmd_analyze(int argc, char** argv, const char* name) {
                     {"--trace-tree", false},
                     {"--trace-limit", true},
                     {"--metrics", true},
-                    {"--metrics-prom", true},
                     {"--report", true},
                     {"--report-mc", true},
                     {"--journal", true},
@@ -397,10 +396,6 @@ int cmd_analyze(int argc, char** argv, const char* name) {
   if (const auto it = flags.find("--metrics"); it != flags.end()) {
     peripheral("metrics", it->second,
                [](std::ostream& out) { obs::MetricsRegistry::instance().write_json(out); });
-  }
-  if (const auto it = flags.find("--metrics-prom"); it != flags.end()) {
-    peripheral("metrics", it->second,
-               [](std::ostream& out) { obs::MetricsRegistry::instance().write_prometheus(out); });
   }
   return peripheral_rc;
 }
@@ -552,8 +547,7 @@ void usage() {
       "          [--trace FILE]        write a Chrome trace_event JSON phase tree\n"
       "          [--trace-tree]        print the phase tree to stderr\n"
       "          [--trace-limit N]     cap recorded spans; excess increments trace.dropped\n"
-      "          [--metrics FILE]      write the metrics registry as JSON\n"
-      "          [--metrics-prom FILE] write the metrics in Prometheus text format\n"
+      "          [--metrics FILE]      write the metric counters as JSON\n"
       "          [--report FILE]       write the error-attribution run report (JSON)\n"
       "          [--report-mc N]       add an N-trial Monte-Carlo cross-check\n"
       "          [--journal FILE]      append a wide run event (JSONL; or TERRORS_JOURNAL)\n"
