@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <system_error>
 
 #include "cache/key.hpp"
@@ -88,9 +87,13 @@ std::optional<std::vector<std::uint8_t>> ArtifactCache::load(std::string_view ki
 
   std::ifstream in(path, std::ios::binary);
   if (!in) return miss("absent", false);
-  std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
-                                 std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return miss("read error", true);
+  // One read of the whole file at its current size.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) return miss("read error", true);
+  std::vector<std::uint8_t> file(static_cast<std::size_t>(size));
+  if (!in.read(reinterpret_cast<char*>(file.data()), static_cast<std::streamsize>(size)))
+    return miss("read error", true);
   if (file.size() < kHeaderBytes + kTrailerBytes) return miss("truncated header", true);
 
   ByteReader header(file.data(), kHeaderBytes);
@@ -111,7 +114,9 @@ std::optional<std::vector<std::uint8_t>> ArtifactCache::load(std::string_view ki
   span.counter("bytes", static_cast<double>(payload_size));
   obs::log_debug("cache", "hit",
                  {{"kind", std::string(kind)}, {"bytes", payload_size}});
-  return std::vector<std::uint8_t>(payload, payload + payload_size);
+  file.resize(kHeaderBytes + payload_size);
+  file.erase(file.begin(), file.begin() + kHeaderBytes);
+  return file;
 }
 
 void ArtifactCache::store(std::string_view kind, std::uint64_t key,

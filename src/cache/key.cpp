@@ -123,6 +123,27 @@ std::uint64_t hash_profile(const isa::ProgramProfile& profile) {
   return h.digest();
 }
 
+std::uint64_t hash_inputs(const std::vector<isa::ProgramInput>& inputs) {
+  HashStream h(kKeyBasis);
+  h.u64(inputs.size());
+  for (const isa::ProgramInput& in : inputs) {
+    h.u64(in.registers.size());
+    for (const std::uint32_t r : in.registers) h.u32(r);
+    h.u64(in.memory_seed);
+  }
+  return h.digest();
+}
+
+std::uint64_t hash_executor_config(const isa::ExecutorConfig& cfg) {
+  HashStream h(kKeyBasis);
+  h.u64(cfg.max_instructions);
+  h.u64(cfg.samples_per_edge);
+  h.u64(cfg.memory_words);
+  h.u64(cfg.sampling_seed);
+  h.u8(cfg.record_block_trace ? 1 : 0);
+  return h.digest();
+}
+
 std::uint64_t combine(std::initializer_list<std::uint64_t> parts) {
   HashStream h(kKeyBasis);
   h.u64(parts.size());

@@ -5,12 +5,18 @@
 //
 // Invalidation rules (what each artifact's key covers):
 //   datapath  : model version + netlist + variation config + DTS config
+//   profile   : model version + program + inputs + executor config
 //   control   : model version + netlist + variation config + DTS config +
 //               characterizer config + timing spec + program + profile
+//
+// The profile key names the executor's inputs, not its code: a change to
+// the executor or the ISA semantics that alters any recorded profile must
+// bump kModelVersion.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
+#include <vector>
 
 #include "dta/control_characterizer.hpp"
 #include "dta/dts_analyzer.hpp"
@@ -40,6 +46,9 @@ inline constexpr std::uint64_t kKeyBasis = 1469598103934665603ull;
 [[nodiscard]] std::uint64_t hash_characterizer_config(const dta::ControlCharacterizerConfig& cfg);
 [[nodiscard]] std::uint64_t hash_program(const isa::Program& program);
 [[nodiscard]] std::uint64_t hash_profile(const isa::ProgramProfile& profile);
+/// Every input's registers and memory seed, in list order.
+[[nodiscard]] std::uint64_t hash_inputs(const std::vector<isa::ProgramInput>& inputs);
+[[nodiscard]] std::uint64_t hash_executor_config(const isa::ExecutorConfig& cfg);
 
 /// Order-sensitive combination of component hashes (always lead with
 /// kModelVersion).

@@ -1,9 +1,9 @@
-// Binary (de)serialisation of the two artifacts the cache stores:
-// per-(block, edge) control DTS tables and trained datapath-model
-// parameters.  Encoding is little-endian fixed-width with bit-exact
-// doubles (std::bit_cast), so a decoded artifact is byte-for-byte the
-// value that was computed — the foundation of the warm == cold
-// bit-identity contract.
+// Binary (de)serialisation of the three artifacts the cache stores:
+// per-(block, edge) control DTS tables, trained datapath-model parameters
+// and the executor's program profile.  Encoding is little-endian
+// fixed-width with bit-exact doubles (std::bit_cast), so a decoded
+// artifact is byte-for-byte the value that was computed — the foundation
+// of the warm == cold bit-identity contract.
 //
 // Decoders are corruption-tolerant by construction: every read is
 // bounds-checked, counts are validated against the remaining byte budget,
@@ -17,6 +17,7 @@
 
 #include "dta/control_characterizer.hpp"
 #include "dta/datapath_model.hpp"
+#include "isa/executor.hpp"
 #include "timing/sta.hpp"
 
 namespace terrors::cache {
@@ -59,6 +60,10 @@ class ByteReader {
   [[nodiscard]] std::size_t remaining() const { return len_ - pos_; }
 
  private:
+  /// The next n bytes, or nullptr (setting the fail flag and consuming
+  /// the rest) when fewer remain.
+  const std::uint8_t* take(std::size_t n);
+
   const std::uint8_t* data_;
   std::size_t len_;
   std::size_t pos_ = 0;
@@ -77,5 +82,25 @@ std::optional<std::vector<dta::BlockControlDts>> decode_control(ByteReader& r,
 // --- datapath model ----------------------------------------------------------
 void encode_datapath(const dta::DatapathModel::Params& params, ByteWriter& w);
 std::optional<dta::DatapathModel::Params> decode_datapath(ByteReader& r);
+
+// --- program profile ---------------------------------------------------------
+/// A profile as the cache holds it: the executor's output plus the
+/// hash_profile digest the recording run computed, which the control key
+/// reuses so a hit need not hash the profile again.
+struct CachedProfile {
+  isa::ProgramProfile profile;
+  std::uint64_t digest = 0;
+};
+
+/// Stores per sample only what the executor cannot rebuild from the
+/// program: the instruction count, the first instruction's `prev` context,
+/// then `cur.a`, `cur.b` and `result` per instruction.  `op`/`unit` come
+/// from the static instruction, `pc` from the executor's block layout,
+/// and instruction k > 0's `prev` is instruction k-1's `cur`.
+void encode_profile(const isa::ProgramProfile& profile, std::uint64_t digest, ByteWriter& w);
+/// Rebuilds a profile for `executor`'s program, CFG and layout; nullopt
+/// when the bytes do not describe a profile of that program (block,
+/// edge or instruction counts that do not fit it).
+std::optional<CachedProfile> decode_profile(ByteReader& r, const isa::Executor& executor);
 
 }  // namespace terrors::cache

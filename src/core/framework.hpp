@@ -4,7 +4,8 @@
 //   analyze(program, inputs):
 //     1. simulation phase — run the instrumented program on the inputs
 //        (architecture-level executor; records activation probabilities
-//        and operand contexts),
+//        and operand contexts), or adopt the cached profile of an earlier
+//        run over the same program, inputs and executor configuration,
 //     2. training phase — control-network DTS characterisation per
 //        (block, incoming edge) on the gate-level pipeline, plus the
 //        (shared, one-time) datapath-model training,
@@ -63,7 +64,9 @@ struct BenchmarkResult {
   /// identical ids, so reports, journal events and degradation warnings
   /// from the same logical run correlate byte-stably.
   std::string run_id;
-  std::uint64_t instructions = 0;  ///< simulated dynamic instructions (all runs)
+  /// Dynamic instructions the profile covers (all runs), whether this
+  /// call executed them or adopted a cached profile.
+  std::uint64_t instructions = 0;
   std::size_t basic_blocks = 0;
   double training_seconds = 0.0;
   double simulation_seconds = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -76,9 +77,9 @@ const std::array<OpcodeDecode, kOpcodeCount>& opcode_decode() {
 }
 
 std::uint32_t memory_init(std::uint64_t seed, std::uint32_t addr) {
-  // Cheap stateless hash: deterministic initial memory image without
-  // materialising the whole array eagerly would also be possible, but the
-  // image is small; we use this to fill it.
+  // Word `addr` of the initial memory image: a stateless splitmix64-style
+  // hash of (seed, addr), so every run with the same seed starts from the
+  // same image.
   std::uint64_t x = seed ^ (0x9E3779B97F4A7C15ull * (addr + 1));
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
@@ -86,6 +87,12 @@ std::uint32_t memory_init(std::uint64_t seed, std::uint32_t addr) {
 }
 
 }  // namespace
+
+void Executor::adopt(ProgramProfile profile) {
+  TE_REQUIRE(profile_.runs == 0, "adopt() needs an executor that has not run");
+  TE_REQUIRE(profile.blocks.size() == program_.block_count(), "profile/program mismatch");
+  profile_ = std::move(profile);
+}
 
 std::uint64_t Executor::run(const ProgramInput& input) {
   TE_REQUIRE(input.registers.size() <= kRegisterCount, "too many initial registers");

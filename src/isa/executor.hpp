@@ -105,9 +105,18 @@ class Executor {
   /// number of instructions executed in this run.
   std::uint64_t run(const ProgramInput& input);
 
+  /// Take over a profile recorded earlier by an executor of the same
+  /// program, CFG and configuration over the same inputs (the artifact
+  /// cache's `profile`), instead of running them.  Only an executor that
+  /// has not run may adopt one.
+  void adopt(ProgramProfile profile);
+
   [[nodiscard]] const ProgramProfile& profile() const { return profile_; }
   [[nodiscard]] const Program& program() const { return program_; }
   [[nodiscard]] const Cfg& cfg() const { return cfg_; }
+  /// Virtual address of block `b`'s first instruction; instruction k of
+  /// the block sits at block_pc(b) + 4k (InstrDynContext::pc).
+  [[nodiscard]] std::uint32_t block_pc(BlockId b) const { return block_pc_[b]; }
 
  private:
   const Program& program_;

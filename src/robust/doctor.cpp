@@ -72,7 +72,9 @@ std::string check_pool() {
 std::string check_solver() {
   // Well-conditioned 3x3: must solve directly (not degraded) to a tiny
   // residual.
-  const auto healthy = core::solve_scc_robust({4, 1, 0, 1, 3, 1, 0, 1, 2}, {6, 10, 7});
+  core::SparseLu lu;
+  const auto healthy = core::solve_scc_robust(
+      lu, core::SparseMatrix::from_dense({4, 1, 0, 1, 3, 1, 0, 1, 2}, 3), {6, 10, 7});
   if (healthy.degraded || healthy.residual > 1e-9) {
     raise(Category::kNumerical,
           "well-conditioned solve degraded or inaccurate (residual " +
@@ -80,7 +82,8 @@ std::string check_solver() {
   }
   // Numerically singular: the robust path must still return a finite,
   // clamped result and flag the degradation.
-  const auto sick = core::solve_scc_robust({1, 1, 1, 1}, {0.5, 0.5});
+  const auto sick =
+      core::solve_scc_robust(lu, core::SparseMatrix::from_dense({1, 1, 1, 1}, 2), {0.5, 0.5});
   if (!sick.degraded) {
     raise(Category::kNumerical, "singular solve was not flagged as degraded");
   }

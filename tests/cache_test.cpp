@@ -6,18 +6,22 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/artifact_cache.hpp"
 #include "cache/key.hpp"
 #include "cache/serialize.hpp"
 #include "core/framework.hpp"
+#include "isa/cfg.hpp"
+#include "isa/executor.hpp"
 #include "netlist/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "support/hash.hpp"
@@ -81,6 +85,38 @@ TEST(Keys, ProgramHashIgnoresNameButNotCode) {
 
   isa::Program other = workloads::generate_program(workloads::mibench_specs()[0]);
   EXPECT_NE(hash_program(p1), hash_program(other));
+}
+
+TEST(Keys, InputAndExecutorHashesReactToEveryField) {
+  const std::vector<isa::ProgramInput> inputs = {{{1, 2, 3}, 11}, {{4, 5}, 12}};
+  const std::uint64_t base = hash_inputs(inputs);
+  EXPECT_EQ(hash_inputs(inputs), base);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    for (std::size_t r = 0; r < inputs[i].registers.size(); ++r) {
+      auto changed = inputs;
+      changed[i].registers[r] ^= 1u;
+      EXPECT_NE(hash_inputs(changed), base) << "input " << i << " register " << r;
+    }
+    auto reseeded = inputs;
+    reseeded[i].memory_seed += 1;
+    EXPECT_NE(hash_inputs(reseeded), base) << "input " << i << " memory seed";
+  }
+  EXPECT_NE(hash_inputs({inputs[1], inputs[0]}), base);  // order
+  EXPECT_NE(hash_inputs({inputs[0]}), base);
+
+  const isa::ExecutorConfig cfg;
+  const std::uint64_t cfg_base = hash_executor_config(cfg);
+  auto expect_reacts = [&](auto mutate, const char* field) {
+    isa::ExecutorConfig changed = cfg;
+    mutate(changed);
+    EXPECT_NE(hash_executor_config(changed), cfg_base) << field;
+  };
+  expect_reacts([](isa::ExecutorConfig& c) { c.max_instructions += 1; }, "max_instructions");
+  expect_reacts([](isa::ExecutorConfig& c) { c.samples_per_edge += 1; }, "samples_per_edge");
+  expect_reacts([](isa::ExecutorConfig& c) { c.memory_words += 1; }, "memory_words");
+  expect_reacts([](isa::ExecutorConfig& c) { c.sampling_seed += 1; }, "sampling_seed");
+  expect_reacts([](isa::ExecutorConfig& c) { c.record_block_trace = !c.record_block_trace; },
+                "record_block_trace");
 }
 
 // --- codecs ------------------------------------------------------------------
@@ -172,6 +208,206 @@ TEST(Codec, ControlRejectsGarbageLengths) {
   EXPECT_FALSE(decode_control(r, spec).has_value());
 }
 
+bool same_context(const isa::ExContext& a, const isa::ExContext& b) {
+  return a.a == b.a && a.b == b.b && a.unit == b.unit && a.op == b.op;
+}
+
+void expect_same_samples(const isa::EdgeSamples& a, const isa::EdgeSamples& b,
+                         const std::string& at) {
+  EXPECT_EQ(a.seen, b.seen) << at;
+  ASSERT_EQ(a.samples.size(), b.samples.size()) << at;
+  for (std::size_t s = 0; s < a.samples.size(); ++s) {
+    const auto& x = a.samples[s].instrs;
+    const auto& y = b.samples[s].instrs;
+    ASSERT_EQ(x.size(), y.size()) << at << " sample " << s;
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      if (!same_context(x[k].cur, y[k].cur) || !same_context(x[k].prev, y[k].prev) ||
+          x[k].result != y[k].result || x[k].pc != y[k].pc) {
+        ADD_FAILURE() << at << " sample " << s << " instr " << k << " differs";
+        return;
+      }
+    }
+  }
+}
+
+/// Field-by-field equality of two profiles.
+void expect_same_profile(const isa::ProgramProfile& a, const isa::ProgramProfile& b) {
+  EXPECT_EQ(a.total_instructions, b.total_instructions);
+  EXPECT_EQ(a.runs, b.runs);
+  ASSERT_EQ(a.blocks.size(), b.blocks.size());
+  for (std::size_t i = 0; i < a.blocks.size(); ++i) {
+    const isa::BlockProfile& x = a.blocks[i];
+    const isa::BlockProfile& y = b.blocks[i];
+    const std::string at = "block " + std::to_string(i);
+    EXPECT_EQ(x.executions, y.executions) << at;
+    EXPECT_EQ(x.entry_count, y.entry_count) << at;
+    EXPECT_EQ(x.edge_counts, y.edge_counts) << at;
+    ASSERT_EQ(x.edge_samples.size(), y.edge_samples.size()) << at;
+    for (std::size_t j = 0; j < x.edge_samples.size(); ++j)
+      expect_same_samples(x.edge_samples[j], y.edge_samples[j], at + " edge " + std::to_string(j));
+    expect_same_samples(x.entry_samples, y.entry_samples, at + " entry");
+  }
+  ASSERT_EQ(a.block_traces.size(), b.block_traces.size());
+  for (std::size_t t = 0; t < a.block_traces.size(); ++t) {
+    ASSERT_EQ(a.block_traces[t].size(), b.block_traces[t].size()) << "trace " << t;
+    for (std::size_t k = 0; k < a.block_traces[t].size(); ++k) {
+      EXPECT_EQ(a.block_traces[t][k].block, b.block_traces[t][k].block) << "trace " << t;
+      EXPECT_EQ(a.block_traces[t][k].incoming_edge, b.block_traces[t][k].incoming_edge)
+          << "trace " << t;
+    }
+  }
+}
+
+/// A program with its CFG and an executor that ran it: what the profile
+/// codec encodes from and decodes against.
+struct Executed {
+  isa::Program program;
+  isa::Cfg cfg;
+  isa::Executor executor;
+  Executed(isa::Program p, const isa::ExecutorConfig& config,
+           const std::vector<isa::ProgramInput>& inputs)
+      : program(std::move(p)), cfg(program), executor(program, cfg, config) {
+    for (const auto& in : inputs) executor.run(in);
+  }
+  /// `runs` generated inputs of `spec`.
+  Executed(const workloads::WorkloadSpec& spec, const isa::ExecutorConfig& config,
+           std::size_t runs)
+      : Executed(workloads::generate_program(spec), config,
+                 workloads::generate_inputs(spec, runs, 7)) {}
+};
+
+/// B0 -> B1 (a counted loop over a load and an add) -> B2: small enough
+/// to decode every prefix of its profile.
+isa::Program loop_program() {
+  const auto ins = [](isa::Opcode op, int rd, int rs1, int rs2, int imm) {
+    isa::Instruction i;
+    i.op = op;
+    i.rd = static_cast<std::uint8_t>(rd);
+    i.rs1 = static_cast<std::uint8_t>(rs1);
+    i.rs2 = static_cast<std::uint8_t>(rs2);
+    i.imm = imm;
+    return i;
+  };
+  isa::Program p("loop");
+  isa::BasicBlock b0;
+  b0.instructions = {ins(isa::Opcode::kMovi, 1, 0, 0, 40)};
+  isa::BasicBlock b1;
+  b1.instructions = {ins(isa::Opcode::kLd, 2, 1, 0, 3), ins(isa::Opcode::kAdd, 3, 3, 2, 0),
+                     ins(isa::Opcode::kSubi, 1, 1, 0, 1), ins(isa::Opcode::kBne, 0, 1, 0, 0)};
+  isa::BasicBlock b2;
+  b2.instructions = {ins(isa::Opcode::kXor, 4, 3, 2, 0)};
+  p.add_block(b0);
+  p.add_block(b1);
+  p.add_block(b2);
+  p.block(0).fallthrough = 1;
+  p.block(1).taken = 1;
+  p.block(1).fallthrough = 2;
+  p.set_entry(0);
+  p.validate();
+  return p;
+}
+
+std::vector<std::uint8_t> encoded(const isa::ProgramProfile& profile) {
+  ByteWriter w;
+  encode_profile(profile, hash_profile(profile), w);
+  return w.take();
+}
+
+/// Decode against `ex`'s executor layout, and check the round trip.
+void expect_round_trip(const Executed& ex) {
+  const std::vector<std::uint8_t> bytes = encoded(ex.executor.profile());
+  ByteReader r(bytes);
+  const auto back = decode_profile(r, ex.executor);
+  ASSERT_TRUE(back.has_value()) << ex.program.name();
+  expect_same_profile(back->profile, ex.executor.profile());
+  EXPECT_EQ(back->digest, hash_profile(back->profile)) << ex.program.name();
+}
+
+TEST(Codec, ProfileRoundTripsExactly) {
+  isa::ExecutorConfig config;
+  config.max_instructions = 20000;
+  for (const auto& spec : workloads::mibench_specs()) expect_round_trip(Executed(spec, config, 2));
+
+  // A run cut mid-block by its budget leaves a sample shorter than its
+  // block; look for a budget that does.
+  const auto& spec = workloads::mibench_specs()[3];
+  const isa::Program program = workloads::generate_program(spec);
+  const auto inputs = workloads::generate_inputs(spec, 1, 7);
+  bool cut = false;
+  for (std::uint64_t budget = 50; budget < 400 && !cut; ++budget) {
+    isa::ExecutorConfig small;
+    small.max_instructions = budget;
+    small.memory_words = 256;
+    const Executed ex(program, small, inputs);
+    for (isa::BlockId b = 0; b < ex.program.block_count() && !cut; ++b) {
+      const isa::BlockProfile& bp = ex.executor.profile().blocks[b];
+      auto short_sample = [&](const isa::EdgeSamples& es) {
+        for (const auto& sample : es.samples)
+          if (sample.instrs.size() < ex.program.block(b).size()) return true;
+        return false;
+      };
+      cut = short_sample(bp.entry_samples) ||
+            std::any_of(bp.edge_samples.begin(), bp.edge_samples.end(), short_sample);
+    }
+    if (cut) expect_round_trip(ex);
+  }
+  EXPECT_TRUE(cut) << "no budget cut a sampled block short";
+
+  isa::ExecutorConfig traced = config;
+  traced.record_block_trace = true;
+  const Executed ex(spec, traced, 2);
+  ASSERT_EQ(ex.executor.profile().block_traces.size(), 2u);
+  ASSERT_FALSE(ex.executor.profile().block_traces[0].empty());
+  expect_round_trip(ex);
+}
+
+TEST(Codec, ProfileRejectsEveryTruncation) {
+  // Two runs, each cut mid-loop by the budget, with block traces and
+  // reservoirs that replace samples.
+  isa::ExecutorConfig config;
+  config.max_instructions = 90;
+  config.samples_per_edge = 2;
+  config.record_block_trace = true;
+  const Executed ex(loop_program(), config, {{{0, 0, 0, 5}, 1}, {{}, 2}});
+  ASSERT_EQ(ex.executor.profile().runs, 2u);
+  const std::vector<std::uint8_t> bytes = encoded(ex.executor.profile());
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    ByteReader r(bytes.data(), len);
+    EXPECT_FALSE(decode_profile(r, ex.executor).has_value()) << "length " << len;
+  }
+  auto extended = bytes;
+  extended.push_back(0);
+  ByteReader r(extended);
+  EXPECT_FALSE(decode_profile(r, ex.executor).has_value());
+}
+
+TEST(Codec, ProfileRejectsGarbageLengthsAndOtherPrograms) {
+  isa::ExecutorConfig config;
+  config.max_instructions = 2000;
+  const Executed ex(workloads::mibench_specs()[3], config, 1);
+  const std::vector<std::uint8_t> bytes = encoded(ex.executor.profile());
+  {
+    ByteReader r(bytes);
+    ASSERT_TRUE(decode_profile(r, ex.executor).has_value());
+  }
+
+  // A huge sample count in block 0's first reservoir must not allocate.
+  // Layout: total, runs, block count, then block 0's executions, entry
+  // count, in-degree, edge counts and its first reservoir's `seen`.
+  const std::size_t indegree = ex.cfg.indegree(0);
+  const std::size_t offset = 8 * (6 + indegree + 1);
+  auto garbage = bytes;
+  for (std::size_t i = 0; i < 8; ++i) garbage[offset + i] = 0xff;
+  ByteReader r(garbage);
+  EXPECT_FALSE(decode_profile(r, ex.executor).has_value());
+
+  // The profile of one program does not decode against another's layout.
+  const Executed other(workloads::mibench_specs()[0], config, 1);
+  ASSERT_NE(other.program.block_count(), ex.program.block_count());
+  ByteReader mismatch(bytes);
+  EXPECT_FALSE(decode_profile(mismatch, other.executor).has_value());
+}
+
 // --- artifact files ----------------------------------------------------------
 
 TEST(ArtifactCache, StoreLoadRoundTrip) {
@@ -236,6 +472,7 @@ const netlist::Pipeline& pipeline() {
 struct RunOutput {
   core::BenchmarkResult result;
   std::vector<std::uint8_t> control_bytes;
+  isa::ProgramProfile profile;
 };
 
 RunOutput run_once(const std::string& dir) {
@@ -247,6 +484,7 @@ RunOutput run_once(const std::string& dir) {
   ByteWriter w;
   encode_control(fw.last().control, fw.config().spec, w);
   out.control_bytes = w.take();
+  out.profile = fw.last().executor->profile();
   return out;
 }
 
@@ -270,6 +508,9 @@ TEST(WarmStart, WarmRunIsBitIdenticalAndSkipsCharacterization) {
   // reproduce the cold one bit for bit.
   expect_bit_identical(uncached, cold);
   expect_bit_identical(cold, warm);
+  // The warm run adopted the cold run's profile instead of executing.
+  expect_same_profile(warm.profile, cold.profile);
+  expect_same_profile(cold.profile, uncached.profile);
 
   EXPECT_EQ(cold.result.cache_hits, 0u);
   EXPECT_GT(cold.result.cache_misses, 0u);
@@ -308,7 +549,7 @@ TEST(WarmStart, CorruptArtifactSilentlyRecomputes) {
     f.put('\xA5');
     ++damaged;
   }
-  ASSERT_EQ(damaged, 2u);  // control + datapath
+  ASSERT_EQ(damaged, 3u);  // control + datapath + profile
 
   const std::uint64_t corrupt_before =
       obs::MetricsRegistry::instance().counter("cache.corrupt").value();

@@ -5,8 +5,10 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/error_model.hpp"
@@ -18,6 +20,7 @@
 #include "isa/executor.hpp"
 #include "netlist/pipeline.hpp"
 #include "obs/metrics.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 #include "workloads/generator.hpp"
 
@@ -37,7 +40,74 @@ isa::Instruction make(Opcode op, int rd = 0, int rs1 = 0, int rs2 = 0, int imm =
   return i;
 }
 
-// --- solve_dense -------------------------------------------------------------
+// --- solve_dense: the reference SparseLu reproduces ----------------------------
+
+/// Gaussian elimination with partial pivoting over the full n*n row-major
+/// matrix `a` (overwritten): the dense solver SparseLu replaced, kept
+/// here as the reference it must match bit for bit.
+std::vector<double> solve_dense(std::vector<double> a, std::vector<double> b) {
+  const std::size_t n = b.size();
+  TE_REQUIRE(a.size() == n * n, "matrix size mismatch");
+  double max_abs = 0.0;
+  for (const double v : a) max_abs = std::max(max_abs, std::fabs(v));
+  TE_REQUIRE(max_abs > 0.0, "singular system");
+  const double pivot_tol = 1e-14 * max_abs;
+  for (std::size_t col = 0; col < n; ++col) {
+    std::size_t pivot = col;
+    for (std::size_t r = col + 1; r < n; ++r) {
+      if (std::fabs(a[r * n + col]) > std::fabs(a[pivot * n + col])) pivot = r;
+    }
+    TE_REQUIRE(std::fabs(a[pivot * n + col]) > pivot_tol, "singular system");
+    if (pivot != col) {
+      for (std::size_t c = 0; c < n; ++c) std::swap(a[col * n + c], a[pivot * n + c]);
+      std::swap(b[col], b[pivot]);
+    }
+    const double inv = 1.0 / a[col * n + col];
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double f = a[r * n + col] * inv;
+      if (f == 0.0) continue;
+      for (std::size_t c = col; c < n; ++c) a[r * n + c] -= f * a[col * n + c];
+      b[r] -= f * b[col];
+    }
+  }
+  std::vector<double> x(n, 0.0);
+  for (std::size_t ri = n; ri-- > 0;) {
+    double s = b[ri];
+    for (std::size_t c = ri + 1; c < n; ++c) s -= a[ri * n + c] * x[c];
+    x[ri] = s / a[ri * n + ri];
+  }
+  return x;
+}
+
+std::vector<double> solve_sparse(const std::vector<double>& a, const std::vector<double>& b) {
+  SparseLu lu;
+  return lu.solve(SparseMatrix::from_dense(a, b.size()), b);
+}
+
+/// Both solvers on one system: both throw std::invalid_argument, or both
+/// return the same bits.
+void expect_same_as_dense(const SparseMatrix& sparse, const std::vector<double>& dense,
+                          const std::vector<double>& b, const std::string& what) {
+  SparseLu lu;
+  std::optional<std::vector<double>> want;
+  std::optional<std::vector<double>> got;
+  try {
+    want = solve_dense(dense, b);
+  } catch (const std::invalid_argument&) {
+  }
+  try {
+    got = lu.solve(sparse, b);
+  } catch (const std::invalid_argument&) {
+  }
+  ASSERT_EQ(got.has_value(), want.has_value()) << what << ": only one solver threw";
+  if (!want) return;
+  ASSERT_EQ(got->size(), want->size()) << what;
+  for (std::size_t i = 0; i < want->size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>((*got)[i]), std::bit_cast<std::uint64_t>((*want)[i]))
+        << what << ": x[" << i << "] " << (*got)[i] << " vs " << (*want)[i];
+  }
+}
+
 
 TEST(SolveDense, SolvesKnownSystem) {
   // [2 1; 1 3] x = [5; 10] -> x = (1, 3).
@@ -91,6 +161,290 @@ TEST(SolveDense, RandomRoundTrip) {
     const auto x = solve_dense(a, b);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
   }
+}
+
+// --- SparseLu ------------------------------------------------------------------
+
+TEST(SparseLu, SolvesKnownSystem) {
+  const auto x = solve_sparse({2, 1, 1, 3}, {5, 10});
+  ASSERT_EQ(x.size(), 2u);
+  EXPECT_NEAR(x[0], 1.0, 1e-12);
+  EXPECT_NEAR(x[1], 3.0, 1e-12);
+}
+
+TEST(SparseLu, PivotsOnZeroDiagonal) {
+  // The diagonal entries are absent, not stored zeros.
+  const auto x = solve_sparse({0, 1, 1, 0}, {2, 3});
+  EXPECT_NEAR(x[0], 3.0, 1e-12);
+  EXPECT_NEAR(x[1], 2.0, 1e-12);
+}
+
+TEST(SparseLu, RejectsSingular) {
+  EXPECT_THROW(solve_sparse({1, 2, 2, 4}, {1, 2}), std::invalid_argument);
+  EXPECT_THROW(solve_sparse({0, 0, 0, 0}, {1, 2}), std::invalid_argument);
+  // Column 1 holds no entry at all.
+  EXPECT_THROW(solve_sparse({1, 0, 0, 2, 0, 0, 0, 0, 3}, {1, 2, 3}), std::invalid_argument);
+}
+
+TEST(SparseLu, PivotToleranceIsRelativeToTheLargestEntry) {
+  const double s = 1e-15;
+  const auto x = solve_sparse({2 * s, 1 * s, 1 * s, 3 * s}, {5 * s, 10 * s});
+  ASSERT_EQ(x.size(), 2u);
+  EXPECT_NEAR(x[0], 1.0, 1e-9);
+  EXPECT_NEAR(x[1], 3.0, 1e-9);
+  EXPECT_THROW(solve_sparse({1 * s, 2 * s, 2 * s, 4 * s}, {s, 2 * s}), std::invalid_argument);
+  // The threshold sits at 1e-14 times the largest |entry|, as in the
+  // dense elimination, on both sides of it and at any scale.
+  for (const double scale : {1e-150, 1.0, 1e150}) {
+    for (const double pivot : {0.99e-14, 1.01e-14}) {
+      const std::vector<double> a = {scale, 0.0, 0.0, pivot * scale};
+      const std::vector<double> b = {scale, scale};
+      expect_same_as_dense(SparseMatrix::from_dense(a, 2), a, b, "tolerance");
+    }
+    EXPECT_THROW(solve_sparse({scale, 0.0, 0.0, 0.99e-14 * scale}, {1, 1}),
+                 std::invalid_argument);
+    EXPECT_NO_THROW((void)solve_sparse({scale, 0.0, 0.0, 1.01e-14 * scale}, {1, 1}));
+  }
+}
+
+TEST(SparseLu, RandomRoundTrip) {
+  support::Rng rng(3);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(6);
+    std::vector<double> a(n * n);
+    std::vector<double> x_true(n);
+    for (auto& v : a) v = rng.uniform(-1.0, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i * n + i] += 3.0;  // diagonally dominant => nonsingular
+      x_true[i] = rng.uniform(-5.0, 5.0);
+    }
+    std::vector<double> b(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) b[i] += a[i * n + j] * x_true[j];
+    const auto x = solve_sparse(a, b);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
+    expect_same_as_dense(SparseMatrix::from_dense(a, n), a, b, "dense random");
+  }
+}
+
+/// A CFG-shaped system: row i holds its diagonal and 1-3 predecessor
+/// columns (the fall-through from i-1 and random jumps).  Small
+/// diagonals force row swaps, and elimination fills in.  A tenth of the
+/// predecessor entries are exact zeros, kept as stored entries in the
+/// returned sparse form.  `ties` draws the values from a few powers of
+/// two, so pivot candidates often tie.
+struct CfgSystem {
+  std::vector<double> dense;
+  SparseMatrix with_zeros;
+  std::vector<double> b;
+};
+
+CfgSystem cfg_like_system(support::Rng& rng, std::size_t n, bool ties) {
+  const auto value = [&](double lo, double hi) {
+    if (!ties) return rng.uniform(lo, hi);
+    const double v = std::ldexp(1.0, static_cast<int>(rng.uniform_index(3)) - 1);  // 0.5, 1, 2
+    return std::clamp(lo < 0.0 && rng.uniform(0.0, 1.0) < 0.5 ? -v : v, lo, hi);
+  };
+  CfgSystem sys;
+  sys.dense.assign(n * n, 0.0);
+  sys.with_zeros.rows.resize(n);
+  sys.b.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::set<std::size_t> cols = {i};
+    const std::size_t preds = 1 + rng.uniform_index(3);
+    if (i > 0) cols.insert(i - 1);
+    while (cols.size() < preds + 1 && cols.size() < n) cols.insert(rng.uniform_index(n));
+    for (const std::size_t c : cols) {
+      double v = 0.0;
+      if (c == i) {
+        v = value(0.5, 1.0) * (rng.uniform(0.0, 1.0) < 0.3 ? 1e-3 : 1.0);
+      } else if (rng.uniform(0.0, 1.0) >= 0.1) {
+        v = value(-2.0, 2.0);
+      }
+      sys.dense[i * n + c] = v;
+      sys.with_zeros.rows[i].push_back({static_cast<std::uint32_t>(c), v});
+    }
+    sys.b[i] = rng.uniform(0.0, 1.0);
+  }
+  return sys;
+}
+
+TEST(SparseLu, MatchesDenseBitForBitOnCfgLikeSystems) {
+  support::Rng rng(2026);
+  std::size_t swaps_possible = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(200);
+    const CfgSystem sys = cfg_like_system(rng, n, trial % 2 == 1);
+    const std::string what = "trial " + std::to_string(trial) + " n=" + std::to_string(n);
+    expect_same_as_dense(sys.with_zeros, sys.dense, sys.b, what + " (stored zeros)");
+    expect_same_as_dense(SparseMatrix::from_dense(sys.dense, n), sys.dense, sys.b,
+                         what + " (zeros dropped)");
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      if (std::fabs(sys.dense[(i + 1) * n + i]) > std::fabs(sys.dense[i * n + i]))
+        ++swaps_possible;
+    }
+
+    // A scaled copy exercises the relative pivot tolerance.
+    std::vector<double> tiny = sys.dense;
+    for (double& v : tiny) v *= 1e-200;
+    expect_same_as_dense(SparseMatrix::from_dense(tiny, n), tiny, sys.b, what + " (scaled)");
+
+    // Singular: row 0 repeated as the last row.
+    if (n >= 2) {
+      std::vector<double> singular = sys.dense;
+      std::copy_n(singular.begin(), n, singular.begin() + static_cast<std::ptrdiff_t>((n - 1) * n));
+      expect_same_as_dense(SparseMatrix::from_dense(singular, n), singular, sys.b,
+                           what + " (singular)");
+    }
+  }
+  EXPECT_GT(swaps_possible, 100u);  // the systems do exercise pivoting
+}
+
+TEST(SparseLu, ExactZerosAreDropped) {
+  const SparseMatrix m = SparseMatrix::from_dense({1, 0, 0, 0, 2, 0, 3, 0, 4}, 3);
+  ASSERT_EQ(m.size(), 3u);
+  EXPECT_EQ(m.rows[0].size(), 1u);
+  EXPECT_EQ(m.rows[1].size(), 1u);
+  ASSERT_EQ(m.rows[2].size(), 2u);
+  EXPECT_EQ(m.rows[2][0].col, 0u);
+  EXPECT_EQ(m.rows[2][1].col, 2u);
+  EXPECT_EQ(m.rows[2][1].value, 4.0);
+}
+
+/// The dense form of solve_scc_robust (no fault site): the reference its
+/// sparse residual, refinement and fixed point must match bit for bit.
+RobustSolveResult solve_scc_robust_dense(const std::vector<double>& a,
+                                         const std::vector<double>& b) {
+  const std::size_t n = b.size();
+  const auto residual_of = [&](const std::vector<double>& x) {
+    double r = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double ax = 0.0;
+      for (std::size_t c = 0; c < n; ++c) ax += a[i * n + c] * x[c];
+      r = std::max(r, std::fabs(ax - b[i]));
+    }
+    return r;
+  };
+  const auto finite = [](const std::vector<double>& x) {
+    return std::all_of(x.begin(), x.end(), [](double v) { return std::isfinite(v); });
+  };
+  double b_scale = 1.0;
+  for (const double v : b) b_scale = std::max(b_scale, std::fabs(v));
+  const double accept = 1e-8 * b_scale;
+  RobustSolveResult out;
+  bool solved = false;
+  try {
+    out.x = solve_dense(a, b);
+    solved = finite(out.x);
+    if (solved) {
+      out.residual = residual_of(out.x);
+      if (out.residual > accept) {
+        out.degraded = true;
+        std::vector<double> r(n, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+          double ax = 0.0;
+          for (std::size_t c = 0; c < n; ++c) ax += a[i * n + c] * out.x[c];
+          r[i] = b[i] - ax;
+        }
+        const std::vector<double> dx = solve_dense(a, r);
+        std::vector<double> refined = out.x;
+        for (std::size_t i = 0; i < n; ++i) refined[i] += dx[i];
+        if (finite(refined) && residual_of(refined) < out.residual) {
+          out.residual = residual_of(refined);
+          out.x = std::move(refined);
+        }
+        solved = out.residual <= accept;
+      }
+    }
+  } catch (const std::invalid_argument&) {
+    solved = false;
+  }
+  if (solved) return out;
+  out.degraded = true;
+  std::vector<double> x(n, 0.0);
+  std::vector<double> next(n, 0.0);
+  for (int iter = 0; iter < 256; ++iter) {
+    double delta = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double v = b[i];
+      for (std::size_t c = 0; c < n; ++c) {
+        const double cij = (i == c ? 1.0 : 0.0) - a[i * n + c];
+        if (cij != 0.0) v += cij * x[c];
+      }
+      if (!std::isfinite(v)) v = 0.0;
+      v = std::clamp(v, 0.0, 1.0);
+      delta = std::max(delta, std::fabs(v - x[i]));
+      next[i] = v;
+    }
+    x.swap(next);
+    if (delta < 1e-12) break;
+  }
+  out.x = std::move(x);
+  out.residual = residual_of(out.x);
+  return out;
+}
+
+TEST(SparseLu, RobustSolveMatchesTheDenseFormulasBitForBit) {
+  const auto expect_same = [](const std::vector<double>& a, const std::vector<double>& b,
+                              const std::string& what) {
+    SparseLu lu;
+    const RobustSolveResult got =
+        solve_scc_robust(lu, SparseMatrix::from_dense(a, b.size()), b);
+    const RobustSolveResult want = solve_scc_robust_dense(a, b);
+    EXPECT_EQ(got.degraded, want.degraded) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.residual),
+              std::bit_cast<std::uint64_t>(want.residual))
+        << what;
+    ASSERT_EQ(got.x.size(), want.x.size()) << what;
+    for (std::size_t i = 0; i < want.x.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.x[i]), std::bit_cast<std::uint64_t>(want.x[i]))
+          << what << ": x[" << i << "]";
+    }
+  };
+  // Direct solves of marginal-shaped systems: I minus sub-stochastic
+  // predecessor weights.
+  support::Rng rng(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = 2 + rng.uniform_index(60);
+    std::vector<double> a(n * n, 0.0);
+    std::vector<double> b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i * n + i] = 1.0;
+      for (int k = 0; k < 2; ++k) a[i * n + rng.uniform_index(n)] -= rng.uniform(0.0, 0.45);
+      b[i] = rng.uniform(0.0, 1.0);
+    }
+    expect_same(a, b, "trial " + std::to_string(trial));
+  }
+  // Ill-conditioned: the direct residual exceeds the acceptance
+  // threshold, so the refinement step runs.
+  auto& metrics = obs::MetricsRegistry::instance();
+  const std::uint64_t refinements = metrics.counter("solver.refinements").value();
+  // Wilkinson's matrix: partial pivoting grows its last column by 2^(n-1).
+  const std::size_t w = 60;
+  std::vector<double> wilkinson(w * w, 0.0);
+  std::vector<double> wb(w);
+  for (std::size_t i = 0; i < w; ++i) {
+    for (std::size_t c = 0; c < i; ++c) wilkinson[i * w + c] = -1.0;
+    wilkinson[i * w + i] = 1.0;
+    wilkinson[i * w + w - 1] = 1.0;
+    wb[i] = rng.uniform(0.0, 1.0);
+  }
+  expect_same(wilkinson, wb, "refinement");
+  EXPECT_EQ(metrics.counter("solver.refinements").value(), refinements + 1);
+  // Singular: the fixed point runs, over a stored and an absent diagonal.
+  const std::uint64_t fallbacks = metrics.counter("solver.fixed_point_fallbacks").value();
+  expect_same({1.0, 1.0, 1.0, 1.0}, {0.5, 0.5}, "singular");
+  expect_same({0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0}, {0.25, 0.5, 0.75}, "no diagonal");
+  EXPECT_EQ(metrics.counter("solver.fixed_point_fallbacks").value(), fallbacks + 2);
+}
+
+TEST(SparseLu, CountsOneLinearSolvePerCall) {
+  obs::Counter& solves = obs::MetricsRegistry::instance().counter("solver.linear_solves");
+  const std::uint64_t before = solves.value();
+  (void)solve_sparse({2, 1, 1, 3}, {5, 10});
+  EXPECT_EQ(solves.value(), before + 1);
+  EXPECT_THROW((void)solve_sparse({1, 2, 2, 4}, {1, 2}), std::invalid_argument);
+  EXPECT_EQ(solves.value(), before + 2);
 }
 
 // --- Marginal solver on a hand-built program ----------------------------------

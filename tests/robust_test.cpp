@@ -260,15 +260,17 @@ TEST_F(RobustTest, UnwritableCacheDirDegradesButAnalyzeSucceeds) {
 
 TEST_F(RobustTest, SolverFallbackIsFiniteAndFlagged) {
   // Healthy diagonally dominant system: direct solve, not degraded.
-  const core::RobustSolveResult healthy =
-      core::solve_scc_robust({4.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 2.0}, {6.0, 10.0, 7.0});
+  core::SparseLu lu;
+  const core::RobustSolveResult healthy = core::solve_scc_robust(
+      lu, core::SparseMatrix::from_dense({4.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 2.0}, 3),
+      {6.0, 10.0, 7.0});
   EXPECT_FALSE(healthy.degraded);
   EXPECT_LE(healthy.residual, 1e-9);
 
   // Singular system: refinement cannot help; the bounded fixed point must
   // produce a finite, clamped, flagged answer.
-  const core::RobustSolveResult singular =
-      core::solve_scc_robust({1.0, 1.0, 1.0, 1.0}, {0.5, 0.5});
+  const core::RobustSolveResult singular = core::solve_scc_robust(
+      lu, core::SparseMatrix::from_dense({1.0, 1.0, 1.0, 1.0}, 2), {0.5, 0.5});
   EXPECT_TRUE(singular.degraded);
   for (const double v : singular.x) {
     EXPECT_TRUE(std::isfinite(v));
@@ -280,15 +282,16 @@ TEST_F(RobustTest, SolverFallbackIsFiniteAndFlagged) {
 TEST_F(RobustTest, InjectedPivotFaultFallsBackNearExactly) {
   // A x = b with ||I - A|| = 0.5: the fixed-point fallback converges, so
   // the degraded answer agrees with the direct solve to solver tolerance.
-  const std::vector<double> a = {1.25, -0.25, -0.25, 1.25};
+  const auto a = core::SparseMatrix::from_dense({1.25, -0.25, -0.25, 1.25}, 2);
   const std::vector<double> b = {1.0, 0.5};
-  const core::RobustSolveResult direct = core::solve_scc_robust(a, b);
+  core::SparseLu lu;
+  const core::RobustSolveResult direct = core::solve_scc_robust(lu, a, b);
   ASSERT_FALSE(direct.degraded);
 
   robust::FaultInjector::instance().arm(robust::FaultPlan::parse("solver.pivot:scc=3"));
-  const core::RobustSolveResult unfired = core::solve_scc_robust(a, b, 7);
+  const core::RobustSolveResult unfired = core::solve_scc_robust(lu, a, b, 7);
   EXPECT_FALSE(unfired.degraded);  // plan names SCC 3, key 7 passes through
-  const core::RobustSolveResult faulted = core::solve_scc_robust(a, b, 3);
+  const core::RobustSolveResult faulted = core::solve_scc_robust(lu, a, b, 3);
   robust::FaultInjector::instance().disarm();
 
   EXPECT_TRUE(faulted.degraded);
