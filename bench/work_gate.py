@@ -20,7 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "bench" / "work_baseline.json"
 WORK_DIR = ROOT / ".bench_build" / "work"
-WORKLOADS = ("table2_cold", "warm_large")
+WORKLOADS = ("table2_cold", "sweep_2t", "warm_large")
 SEED = 2026
 
 

@@ -22,7 +22,8 @@ ControlCharacterizer::ControlCharacterizer(const netlist::Pipeline& pipeline,
       vm_(vm),
       dts_config_(dts_config),
       paths_(pipeline.netlist),
-      own_(pipeline, vm, spec, dts_config, paths_),
+      closure_(pipeline.netlist.sequential_closure(control_endpoints())),
+      own_(pipeline, vm, spec, dts_config, paths_, closure_),
       config_(config) {
   TE_REQUIRE(config.pred_tail >= 0 && config.warmup_nops >= 0, "negative context lengths");
 }
@@ -55,12 +56,10 @@ void append_block_slots(std::vector<FetchSlot>& slots, const isa::BasicBlock& bl
 
 }  // namespace
 
-EdgeControlDts ControlCharacterizer::characterize_edge_with(WorkerContext& ctx,
-                                                            const isa::Program& program,
-                                                            const isa::Cfg& cfg,
-                                                            const isa::ProgramProfile& profile,
-                                                            BlockId block,
-                                                            std::ptrdiff_t edge) const {
+EdgeControlDts ControlCharacterizer::characterize_edge_with(
+    WorkerContext& ctx, const PipelineDriver::Prefix& warmup, const isa::Program& program,
+    const isa::Cfg& cfg, const isa::ProgramProfile& profile, BlockId block,
+    std::ptrdiff_t edge) const {
   const isa::BasicBlock& blk = program.block(block);
   const isa::BlockProfile& bp = profile.blocks[block];
 
@@ -89,9 +88,7 @@ EdgeControlDts ControlCharacterizer::characterize_edge_with(WorkerContext& ctx,
   }
 
   // Assemble the fetch stream: warm-up bubbles, predecessor tail, block.
-  std::vector<FetchSlot> slots;
-  for (int i = 0; i < config_.warmup_nops; ++i)
-    slots.push_back(FetchSlot::nop(0x100u + 4u * static_cast<std::uint32_t>(i)));
+  std::vector<FetchSlot> slots = warmup.slots;
   if (pred != isa::kNoBlock) {
     const isa::BasicBlock& pb = program.block(pred);
     const std::size_t tail = std::min<std::size_t>(static_cast<std::size_t>(config_.pred_tail),
@@ -110,10 +107,12 @@ EdgeControlDts ControlCharacterizer::characterize_edge_with(WorkerContext& ctx,
   edges_metric.increment();
   slots_metric.increment(slots.size());
 
+  // The last block instruction leaves the last stage kStages - 1 cycles
+  // after its fetch, and no query reads a later cycle.
   std::vector<CycleActivation> cycles;
   {
     obs::ScopedSpan drive_span("sim.drive");
-    cycles = ctx.driver.run(slots);
+    cycles = ctx.driver.run(warmup, slots, netlist::Pipeline::kStages - 1);
   }
 
   // Algorithm 2: instruction DTS = min over the stages it traverses.
@@ -140,12 +139,10 @@ void ControlCharacterizer::warm_paths() {
 }
 
 std::vector<netlist::GateId> ControlCharacterizer::control_endpoints() const {
-  const netlist::Netlist& nl = pipeline_.netlist;
   std::vector<netlist::GateId> endpoints;
   for (std::uint8_t s = 0; s < netlist::Pipeline::kStages; ++s) {
-    for (netlist::GateId e : nl.stage_endpoints(s)) {
-      if (nl.gate(e).endpoint_class == netlist::EndpointClass::kControl) endpoints.push_back(e);
-    }
+    const auto& stage = pipeline_.netlist.stage_cone(s, netlist::EndpointClass::kControl);
+    endpoints.insert(endpoints.end(), stage.endpoints.begin(), stage.endpoints.end());
   }
   return endpoints;
 }
@@ -173,6 +170,13 @@ std::vector<BlockControlDts> ControlCharacterizer::characterize(
   }
   span.counter("tasks", static_cast<double>(tasks.size()));
 
+  // Every stream starts with the same warm-up bubbles: simulate the cycles
+  // that read only them once, here, and resume each stream from there.
+  std::vector<FetchSlot> bubbles;
+  for (int i = 0; i < config_.warmup_nops; ++i)
+    bubbles.push_back(FetchSlot::nop(0x100u + 4u * static_cast<std::uint32_t>(i)));
+  const PipelineDriver::Prefix warmup = own_.driver.run_prefix(std::move(bubbles));
+
   // Warm the shared enumerator once with every control endpoint, then
   // freeze it for the loop: workers only read the path lists.
   warm_paths();
@@ -186,15 +190,16 @@ std::vector<BlockControlDts> ControlCharacterizer::characterize(
       WorkerContext* ctx = &own_;
       if (w != 0) {
         if (!others[w])
-          others[w] = std::make_unique<WorkerContext>(pipeline_, vm_, spec, dts_config_, paths_);
+          others[w] =
+              std::make_unique<WorkerContext>(pipeline_, vm_, spec, dts_config_, paths_, closure_);
         ctx = others[w].get();
       }
       obs::ScopedSpan edge_span("dta.edge");
       edge_span.counter("worker", static_cast<double>(w));
       edge_span.counter("block", static_cast<double>(tasks[i].block));
       edge_span.counter("edge", static_cast<double>(tasks[i].edge));
-      *tasks[i].slot =
-          characterize_edge_with(*ctx, program, cfg, profile, tasks[i].block, tasks[i].edge);
+      *tasks[i].slot = characterize_edge_with(*ctx, warmup, program, cfg, profile,
+                                              tasks[i].block, tasks[i].edge);
     });
   } catch (...) {
     paths_.set_frozen(false);

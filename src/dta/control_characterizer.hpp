@@ -6,6 +6,15 @@
 // activated paths depend on the instruction stream, not on operand values,
 // which is why this expensive gate-level step runs only once per
 // (block, edge) — the paper's key efficiency argument.
+//
+// The gate-level work is confined to what Algorithm 2 reads.  The drivers
+// simulate only the sequential closure of the six control cones (the
+// gates whose values those cones' flags depend on), resume every stream
+// from the state after the warm-up cycles that all streams share, and stop
+// at the last cycle a query reads.  Each stage_dts query runs the
+// activated-arrival DP over its own stage's control cone
+// (Netlist::stage_cone).  All of it is exact: the tables equal a
+// whole-netlist characterisation bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +61,8 @@ class ControlCharacterizer {
   /// pool size, over this characterizer's shared PathEnumerator, warmed
   /// with every control endpoint and frozen for the loop.  Worker 0 (the
   /// caller, and the only worker of a one-thread pool) uses this
-  /// characterizer's own analyzer and driver, so their caches persist
-  /// across calls; every other worker builds its own.  Each result lands
+  /// characterizer's own analyzer and closure driver, so their caches
+  /// persist across calls; every other worker builds its own.  Each result lands
   /// in its pre-sized slot indexed by (block, edge), so AP ordering,
   /// Clark-min folding and the paths enumerated are the same at any
   /// worker count.
@@ -77,14 +86,16 @@ class ControlCharacterizer {
   /// means entry.  A pure function of its arguments plus the
   /// (deterministic, order-independent) analyzer caches, so every worker
   /// computes bit-identical results.
-  EdgeControlDts characterize_edge_with(WorkerContext& ctx, const isa::Program& program,
-                                        const isa::Cfg& cfg, const isa::ProgramProfile& profile,
-                                        isa::BlockId block, std::ptrdiff_t edge) const;
+  EdgeControlDts characterize_edge_with(WorkerContext& ctx, const PipelineDriver::Prefix& warmup,
+                                        const isa::Program& program, const isa::Cfg& cfg,
+                                        const isa::ProgramProfile& profile, isa::BlockId block,
+                                        std::ptrdiff_t edge) const;
 
   const netlist::Pipeline& pipeline_;
   const timing::VariationModel& vm_;
   DtsConfig dts_config_;
   timing::PathEnumerator paths_;  ///< shared by every worker's analyzer
+  netlist::Cone closure_;         ///< sequential closure of the control cones
   WorkerContext own_;             ///< worker 0's analyzer and driver
   ControlCharacterizerConfig config_;
   bool paths_warmed_ = false;

@@ -138,16 +138,26 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
   const std::size_t pass_idx = tasks.size();
   tasks.push_back({Opcode::kMovi, 0, 0, Opcode::kMovi, 0, 0x1234u});
 
+  // One analyzer + driver per worker over a shared enumerator, warmed with
+  // the EX-stage data endpoints and frozen while the tasks run.  The
+  // drivers simulate only those endpoints' sequential closure, and resume
+  // every sequence from the state after the six leading bubbles, which
+  // all sequences share.
+  timing::PathEnumerator shared_paths(pipeline.netlist);
+  const netlist::Cone& ex_data =
+      pipeline.netlist.stage_cone(kExStage, netlist::EndpointClass::kData);
+  const netlist::Cone closure = pipeline.netlist.sequential_closure(ex_data.endpoints);
+  std::vector<FetchSlot> bubbles;
+  for (std::uint32_t i = 0; i < 6; ++i) bubbles.push_back(FetchSlot::nop(0x2000u + 4u * i));
+  const PipelineDriver::Prefix warmup =
+      PipelineDriver(pipeline, closure).run_prefix(std::move(bubbles));
+
   auto measure = [&](WorkerContext& ctx, const MeasureTask& t) -> std::optional<DtsGaussian> {
     static obs::Counter& measurements =
         obs::MetricsRegistry::instance().counter("dta.train_measurements");
     measurements.increment();
-    std::vector<FetchSlot> slots;
-    std::uint32_t pc = 0x2000;
-    for (int i = 0; i < 6; ++i) {
-      slots.push_back(FetchSlot::nop(pc));
-      pc += 4;
-    }
+    std::vector<FetchSlot> slots = warmup.slots;
+    std::uint32_t pc = 0x2000u + 4u * static_cast<std::uint32_t>(slots.size());
     isa::Instruction prev_inst;
     prev_inst.op = t.prev_op;
     isa::InstrDynContext prev_ctx;
@@ -163,7 +173,8 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
     slots.push_back(FetchSlot::from_context(cur_inst, cur_ctx));
     const std::size_t cur_slot = slots.size() - 1;
 
-    auto cycles = ctx.driver.run(slots);
+    // The last cycle read is the current instruction's EX cycle.
+    auto cycles = ctx.driver.run(warmup, slots, kExStage);
     CycleActivation& ex_cycle = cycles[cur_slot + kExStage];
     auto dts = ctx.analyzer.stage_dts(kExStage, ex_cycle, netlist::EndpointClass::kData);
     if (!dts.has_value()) return std::nullopt;
@@ -174,22 +185,15 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
     return arr;
   };
 
-  // One analyzer + driver per worker over a shared enumerator, warmed with
-  // the EX-stage data endpoints and frozen while the tasks run.
-  timing::PathEnumerator shared_paths(pipeline.netlist);
-  std::vector<netlist::GateId> endpoints;
-  for (netlist::GateId e : pipeline.netlist.stage_endpoints(kExStage)) {
-    if (pipeline.netlist.gate(e).endpoint_class == netlist::EndpointClass::kData)
-      endpoints.push_back(e);
-  }
-  shared_paths.warm(endpoints, dts_config.top_k);
+  shared_paths.warm(ex_data.endpoints, dts_config.top_k);
   shared_paths.set_frozen(true);
   support::ThreadPool& pool = support::global_pool();
   std::vector<std::unique_ptr<WorkerContext>> ctxs(pool.size());
   std::vector<std::optional<DtsGaussian>> results(tasks.size());
   pool.parallel_for(tasks.size(), [&](std::size_t i, std::size_t w) {
     auto& ctx = ctxs[w];
-    if (!ctx) ctx = std::make_unique<WorkerContext>(pipeline, vm, spec, dts_config, shared_paths);
+    if (!ctx)
+      ctx = std::make_unique<WorkerContext>(pipeline, vm, spec, dts_config, shared_paths, closure);
     obs::ScopedSpan task_span("dta.train_measure");
     task_span.counter("worker", static_cast<double>(w));
     results[i] = measure(*ctx, tasks[i]);

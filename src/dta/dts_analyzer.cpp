@@ -104,7 +104,9 @@ DtsAnalyzer::DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationMode
       spec_(spec),
       config_(config),
       owned_paths_(std::make_unique<timing::PathEnumerator>(nl, path_config)),
-      paths_(owned_paths_.get()) {
+      paths_(owned_paths_.get()),
+      cache_(nl.size()),
+      arrivals_(nl.size() + 1, -std::numeric_limits<double>::infinity()) {
   TE_REQUIRE(config.top_k > 0, "top_k must be positive");
   TE_REQUIRE(config.percentile_low > 0.0 && config.percentile_high < 1.0 &&
                  config.percentile_low < config.percentile_high,
@@ -114,7 +116,13 @@ DtsAnalyzer::DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationMode
 DtsAnalyzer::DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationModel& vm,
                          timing::TimingSpec spec, DtsConfig config,
                          timing::PathEnumerator& shared_paths)
-    : nl_(nl), vm_(vm), spec_(spec), config_(config), paths_(&shared_paths) {
+    : nl_(nl),
+      vm_(vm),
+      spec_(spec),
+      config_(config),
+      paths_(&shared_paths),
+      cache_(nl.size()),
+      arrivals_(nl.size() + 1, -std::numeric_limits<double>::infinity()) {
   TE_REQUIRE(config.top_k > 0, "top_k must be positive");
   TE_REQUIRE(config.percentile_low > 0.0 && config.percentile_high < 1.0 &&
                  config.percentile_low < config.percentile_high,
@@ -122,18 +130,28 @@ DtsAnalyzer::DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationMode
 }
 
 DtsAnalyzer::EndpointCache& DtsAnalyzer::endpoint_cache(GateId endpoint) {
-  EndpointCache& c = cache_[endpoint];
-  const auto& candidates = paths_->top_paths(endpoint, config_.top_k);
-  if (c.built == candidates.size()) return c;
-  for (std::size_t i = c.built; i < candidates.size(); ++i)
+  TE_REQUIRE(endpoint < cache_.size(), "gate id out of range");
+  std::unique_ptr<EndpointCache>& slot = cache_[endpoint];
+  if (!slot) {
+    // The list object stays put for the enumerator's lifetime; only a
+    // caller asking for more paths can lengthen it, which the size check
+    // below picks up.
+    const auto& candidates = paths_->top_paths(endpoint, config_.top_k);
+    slot = std::make_unique<EndpointCache>();
+    slot->candidates = &candidates;
+  }
+  EndpointCache& c = *slot;
+  const auto& candidates = *c.candidates;
+  const std::size_t built = candidates.size();
+  if (c.stats.size() == built) return c;
+  for (std::size_t i = c.stats.size(); i < built; ++i)
     c.stats.push_back(timing::path_stat(candidates[i], vm_));
-  c.built = candidates.size();
   // Two fixed orderings (Section 3): by worst-case (1st pct) slack — i.e.
   // largest 99th-percentile delay — and by best-case (99th pct) slack.
   const double z = support::normal_quantile(config_.percentile_high);
-  c.order_low.resize(c.built);
-  c.order_high.resize(c.built);
-  for (std::size_t i = 0; i < c.built; ++i) c.order_low[i] = c.order_high[i] = i;
+  c.order_low.resize(built);
+  c.order_high.resize(built);
+  for (std::size_t i = 0; i < built; ++i) c.order_low[i] = c.order_high[i] = i;
   std::sort(c.order_low.begin(), c.order_low.end(), [&](std::size_t a, std::size_t b) {
     return c.stats[a].mean + z * std::sqrt(c.stats[a].variance()) >
            c.stats[b].mean + z * std::sqrt(c.stats[b].variance());
@@ -142,32 +160,41 @@ DtsAnalyzer::EndpointCache& DtsAnalyzer::endpoint_cache(GateId endpoint) {
     return c.stats[a].mean - z * std::sqrt(c.stats[a].variance()) >
            c.stats[b].mean - z * std::sqrt(c.stats[b].variance());
   });
-  c.rank_low.resize(c.built);
-  for (std::size_t r = 0; r < c.built; ++r) c.rank_low[c.order_low[r]] = r;
+  c.rank_low.resize(built);
+  for (std::size_t r = 0; r < built; ++r) c.rank_low[c.order_low[r]] = r;
   return c;
 }
 
 std::vector<DtsAnalyzer::EndpointPath> DtsAnalyzer::endpoint_path_stats(GateId endpoint,
                                                                         std::size_t k) {
   const EndpointCache& c = endpoint_cache(endpoint);
-  const auto& candidates = paths_->top_paths(endpoint, config_.top_k);
-  const std::size_t n = std::min(k, c.built);
+  const auto& candidates = *c.candidates;
+  const std::size_t n = std::min(k, c.stats.size());
   std::vector<EndpointPath> out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) out.push_back({&candidates[i], &c.stats[i]});
   return out;
 }
 
-DtsAnalyzer::EndpointAp DtsAnalyzer::endpoint_critical_activated(GateId endpoint,
-                                                                  CycleActivation& cycle) {
-  const auto& flags = cycle.flags();
+const std::vector<double>& DtsAnalyzer::cone_arrivals(const netlist::Cone& cone,
+                                                      const std::vector<std::uint8_t>& flags) {
+  if (!arrivals_ready_) {
+    obs::ScopedSpan span("timing.arrivals");
+    timing::activated_arrivals(nl_, cone.gates, cone.launches, flags, arrivals_);
+    arrivals_ready_ = true;
+  }
+  return arrivals_;
+}
+
+DtsAnalyzer::EndpointAp DtsAnalyzer::endpoint_critical_activated(
+    GateId endpoint, const netlist::Cone& cone, const std::vector<std::uint8_t>& flags) {
   const GateId d = nl_.gate(endpoint).fanin[0];
   // Fast reject: if the endpoint's data input did not toggle, no activated
   // path ends here and the endpoint cannot capture a wrong value.
   if (flags[d] == 0) return {};
 
   const EndpointCache& cache = endpoint_cache(endpoint);
-  const auto& candidates = paths_->top_paths(endpoint, config_.top_k);
+  const auto& candidates = *cache.candidates;
 
   auto is_activated = [&](std::size_t i) {
     const auto& gates = candidates[i].gates;
@@ -198,7 +225,7 @@ DtsAnalyzer::EndpointAp DtsAnalyzer::endpoint_critical_activated(GateId endpoint
   // Exact DP over the activated subgraph: needed as fallback when the
   // capped candidate list contains no activated path, and as insurance
   // when the list's guard tripped before the true activated critical path.
-  const std::vector<double>& arrivals = cycle.arrivals();
+  const std::vector<double>& arrivals = cone_arrivals(cone, flags);
   const double dp_arrival = arrivals[d];
   TE_CHECK(dp_arrival > -std::numeric_limits<double>::infinity(),
            "D input activated but no activated path found by DP");
@@ -278,14 +305,15 @@ std::optional<DtsGaussian> DtsAnalyzer::stage_dts(std::uint8_t stage, CycleActiv
   static obs::Counter& queries = obs::MetricsRegistry::instance().counter("dta.stage_dts_queries");
   queries.increment();
   dp_collided_.clear();
+  arrivals_ready_ = false;
+  const netlist::Cone& cone = nl_.stage_cone(stage, cls);
   // AP order: each endpoint's representative in endpoint order, then every
   // alternate.  statistical_path_min breaks ties by position, so the order
   // is part of the result.
   std::vector<const PathStat*> ap;
   std::vector<const PathStat*> alternates;
-  for (GateId e : nl_.stage_endpoints(stage)) {
-    if (cls != EndpointClass::kNone && nl_.gate(e).endpoint_class != cls) continue;
-    const EndpointAp found = endpoint_critical_activated(e, cycle);
+  for (GateId e : cone.endpoints) {
+    const EndpointAp found = endpoint_critical_activated(e, cone, cycle.flags());
     if (found.count == 0) continue;
     ap.push_back(found.paths[0]);
     alternates.insert(alternates.end(), found.paths.begin() + 1,

@@ -56,17 +56,17 @@ struct DtsGaussian {
 DtsGaussian dts_min(const DtsGaussian& a, const DtsGaussian& b);
 
 /// One simulated cycle's activation flags plus a lazily computed (and
-/// cached) activated-subgraph longest-path table, shared across the stage /
-/// endpoint queries of that cycle.
+/// cached) whole-netlist activated-subgraph longest-path table.  stage_dts
+/// reads only the flags: it runs the DP over its own stage's cone.  The
+/// whole-netlist table serves GraphDta and the tests.
 class CycleActivation {
  public:
   CycleActivation(const netlist::Netlist& nl, std::vector<std::uint8_t> flags);
 
   [[nodiscard]] const std::vector<std::uint8_t>& flags() const { return flags_; }
   /// Longest activated arrival per gate output.  Computed on first use;
-  /// the init is call_once-guarded so a cycle shared between concurrent
-  /// stage_dts queries stays safe (each worker usually owns its cycles,
-  /// but the contract must not depend on that).
+  /// the init is call_once-guarded so a cycle shared between threads
+  /// stays safe.
   [[nodiscard]] const std::vector<double>& arrivals() const;
 
  private:
@@ -102,7 +102,10 @@ class DtsAnalyzer {
 
   /// DTS of `stage` for the given cycle, restricted to endpoints of class
   /// `cls` (kNone = all endpoints).  nullopt when no endpoint of the stage
-  /// has an activated path (the stage cannot fail in this cycle).
+  /// has an activated path (the stage cannot fail in this cycle).  Reads
+  /// only the cycle's flags on Netlist::stage_cone(stage, cls): the
+  /// activated-arrival DP, when an endpoint needs it, walks that cone
+  /// into a buffer this analyzer reuses.
   [[nodiscard]] std::optional<DtsGaussian> stage_dts(std::uint8_t stage, CycleActivation& cycle,
                                                      netlist::EndpointClass cls);
 
@@ -136,7 +139,9 @@ class DtsAnalyzer {
   /// Per-endpoint cache of candidate-path statistics and the two
   /// percentile orderings (they do not depend on the cycle).
   struct EndpointCache {
-    std::size_t built = 0;  ///< candidates processed so far
+    /// The enumerator's candidate list; stats covers its first
+    /// stats.size() entries.
+    const std::vector<timing::TimingPath>* candidates = nullptr;
     std::vector<timing::PathStat> stats;
     std::vector<std::size_t> order_low;   ///< by worst-case slack
     std::vector<std::size_t> order_high;  ///< by best-case slack
@@ -151,11 +156,15 @@ class DtsAnalyzer {
     std::array<const timing::PathStat*, 3> paths{};
     std::size_t count = 0;
   };
-  EndpointAp endpoint_critical_activated(netlist::GateId endpoint, CycleActivation& cycle);
+  EndpointAp endpoint_critical_activated(netlist::GateId endpoint, const netlist::Cone& cone,
+                                         const std::vector<std::uint8_t>& flags);
   /// Statistics of the DP's most critical activated path into `endpoint`.
   const timing::PathStat& dp_path_stat(netlist::GateId endpoint,
                                        const std::vector<double>& arrivals);
   EndpointCache& endpoint_cache(netlist::GateId endpoint);
+  /// The DP over `cone` for the current stage_dts call, run on first use.
+  const std::vector<double>& cone_arrivals(const netlist::Cone& cone,
+                                           const std::vector<std::uint8_t>& flags);
 
   const netlist::Netlist& nl_;
   const timing::VariationModel& vm_;
@@ -163,7 +172,11 @@ class DtsAnalyzer {
   DtsConfig config_;
   std::unique_ptr<timing::PathEnumerator> owned_paths_;  ///< null when borrowing
   timing::PathEnumerator* paths_;
-  std::unordered_map<netlist::GateId, EndpointCache> cache_;
+  std::vector<std::unique_ptr<EndpointCache>> cache_;  ///< by endpoint gate id
+  /// Activated arrivals of the current stage_dts call's cone, by gate id
+  /// plus the zero slot; entries outside the cone are stale.
+  std::vector<double> arrivals_;
+  bool arrivals_ready_ = false;
   /// DP-fallback path statistics keyed by the FNV hash of (endpoint, gate
   /// sequence): activated carry chains recur across cycles.  The entry
   /// stores the gates so a hash collision is detected instead of silently

@@ -1,5 +1,7 @@
 #include "dta/pipeline_driver.hpp"
 
+#include <algorithm>
+
 #include "support/check.hpp"
 
 namespace terrors::dta {
@@ -89,7 +91,30 @@ ExDrive ex_drive_for(Opcode op) {
 }  // namespace
 
 PipelineDriver::PipelineDriver(const netlist::Pipeline& pipeline)
-    : p_(pipeline), sim_(pipeline.netlist) {}
+    : p_(pipeline), sim_(pipeline.netlist) {
+  check_ports();
+}
+
+PipelineDriver::PipelineDriver(const netlist::Pipeline& pipeline, const netlist::Cone& closure)
+    : p_(pipeline), sim_(pipeline.netlist, closure) {
+  check_ports();
+}
+
+void PipelineDriver::check_ports() const {
+  const auto& ports = p_.ports;
+  const netlist::Netlist& nl = p_.netlist;
+  const std::vector<netlist::GateId> bits = {ports.branch_taken, ports.sel_imm, ports.sub_mode,
+                                             ports.shift_dir, ports.mem_is_load};
+  for (const netlist::Word* word :
+       {&ports.instr, &ports.branch_target, &ports.op_a, &ports.op_b, &ports.bypass_a,
+        &ports.bypass_b, &ports.alu_sel, &ports.logic_sel, &ports.mem_data, &ports.ctrl_noise,
+        &bits}) {
+    TE_REQUIRE(word->size() <= 64, "input port wider than 64 bits");
+    for (netlist::GateId g : *word)
+      TE_REQUIRE(g < nl.size() && nl.gate(g).kind == netlist::GateKind::kInput,
+                 "pipeline port is not a primary input");
+  }
+}
 
 void PipelineDriver::drive_cycle(const std::vector<FetchSlot>& slots, std::size_t t) {
   const auto& ports = p_.ports;
@@ -102,38 +127,50 @@ void PipelineDriver::drive_cycle(const std::vector<FetchSlot>& slots, std::size_
   // this cycle).
   static const FetchSlot kBubble = FetchSlot::nop();
   const FetchSlot& cur = slot_at(t) != nullptr ? *slot_at(t) : kBubble;
-  sim_.set_input_word(ports.instr, cur.word);
+  sim_.drive_word(ports.instr, cur.word);
   const FetchSlot* next = slot_at(t + 1);
   const std::uint32_t next_pc = next != nullptr ? next->pc : cur.pc + 4;
   const bool sequential = next_pc == cur.pc + 4;
-  sim_.set_input(ports.branch_taken, !sequential);
-  sim_.set_input_word(ports.branch_target, sequential ? 0 : next_pc);
+  sim_.drive(ports.branch_taken, !sequential);
+  sim_.drive_word(ports.branch_target, sequential ? 0 : next_pc);
 
   // DE-stage inputs: register-file read values of the instruction fetched
   // at t-1.
   const FetchSlot* de = t >= 1 ? slot_at(t - 1) : nullptr;
-  sim_.set_input_word(ports.op_a, de != nullptr ? de->ex.a : 0);
-  sim_.set_input_word(ports.op_b, de != nullptr ? de->ex.b : 0);
+  sim_.drive_word(ports.op_a, de != nullptr ? de->ex.a : 0);
+  sim_.drive_word(ports.op_b, de != nullptr ? de->ex.b : 0);
 
   // RA-stage inputs: no forwarding (architectural values injected at DE).
-  sim_.set_input_word(ports.bypass_a, 0);
-  sim_.set_input_word(ports.bypass_b, 0);
+  sim_.drive_word(ports.bypass_a, 0);
+  sim_.drive_word(ports.bypass_b, 0);
 
   // EX-stage inputs for the instruction fetched at t-3.
   const FetchSlot* ex = t >= 3 ? slot_at(t - 3) : nullptr;
   const ExDrive d = ex_drive_for(ex != nullptr ? ex->ex.op : Opcode::kNop);
-  sim_.set_input_word(ports.alu_sel, d.alu_sel);
-  sim_.set_input_word(ports.logic_sel, d.logic_sel);
-  sim_.set_input(ports.sel_imm, d.sel_imm);
-  sim_.set_input(ports.sub_mode, d.sub_mode);
-  sim_.set_input(ports.shift_dir, d.shift_dir);
+  sim_.drive_word(ports.alu_sel, d.alu_sel);
+  sim_.drive_word(ports.logic_sel, d.logic_sel);
+  sim_.drive(ports.sel_imm, d.sel_imm);
+  sim_.drive(ports.sub_mode, d.sub_mode);
+  sim_.drive(ports.shift_dir, d.shift_dir);
 
   // ME-stage inputs for the instruction fetched at t-4.
   const FetchSlot* me = t >= 4 ? slot_at(t - 4) : nullptr;
-  sim_.set_input(ports.mem_is_load, me != nullptr && me->is_load);
-  sim_.set_input_word(ports.mem_data, me != nullptr ? me->mem_data : 0);
+  sim_.drive(ports.mem_is_load, me != nullptr && me->is_load);
+  sim_.drive_word(ports.mem_data, me != nullptr ? me->mem_data : 0);
 
-  sim_.set_input_word(ports.ctrl_noise, 0);
+  sim_.drive_word(ports.ctrl_noise, 0);
+}
+
+void PipelineDriver::simulate(const std::vector<FetchSlot>& slots, std::size_t end,
+                              std::vector<CycleActivation>& cycles,
+                              const CycleObserver& on_cycle) {
+  cycles.reserve(end);
+  for (std::size_t t = cycles.size(); t < end; ++t) {
+    drive_cycle(slots, t);
+    sim_.step();
+    if (on_cycle) on_cycle(sim_);
+    cycles.emplace_back(p_.netlist, sim_.activation_flags());
+  }
 }
 
 std::vector<CycleActivation> PipelineDriver::run(const std::vector<FetchSlot>& slots, int drain,
@@ -141,14 +178,30 @@ std::vector<CycleActivation> PipelineDriver::run(const std::vector<FetchSlot>& s
   TE_REQUIRE(drain >= 0, "negative drain");
   sim_.reset();
   std::vector<CycleActivation> cycles;
-  const std::size_t total = slots.size() + static_cast<std::size_t>(drain);
-  cycles.reserve(total);
-  for (std::size_t t = 0; t < total; ++t) {
-    drive_cycle(slots, t);
-    sim_.step();
-    if (on_cycle) on_cycle(sim_);
-    cycles.emplace_back(p_.netlist, sim_.activation_flags());
-  }
+  simulate(slots, slots.size() + static_cast<std::size_t>(drain), cycles, on_cycle);
+  return cycles;
+}
+
+PipelineDriver::Prefix PipelineDriver::run_prefix(std::vector<FetchSlot> slots) {
+  sim_.reset();
+  std::vector<CycleActivation> cycles;
+  simulate(slots, slots.empty() ? 0 : slots.size() - 1, cycles, {});
+  Prefix prefix{std::move(slots), sim_.save(), {}};
+  for (const CycleActivation& c : cycles) prefix.flags.push_back(c.flags());
+  return prefix;
+}
+
+std::vector<CycleActivation> PipelineDriver::run(const Prefix& prefix,
+                                                 const std::vector<FetchSlot>& slots, int drain) {
+  TE_REQUIRE(drain >= 0, "negative drain");
+  TE_REQUIRE(slots.size() >= prefix.slots.size() &&
+                 std::equal(prefix.slots.begin(), prefix.slots.end(), slots.begin()),
+             "slot stream does not start with the prefix");
+  sim_.restore(prefix.state);
+  std::vector<CycleActivation> cycles;
+  cycles.reserve(slots.size() + static_cast<std::size_t>(drain));
+  for (const auto& flags : prefix.flags) cycles.emplace_back(p_.netlist, flags);
+  simulate(slots, slots.size() + static_cast<std::size_t>(drain), cycles, {});
   return cycles;
 }
 

@@ -31,11 +31,18 @@ struct FetchSlot {
   static FetchSlot from_context(const isa::Instruction& inst, const isa::InstrDynContext& ctx);
   /// A pipeline bubble.
   static FetchSlot nop(std::uint32_t pc = 0);
+
+  bool operator==(const FetchSlot&) const = default;
 };
 
 class PipelineDriver {
  public:
   explicit PipelineDriver(const netlist::Pipeline& pipeline);
+  /// A driver that simulates only `closure` (a Netlist::sequential_closure
+  /// that must outlive the driver): its cycles' activation flags are exact
+  /// on the closure and 0 elsewhere, so they serve the stage_dts queries
+  /// whose stage cones lie inside it.
+  PipelineDriver(const netlist::Pipeline& pipeline, const netlist::Cone& closure);
 
   /// Called once per simulated cycle with the settled simulator, before
   /// that cycle's CycleActivation is recorded (e.g. to dump a VCD).
@@ -48,22 +55,46 @@ class PipelineDriver {
                                                  int drain = netlist::Pipeline::kStages,
                                                  const CycleObserver& on_cycle = {});
 
+  /// The start that many streams share: the simulator state after the
+  /// cycles that read only `slots`, and those cycles' activation flags.
+  struct Prefix {
+    std::vector<FetchSlot> slots;
+    sim::LogicSimulator::State state;
+    std::vector<std::vector<std::uint8_t>> flags;
+  };
+  /// Simulate from reset the cycles that read only `slots`: every cycle
+  /// but the last slot's, since cycle t also reads the PC of slot t + 1.
+  [[nodiscard]] Prefix run_prefix(std::vector<FetchSlot> slots);
+  /// run() for a stream that starts with prefix.slots, resumed from the
+  /// prefix instead of from reset; the result is the same bit for bit.  The
+  /// prefix must come from a driver that simulates the same gates.
+  [[nodiscard]] std::vector<CycleActivation> run(const Prefix& prefix,
+                                                 const std::vector<FetchSlot>& slots, int drain);
+
   [[nodiscard]] const netlist::Pipeline& pipeline() const { return p_; }
 
  private:
+  /// Every port must be a word of at most 64 primary inputs, so that
+  /// drive_cycle can stage them without per-bit checks.
+  void check_ports() const;
   void drive_cycle(const std::vector<FetchSlot>& slots, std::size_t t);
+  /// Simulate cycles [cycles.size(), end) of `slots`, appending one
+  /// CycleActivation per cycle.
+  void simulate(const std::vector<FetchSlot>& slots, std::size_t end,
+                std::vector<CycleActivation>& cycles, const CycleObserver& on_cycle);
 
   const netlist::Pipeline& p_;
   sim::LogicSimulator sim_;
 };
 
 /// One worker's share of a parallel gate-level loop: an analyzer over a
-/// shared, pre-warmed (frozen) path enumerator plus its own driver.
+/// shared, pre-warmed (frozen) path enumerator plus its own driver, which
+/// simulates only the sequential closure of the endpoints the loop queries.
 struct WorkerContext {
   WorkerContext(const netlist::Pipeline& pipeline, const timing::VariationModel& vm,
                 timing::TimingSpec spec, const DtsConfig& dts_config,
-                timing::PathEnumerator& paths)
-      : analyzer(pipeline.netlist, vm, spec, dts_config, paths), driver(pipeline) {}
+                timing::PathEnumerator& paths, const netlist::Cone& closure)
+      : analyzer(pipeline.netlist, vm, spec, dts_config, paths), driver(pipeline, closure) {}
 
   DtsAnalyzer analyzer;
   PipelineDriver driver;

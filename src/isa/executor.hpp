@@ -28,6 +28,8 @@ struct ExContext {
   std::uint32_t b = 0;  ///< effective second ALU operand (imm if immediate form)
   ExUnit unit = ExUnit::kNone;
   Opcode op = Opcode::kNop;
+
+  bool operator==(const ExContext&) const = default;
 };
 
 /// One dynamic instance of one static instruction.

@@ -156,7 +156,66 @@ void Netlist::finalize(std::uint8_t stage_count) {
     program_index_[id] = static_cast<GateId>(program_.size());
     program_.push_back(pg);
   }
+  launch_points_.clear();
+  for (GateId id = 0; id < gates_.size(); ++id)
+    if (!info(gates_[id].kind).combinational) launch_points_.push_back(id);
+
+  stage_cones_.assign(stage_count, {});
+  for (std::uint8_t s = 0; s < stage_count; ++s) {
+    for (const EndpointClass cls :
+         {EndpointClass::kNone, EndpointClass::kControl, EndpointClass::kData}) {
+      std::vector<GateId> endpoints;
+      for (GateId e : stage_endpoints_[s])
+        if (cls == EndpointClass::kNone || gates_[e].endpoint_class == cls) endpoints.push_back(e);
+      stage_cones_[s][static_cast<std::size_t>(cls)] = build_cone(endpoints, false);
+    }
+  }
   finalized_ = true;
+}
+
+Cone Netlist::build_cone(std::span<const GateId> endpoints, bool sequential) const {
+  std::vector<std::uint8_t> in(gates_.size(), 0);
+  std::vector<GateId> stack;
+  for (GateId e : endpoints) {
+    TE_REQUIRE(e < gates_.size() && gates_[e].is_capture_endpoint(),
+               "cones start at capture endpoints");
+    stack.push_back(gates_[e].fanin[0]);
+  }
+  while (!stack.empty()) {
+    const GateId g = stack.back();
+    stack.pop_back();
+    if (in[g] != 0) continue;
+    in[g] = 1;
+    const Gate& gate = gates_[g];
+    // A combinational gate reads its fanins in the same cycle; in the
+    // sequential closure a flip-flop's (or output's) value comes from its
+    // data input, so its cone joins too.
+    if (info(gate.kind).combinational || (sequential && gate.is_capture_endpoint()))
+      stack.insert(stack.end(), gate.fanin.begin(), gate.fanin.begin() + gate.arity());
+  }
+  Cone cone;
+  cone.endpoints.assign(endpoints.begin(), endpoints.end());
+  for (GateId id : launch_points_)
+    if (in[id] != 0) cone.launches.push_back(id);
+  for (const ProgramGate& pg : program_)
+    if (in[pg.out] != 0) cone.gates.push_back(pg);
+  return cone;
+}
+
+Cone Netlist::sequential_closure(std::span<const GateId> endpoints) const {
+  TE_REQUIRE(finalized_, "netlist not finalized");
+  return build_cone(endpoints, true);
+}
+
+const std::vector<GateId>& Netlist::launch_points() const {
+  TE_REQUIRE(finalized_, "netlist not finalized");
+  return launch_points_;
+}
+
+const Cone& Netlist::stage_cone(std::uint8_t s, EndpointClass cls) const {
+  TE_REQUIRE(finalized_, "netlist not finalized");
+  TE_REQUIRE(s < stage_count_, "stage out of range");
+  return stage_cones_[s][static_cast<std::size_t>(cls)];
 }
 
 const std::vector<GateId>& Netlist::topo_order() const {

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,18 @@ struct ProgramGate {
   std::uint8_t arity = 0;
 };
 
+/// A compiled sub-program of Netlist::program(): the combinational gates
+/// that some capture endpoints' data inputs depend on, and the launch
+/// points (non-combinational gates) those gates read.  Every fanin of a
+/// listed gate is an earlier listed gate, a launch point or the netlist's
+/// zero slot, so an evaluator that sets the launch points and then walks
+/// `gates` in order reads nothing else.
+struct Cone {
+  std::vector<GateId> endpoints;   ///< the capture endpoints it was built for
+  std::vector<GateId> launches;    ///< ascending gate id
+  std::vector<ProgramGate> gates;  ///< in program() order
+};
+
 /// A gate-level netlist with pipeline-stage and placement annotations.
 class Netlist {
  public:
@@ -94,6 +107,19 @@ class Netlist {
   [[nodiscard]] const std::vector<GateId>& outputs() const { return outputs_; }
   /// E(N, s): capture endpoints of pipeline stage s.
   [[nodiscard]] const std::vector<GateId>& stage_endpoints(std::uint8_t s) const;
+  /// Every non-combinational gate, ascending: the launch points of the
+  /// whole program().
+  [[nodiscard]] const std::vector<GateId>& launch_points() const;
+  /// The cone of stage s's capture endpoints of class `cls` (kNone = all
+  /// of them), compiled by finalize().  Its endpoints keep
+  /// stage_endpoints() order.
+  [[nodiscard]] const Cone& stage_cone(std::uint8_t s, EndpointClass cls) const;
+  /// The cone of the given capture endpoints, grown until it also holds
+  /// the cone of every flip-flop and output it launches from: the
+  /// sequential closure.  Its gates' values in every cycle depend only on
+  /// the primary inputs and on each other, so simulating the closure alone
+  /// from reset reproduces their values and activations exactly.
+  [[nodiscard]] Cone sequential_closure(std::span<const GateId> endpoints) const;
 
   /// Summary counters for reporting.
   struct Stats {
@@ -106,6 +132,8 @@ class Netlist {
   [[nodiscard]] Stats stats() const;
 
  private:
+  Cone build_cone(std::span<const GateId> endpoints, bool sequential) const;
+
   std::vector<Gate> gates_;
   std::vector<std::string> names_;
   std::vector<GateId> topo_;
@@ -116,6 +144,9 @@ class Netlist {
   std::vector<GateId> dffs_;
   std::vector<GateId> outputs_;
   std::vector<std::vector<GateId>> stage_endpoints_;
+  std::vector<GateId> launch_points_;
+  /// [stage][EndpointClass]
+  std::vector<std::array<Cone, 3>> stage_cones_;
   std::vector<std::vector<GateId>> fanouts_;
   std::uint8_t stage_count_ = 0;
   bool finalized_ = false;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/estimator.hpp"
 #include "core/monte_carlo.hpp"
 #include "isa/isa.hpp"
 #include "netlist/pipeline.hpp"
@@ -216,13 +217,23 @@ RunReport build_report(core::ErrorRateFramework& fw, const isa::Program& program
   r.degraded_sites = result.degraded_sites;
 
   // --- Monte-Carlo cross-check ---------------------------------------------
+  // Each trial walks one recorded run, so its reference is the count law
+  // of the recorded runs themselves: the estimate at execution_scale 1, not
+  // the extrapolated one the run reports.
   if (options.mc_trials > 0 && !profile.block_traces.empty()) {
     support::Rng rng(options.mc_seed);
     const std::vector<std::uint64_t> counts = core::monte_carlo_error_counts(
         profile, art.conditionals, options.mc_trials, rng);
+    core::EstimatorInputs unscaled;
+    unscaled.program = &program;
+    unscaled.profile = &profile;
+    unscaled.conditionals = &art.conditionals;
+    unscaled.marginals = &art.marginals;
+    unscaled.chen_stein_radius = fw.config().chen_stein_radius;
     r.mc.enabled = true;
     r.mc.trials = options.mc_trials;
-    r.mc.divergence = core::mc_analytic_divergence(counts, est);
+    r.mc.divergence =
+        core::mc_analytic_divergence(counts, core::estimate_error_rate(unscaled));
   }
 
   // All report-owned metrics live under report.*, the namespace the

@@ -12,11 +12,41 @@ using netlist::GateKind;
 
 LogicSimulator::LogicSimulator(const netlist::Netlist& nl) : nl_(nl) {
   TE_REQUIRE(nl.finalized(), "simulator needs a finalized netlist");
+  program_ = nl.program();
+  dffs_ = nl.dffs();
+  inputs_ = nl.inputs();
+  outputs_ = nl.outputs();
+  allocate();
+}
+
+LogicSimulator::LogicSimulator(const netlist::Netlist& nl, const netlist::Cone& closure)
+    : nl_(nl), program_(closure.gates) {
+  TE_REQUIRE(nl.finalized(), "simulator needs a finalized netlist");
+  for (GateId id : closure.launches) {
+    TE_REQUIRE(id < nl.size(), "closure does not belong to this netlist");
+    switch (nl.gate(id).kind) {
+      case GateKind::kDff:
+        dffs_.push_back(id);
+        break;
+      case GateKind::kInput:
+        inputs_.push_back(id);
+        break;
+      case GateKind::kOutput:
+        outputs_.push_back(id);
+        break;
+      default:
+        break;  // constants are set by reset()
+    }
+  }
+  allocate();
+}
+
+void LogicSimulator::allocate() {
   // One extra value backs the netlist's zero slot, which stays 0.
-  values_.assign(nl.size() + 1, 0);
-  prev_values_.assign(nl.size() + 1, 0);
-  pending_inputs_.assign(nl.size(), 0);
-  activated_.assign(nl.size(), 0);
+  values_.assign(nl_.size() + 1, 0);
+  prev_values_.assign(nl_.size() + 1, 0);
+  pending_inputs_.assign(nl_.size(), 0);
+  activated_.assign(nl_.size(), 0);
   reset();
 }
 
@@ -36,7 +66,7 @@ void LogicSimulator::set_input(GateId input, bool v) {
   TE_REQUIRE(nl_.gate(input).kind == GateKind::kInput, "set_input on a non-input gate");
   // Staged: the value takes effect in the cycle started by the next step(),
   // so driving inputs never contaminates the previous cycle's settled state.
-  pending_inputs_[input] = v ? 1 : 0;
+  drive(input, v);
 }
 
 void LogicSimulator::set_input_word(const std::vector<GateId>& word, std::uint64_t v) {
@@ -57,14 +87,28 @@ void LogicSimulator::force_state(GateId dff, bool v) {
   values_[dff] = v ? 1 : 0;
 }
 
+LogicSimulator::State LogicSimulator::save() const {
+  return {values_, prev_values_, pending_inputs_, activated_, cycle_};
+}
+
+void LogicSimulator::restore(const State& state) {
+  TE_REQUIRE(state.values.size() == values_.size() && state.activated.size() == activated_.size(),
+             "simulator state of another netlist");
+  values_ = state.values;
+  prev_values_ = state.prev_values;
+  pending_inputs_ = state.pending_inputs;
+  activated_ = state.activated;
+  cycle_ = state.cycle;
+}
+
 void LogicSimulator::settle() {
   std::uint8_t* v = values_.data();
-  for (const netlist::ProgramGate& g : nl_.program()) {
+  for (const netlist::ProgramGate& g : program_) {
     const unsigned row = v[g.fanin[0]] | (v[g.fanin[1]] << 1) | (v[g.fanin[2]] << 2);
     v[g.out] = (g.truth >> row) & 1u;
   }
   // Primary outputs mirror their driver.
-  for (GateId id : nl_.outputs()) v[id] = v[nl_.gate(id).fanin[0]];
+  for (GateId id : outputs_) v[id] = v[nl_.gate(id).fanin[0]];
 }
 
 void LogicSimulator::step() {
@@ -73,9 +117,9 @@ void LogicSimulator::step() {
   std::uint8_t* v = values_.data();
   const std::uint8_t* prev = prev_values_.data();
   // 2. Flip-flops capture their data input's previous settled value.
-  for (GateId id : nl_.dffs()) v[id] = prev[nl_.gate(id).fanin[0]];
+  for (GateId id : dffs_) v[id] = prev[nl_.gate(id).fanin[0]];
   // 3. Primary inputs take their newly driven values.
-  for (GateId id : nl_.inputs()) v[id] = pending_inputs_[id];
+  for (GateId id : inputs_) v[id] = pending_inputs_[id];
   // 4. Combinational logic settles.
   settle();
   // 5. Activation per Def. 3.2.  Values are 0/1 bytes, so eight gates at

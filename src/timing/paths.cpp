@@ -93,24 +93,23 @@ struct PathEnumerator::Search {
 };
 
 PathEnumerator::PathEnumerator(const netlist::Netlist& nl, PathConfig config)
-    : nl_(nl), config_(config), sta_(nl) {
+    : nl_(nl), config_(config), sta_(nl), searches_(nl.size()) {
   TE_REQUIRE(config.max_paths > 0, "max_paths must be positive");
 }
 
 PathEnumerator::~PathEnumerator() = default;
 
 PathEnumerator::Search& PathEnumerator::search_for(GateId endpoint) {
-  auto it = searches_.find(endpoint);
-  if (it != searches_.end()) return *it->second;
+  TE_REQUIRE(endpoint < searches_.size(), "gate id out of range");
+  std::unique_ptr<Search>& s = searches_[endpoint];
+  if (s) return *s;
   TE_REQUIRE(nl_.gate(endpoint).is_capture_endpoint(), "paths end at capture endpoints");
-  auto s = std::make_unique<Search>();
+  s = std::make_unique<Search>();
   s->endpoint = endpoint;
   const GateId d = nl_.gate(endpoint).fanin[0];
   s->arena.push_back({d, 0.0f, -1});
   s->heap.emplace(sta_.arrival(d), 0);
-  auto [pos, inserted] = searches_.emplace(endpoint, std::move(s));
-  TE_CHECK(inserted, "duplicate search insertion");
-  return *pos->second;
+  return *s;
 }
 
 void PathEnumerator::extend(Search& s, std::size_t k) {
@@ -169,9 +168,9 @@ void PathEnumerator::extend(Search& s, std::size_t k) {
 const std::vector<TimingPath>& PathEnumerator::top_paths(GateId endpoint, std::size_t k) {
   if (frozen_) {
     // Read-only lookup: concurrent callers share the warmed lists.
-    const auto it = searches_.find(endpoint);
-    TE_CHECK(it != searches_.end(), "frozen PathEnumerator queried for an unwarmed endpoint");
-    const Search& s = *it->second;
+    TE_CHECK(endpoint < searches_.size() && searches_[endpoint],
+             "frozen PathEnumerator queried for an unwarmed endpoint");
+    const Search& s = *searches_[endpoint];
     TE_CHECK(s.paths.size() >= k || s.done,
              "frozen PathEnumerator queried beyond its warmed depth");
     return s.paths;
@@ -187,9 +186,8 @@ void PathEnumerator::warm(const std::vector<GateId>& endpoints, std::size_t k) {
 }
 
 bool PathEnumerator::exhausted(GateId endpoint) const {
-  auto it = searches_.find(endpoint);
-  if (it == searches_.end()) return false;
-  return it->second->done && !it->second->guard_tripped;
+  if (endpoint >= searches_.size() || !searches_[endpoint]) return false;
+  return searches_[endpoint]->done && !searches_[endpoint]->guard_tripped;
 }
 
 }  // namespace terrors::timing

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -101,7 +100,7 @@ class PathEnumerator {
   PathConfig config_;
   Sta sta_;
   bool frozen_ = false;
-  std::unordered_map<netlist::GateId, std::unique_ptr<Search>> searches_;
+  std::vector<std::unique_ptr<Search>> searches_;  ///< by endpoint gate id
 };
 
 }  // namespace terrors::timing

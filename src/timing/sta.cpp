@@ -75,23 +75,29 @@ double Sta::max_frequency_mhz(double setup_ps) const {
 std::vector<double> activated_arrivals(const netlist::Netlist& nl,
                                        const std::vector<std::uint8_t>& activated,
                                        const ChipSample* chip) {
+  // The extra entry is the zero slot that unused program fanins read.
+  std::vector<double> arr(nl.size() + 1, -std::numeric_limits<double>::infinity());
+  activated_arrivals(nl, nl.program(), nl.launch_points(), activated, arr, chip);
+  arr.pop_back();
+  return arr;
+}
+
+void activated_arrivals(const netlist::Netlist& nl, std::span<const netlist::ProgramGate> gates,
+                        std::span<const GateId> launches,
+                        const std::vector<std::uint8_t>& activated, std::span<double> arr,
+                        const ChipSample* chip) {
   TE_REQUIRE(activated.size() == nl.size(), "activation flag size mismatch");
+  TE_REQUIRE(arr.size() == nl.size() + 1, "arrival buffer size mismatch");
   TE_REQUIRE(chip == nullptr || chip->size() == nl.size(), "chip sample size mismatch");
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  // The extra entry is the zero slot that unused program fanins read.
-  std::vector<double> arr(nl.size() + 1, kNegInf);
-  for (GateId g : nl.dffs())
-    if (activated[g] != 0) arr[g] = gate_delay(nl, g, chip);
-  for (const auto* sources : {&nl.inputs(), &nl.constants(), &nl.outputs()})
-    for (GateId g : *sources)
-      if (activated[g] != 0) arr[g] = 0.0;
+  for (GateId g : launches) arr[g] = activated[g] != 0 ? source_arrival(nl, g, chip) : kNegInf;
   // Gather the activated gates without branching on the flags, which are
   // unpredictable; then relax only those.  A gate no activated path
   // reaches keeps -inf, since -inf + delay == -inf.
-  const std::vector<netlist::ProgramGate>& program = nl.program();
-  const auto live = std::make_unique_for_overwrite<const netlist::ProgramGate*[]>(program.size());
+  const auto live = std::make_unique_for_overwrite<const netlist::ProgramGate*[]>(gates.size());
   std::size_t count = 0;
-  for (const netlist::ProgramGate& pg : program) {
+  for (const netlist::ProgramGate& pg : gates) {
+    arr[pg.out] = kNegInf;
     live[count] = &pg;
     count += activated[pg.out] != 0 ? 1 : 0;
   }
@@ -100,8 +106,6 @@ std::vector<double> activated_arrivals(const netlist::Netlist& nl,
     const double delay = chip != nullptr ? static_cast<double>((*chip)[pg.out]) : pg.delay_ps;
     arr[pg.out] = std::max({arr[pg.fanin[0]], arr[pg.fanin[1]], arr[pg.fanin[2]]}) + delay;
   }
-  arr.pop_back();
-  return arr;
 }
 
 std::optional<double> activated_endpoint_arrival(const netlist::Netlist& nl,

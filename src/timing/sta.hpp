@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -67,5 +68,17 @@ std::optional<double> activated_endpoint_arrival(const netlist::Netlist& nl,
 std::vector<double> activated_arrivals(const netlist::Netlist& nl,
                                        const std::vector<std::uint8_t>& activated,
                                        const ChipSample* chip = nullptr);
+
+/// The activated-arrival DP itself, over one compiled gate list: the whole
+/// program() with every launch point for the bulk variant, or one
+/// Netlist::Cone.  Sets arr[g] for every listed launch point and gate (-inf
+/// where no activated path reaches g) and reads nothing else but
+/// arr[nl.zero_slot()], which must hold -inf; `arr` has nl.size() + 1
+/// entries.  Each gate's arrival depends only on its fanins, so a cone's
+/// entries equal the bulk variant's bit for bit.
+void activated_arrivals(const netlist::Netlist& nl, std::span<const netlist::ProgramGate> gates,
+                        std::span<const netlist::GateId> launches,
+                        const std::vector<std::uint8_t>& activated, std::span<double> arr,
+                        const ChipSample* chip = nullptr);
 
 }  // namespace terrors::timing

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <utility>
 
 #include "dta/control_characterizer.hpp"
@@ -393,6 +396,314 @@ TEST(ControlCharacterizer, DpMemoKeysDoNotAliasAcrossEndpoints) {
   support::set_global_threads(threads);
   EXPECT_GT(fallbacks.value() - fallbacks_before, 10000u);
   EXPECT_EQ(collisions.value() - collisions_before, 0u);
+}
+
+// --- the control-cone kernel against whole-netlist oracles ---------------
+
+/// Control endpoints of every stage, in stage then endpoint order.
+std::vector<netlist::GateId> all_control_endpoints() {
+  std::vector<netlist::GateId> out;
+  for (std::uint8_t s = 0; s < Pipeline::kStages; ++s) {
+    const auto& cone = shared_pipeline().netlist.stage_cone(s, EndpointClass::kControl);
+    out.insert(out.end(), cone.endpoints.begin(), cone.endpoints.end());
+  }
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_dts(const std::optional<DtsGaussian>& a, const std::optional<DtsGaussian>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a || (same_bits(a->slack.mean, b->slack.mean) && same_bits(a->slack.sd, b->slack.sd) &&
+                same_bits(a->global_loading, b->global_loading));
+}
+
+/// The first recorded sample of an edge reservoir, or nullptr.
+const isa::BlockSample* first_sample(const isa::EdgeSamples& es) {
+  return es.samples.empty() ? nullptr : &es.samples.front();
+}
+
+void append_slots(std::vector<FetchSlot>& slots, const isa::BasicBlock& block,
+                  std::uint32_t base_pc, const isa::BlockSample* sample, std::size_t from) {
+  for (std::size_t k = from; k < block.size(); ++k) {
+    isa::InstrDynContext ctx;
+    if (sample != nullptr && k < sample->instrs.size()) {
+      ctx = sample->instrs[k];
+    } else {
+      ctx.cur.op = block.instructions[k].op;
+      ctx.cur.unit = isa::ex_unit(ctx.cur.op);
+      ctx.pc = base_pc + static_cast<std::uint32_t>(k) * 4u;
+    }
+    slots.push_back(FetchSlot::from_context(block.instructions[k], ctx));
+  }
+}
+
+/// Test-local reference for ControlCharacterizer::characterize with its
+/// default config: the same fetch stream per (block, edge) driven through
+/// the whole netlist with the default drain, then stage_dts per
+/// (instruction, stage).  `queried`, when given, collects the flags of
+/// every cycle a query reads.
+std::vector<BlockControlDts> reference_characterize(
+    const isa::Program& program, const isa::Cfg& cfg, const isa::ProgramProfile& profile,
+    DtsAnalyzer& analyzer, std::vector<std::vector<std::uint8_t>>* queried = nullptr) {
+  const ControlCharacterizerConfig cc;
+  PipelineDriver driver(shared_pipeline());
+  auto edge_dts = [&](isa::BlockId b, std::ptrdiff_t edge) {
+    const isa::BasicBlock& blk = program.block(b);
+    const isa::BlockProfile& bp = profile.blocks[b];
+    EdgeControlDts out;
+    out.instr.assign(blk.size(), std::nullopt);
+    const isa::BlockSample* sample = nullptr;
+    const isa::BlockSample* pred_sample = nullptr;
+    isa::BlockId pred = isa::kNoBlock;
+    if (edge < 0) {
+      if (bp.entry_count == 0) return out;
+      sample = first_sample(bp.entry_samples);
+    } else {
+      const auto j = static_cast<std::size_t>(edge);
+      if (bp.edge_counts[j] == 0) return out;
+      sample = first_sample(bp.edge_samples[j]);
+      pred = cfg.predecessors(b)[j].from;
+      const isa::BlockProfile& pp = profile.blocks[pred];
+      pred_sample = first_sample(pp.entry_samples);
+      for (const auto& es : pp.edge_samples)
+        if (pred_sample == nullptr) pred_sample = first_sample(es);
+    }
+    std::vector<FetchSlot> slots;
+    for (int i = 0; i < cc.warmup_nops; ++i)
+      slots.push_back(FetchSlot::nop(0x100u + 4u * static_cast<std::uint32_t>(i)));
+    if (pred != isa::kNoBlock) {
+      const isa::BasicBlock& pb = program.block(pred);
+      const std::size_t tail = std::min<std::size_t>(static_cast<std::size_t>(cc.pred_tail),
+                                                     pb.size());
+      append_slots(slots, pb, 0x400u, pred_sample, pb.size() - tail);
+    }
+    const std::size_t first = slots.size();
+    const std::uint32_t base =
+        sample != nullptr && !sample->instrs.empty() ? sample->instrs.front().pc : 0x1000u;
+    append_slots(slots, blk, base, sample, 0);
+    std::vector<CycleActivation> cycles = driver.run(slots);
+    for (std::size_t k = 0; k < blk.size(); ++k) {
+      std::optional<DtsGaussian> acc;
+      for (std::uint8_t s = 0; s < Pipeline::kStages; ++s) {
+        CycleActivation& cycle = cycles.at(first + k + s);
+        if (queried != nullptr) queried->push_back(cycle.flags());
+        const auto stage = analyzer.stage_dts(s, cycle, EndpointClass::kControl);
+        if (stage.has_value()) acc = acc.has_value() ? dts_min(*acc, *stage) : *stage;
+      }
+      out.instr[k] = acc;
+    }
+    return out;
+  };
+  std::vector<BlockControlDts> out(program.block_count());
+  for (isa::BlockId b = 0; b < program.block_count(); ++b) {
+    for (std::size_t j = 0; j < cfg.indegree(b); ++j)
+      out[b].per_edge.push_back(edge_dts(b, static_cast<std::ptrdiff_t>(j)));
+    out[b].entry = edge_dts(b, -1);
+  }
+  return out;
+}
+
+/// A generated MiBench-like program with its CFG and a two-input profile.
+struct ProfiledProgram {
+  explicit ProfiledProgram(const workloads::WorkloadSpec& spec)
+      : program(workloads::generate_program(spec)),
+        cfg(program),
+        executor(program, cfg, workloads::executor_config_for(spec, 2)) {
+    for (const auto& in : workloads::generate_inputs(spec, 2, 2026)) executor.run(in);
+  }
+  isa::Program program;
+  isa::Cfg cfg;
+  isa::Executor executor;
+};
+
+std::unique_ptr<ProfiledProgram> profiled(const char* name) {
+  for (const auto& spec : workloads::mibench_specs())
+    if (spec.name == name) return std::make_unique<ProfiledProgram>(spec);
+  ADD_FAILURE() << "unknown benchmark " << name;
+  return nullptr;
+}
+
+TEST(ConeDp, MatchesWholeNetlistDpOnEveryStageCone) {
+  const netlist::Netlist& nl = shared_pipeline().netlist;
+  // Random flag patterns (activated constants, isolated toggles), then the
+  // cycles a real characterisation queries.
+  std::vector<std::vector<std::uint8_t>> patterns;
+  support::Rng rng(23);
+  for (int t = 0; t < 40; ++t) {
+    std::vector<std::uint8_t> act(nl.size());
+    for (auto& a : act) a = rng.uniform() < 0.4 ? 1 : 0;
+    patterns.push_back(std::move(act));
+  }
+  const auto prog = profiled("bitcount");
+  ASSERT_NE(prog, nullptr);
+  DtsAnalyzer analyzer(nl, shared_vm(), timing::TimingSpec{1300.0});
+  std::vector<std::vector<std::uint8_t>> queried;
+  (void)reference_characterize(prog->program, prog->cfg, prog->executor.profile(), analyzer,
+                               &queried);
+  ASSERT_GT(queried.size(), 2000u);
+  for (std::size_t i = 0; i < queried.size(); i += 5) patterns.push_back(std::move(queried[i]));
+
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  std::vector<double> arr(nl.size() + 1);
+  for (std::size_t t = 0; t < patterns.size(); ++t) {
+    const std::vector<double> full = timing::activated_arrivals(nl, patterns[t]);
+    for (std::uint8_t s = 0; s < Pipeline::kStages; ++s) {
+      for (const EndpointClass cls :
+           {EndpointClass::kNone, EndpointClass::kControl, EndpointClass::kData}) {
+        const netlist::Cone& cone = nl.stage_cone(s, cls);
+        // Poison every entry but the zero slot: a read outside the cone
+        // turns an arrival into +inf.
+        std::fill(arr.begin(), arr.end(), std::numeric_limits<double>::infinity());
+        arr.back() = kNegInf;
+        timing::activated_arrivals(nl, cone.gates, cone.launches, patterns[t], arr);
+        std::size_t wrong = 0;
+        for (const netlist::ProgramGate& pg : cone.gates)
+          wrong += same_bits(arr[pg.out], full[pg.out]) ? 0 : 1;
+        for (netlist::GateId g : cone.launches) wrong += same_bits(arr[g], full[g]) ? 0 : 1;
+        ASSERT_EQ(wrong, 0u) << "pattern " << t << ", stage " << int(s) << ", class "
+                             << int(cls);
+        for (netlist::GateId e : cone.endpoints) {
+          const netlist::GateId d = nl.gate(e).fanin[0];
+          ASSERT_TRUE(nl.program_index(d) != netlist::kNoGate ||
+                      std::binary_search(cone.launches.begin(), cone.launches.end(), d))
+              << "endpoint " << e << " reads outside its cone";
+        }
+      }
+    }
+  }
+}
+
+/// Every value and activation flag of every gate of `closure`, driven by
+/// a closure driver, equals a whole-netlist driver's over random fetch
+/// streams with loads and taken branches.
+void expect_closure_matches_whole_netlist(const netlist::Cone& closure) {
+  const netlist::Netlist& nl = shared_pipeline().netlist;
+  ASSERT_LT(closure.gates.size(), nl.program().size());
+  std::vector<netlist::GateId> gates = closure.launches;
+  for (const netlist::ProgramGate& pg : closure.gates) gates.push_back(pg.out);
+
+  constexpr std::array<Opcode, 12> kOps = {Opcode::kAdd, Opcode::kSubi, Opcode::kAnd,
+                                           Opcode::kXori, Opcode::kSll,  Opcode::kSrli,
+                                           Opcode::kMovi, Opcode::kLd,   Opcode::kSt,
+                                           Opcode::kBne,  Opcode::kJmp,  Opcode::kNop};
+  support::Rng rng(31);
+  PipelineDriver full(shared_pipeline());
+  PipelineDriver part(shared_pipeline(), closure);
+  std::size_t loads = 0;
+  std::size_t jumps = 0;
+  for (int stream = 0; stream < 6; ++stream) {
+    std::vector<FetchSlot> slots;
+    std::uint32_t pc = 0x100;
+    for (int i = 0; i < 40; ++i) {
+      const Opcode op = kOps[rng.next_u64() % kOps.size()];
+      isa::InstrDynContext ctx;
+      ctx.cur = {static_cast<std::uint32_t>(rng.next_u64()),
+                 static_cast<std::uint32_t>(rng.next_u64()), isa::ex_unit(op), op};
+      ctx.result = static_cast<std::uint32_t>(rng.next_u64());
+      ctx.pc = pc;
+      slots.push_back(FetchSlot::from_context(make(op, 1 + i % 7, 2, 3, i), ctx));
+      loads += op == Opcode::kLd ? 1 : 0;
+      // A taken branch or jump redirects the next fetch.
+      const bool taken = (op == Opcode::kBne || op == Opcode::kJmp) && rng.uniform() < 0.7;
+      jumps += taken ? 1 : 0;
+      pc = taken ? static_cast<std::uint32_t>(rng.next_u64() & 0xFFFCu) : pc + 4;
+    }
+    using Snapshot = std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>>;
+    auto record = [&](std::vector<Snapshot>& out) {
+      return [&gates, &out](const sim::LogicSimulator& sim) {
+        Snapshot snap;
+        for (netlist::GateId g : gates) {
+          snap.first.push_back(sim.value(g) ? 1 : 0);
+          snap.second.push_back(sim.activated(g) ? 1 : 0);
+        }
+        out.push_back(std::move(snap));
+      };
+    };
+    std::vector<Snapshot> want;
+    std::vector<Snapshot> got;
+    const auto full_cycles = full.run(slots, Pipeline::kStages, record(want));
+    const auto part_cycles = part.run(slots, Pipeline::kStages, record(got));
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t t = 0; t < want.size(); ++t) {
+      ASSERT_EQ(got[t].first, want[t].first) << "stream " << stream << ", cycle " << t;
+      ASSERT_EQ(got[t].second, want[t].second) << "stream " << stream << ", cycle " << t;
+      for (netlist::GateId g : gates)
+        ASSERT_EQ(part_cycles[t].flags()[g], full_cycles[t].flags()[g]);
+    }
+  }
+  EXPECT_GT(loads, 10u);
+  EXPECT_GT(jumps, 10u);
+}
+
+TEST(PipelineDriver, ClosureSimulationMatchesWholeNetlist) {
+  const netlist::Netlist& nl = shared_pipeline().netlist;
+  // The control characterizer's closure, and datapath training's.
+  expect_closure_matches_whole_netlist(nl.sequential_closure(all_control_endpoints()));
+  expect_closure_matches_whole_netlist(
+      nl.sequential_closure(nl.stage_cone(3, EndpointClass::kData).endpoints));
+}
+
+TEST(PipelineDriver, PrefixRunEqualsRunFromReset) {
+  PipelineDriver driver(shared_pipeline());
+  std::vector<FetchSlot> bubbles;
+  for (std::uint32_t i = 0; i < 4; ++i) bubbles.push_back(FetchSlot::nop(0x100u + 4u * i));
+  const PipelineDriver::Prefix prefix = driver.run_prefix(bubbles);
+  ASSERT_EQ(prefix.flags.size(), 3u);  // the fourth bubble's cycle reads the next PC
+  for (std::uint32_t a : {0x3u, 0x0FFFFFFFu}) {
+    std::vector<FetchSlot> slots = bubbles;
+    isa::InstrDynContext ctx;
+    ctx.cur = {a, 1u, isa::ExUnit::kAdder, Opcode::kAdd};
+    ctx.pc = 0x400;
+    slots.push_back(FetchSlot::from_context(make(Opcode::kAdd, 3, 1, 2), ctx));
+    const auto resumed = driver.run(prefix, slots, Pipeline::kStages);
+    const auto fresh = driver.run(slots);
+    ASSERT_EQ(resumed.size(), fresh.size());
+    for (std::size_t t = 0; t < fresh.size(); ++t)
+      EXPECT_EQ(resumed[t].flags(), fresh[t].flags()) << "cycle " << t;
+  }
+  // A stream that does not start with the prefix is refused.
+  std::vector<FetchSlot> other(4, FetchSlot::nop(0x200u));
+  EXPECT_THROW((void)driver.run(prefix, other, 0), std::invalid_argument);
+}
+
+TEST(ControlCharacterizer, MatchesWholeNetlistReferenceAtOneAndFourThreads) {
+  const std::size_t threads = support::global_threads();
+  for (const char* name : {"bitcount", "patricia", "stringsearch"}) {
+    const auto prog = profiled(name);
+    ASSERT_NE(prog, nullptr);
+    const isa::ProgramProfile& profile = prog->executor.profile();
+    const timing::TimingSpec spec{1300.0};
+    DtsAnalyzer reference_analyzer(shared_pipeline().netlist, shared_vm(), spec);
+    const auto want = reference_characterize(prog->program, prog->cfg, profile,
+                                             reference_analyzer);
+    for (const std::size_t n : {1u, 4u}) {
+      support::set_global_threads(n);
+      ControlCharacterizer cc(shared_pipeline(), shared_vm(), spec);
+      const auto got = cc.characterize(prog->program, prog->cfg, profile);
+      ASSERT_EQ(got.size(), want.size());
+      std::size_t compared = 0;
+      for (std::size_t b = 0; b < want.size(); ++b) {
+        ASSERT_EQ(got[b].per_edge.size(), want[b].per_edge.size());
+        std::vector<std::pair<const EdgeControlDts*, const EdgeControlDts*>> edges = {
+            {&got[b].entry, &want[b].entry}};
+        for (std::size_t j = 0; j < want[b].per_edge.size(); ++j)
+          edges.emplace_back(&got[b].per_edge[j], &want[b].per_edge[j]);
+        for (const auto& [g, w] : edges) {
+          ASSERT_EQ(g->instr.size(), w->instr.size());
+          for (std::size_t k = 0; k < w->instr.size(); ++k) {
+            ASSERT_TRUE(same_dts(g->instr[k], w->instr[k]))
+                << name << " at " << n << " threads: block " << b << ", instruction " << k;
+            compared += w->instr[k].has_value() ? 1 : 0;
+          }
+        }
+      }
+      EXPECT_GT(compared, 20u) << name;
+    }
+  }
+  support::set_global_threads(threads);
 }
 
 TEST(GraphDta, AggregatesWorstArrivals) {

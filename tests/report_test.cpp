@@ -275,20 +275,29 @@ TEST_F(ReportFixture, DiffAcceptsUnchangedAndFlagsInjectedRegression) {
 }
 
 TEST(ReportMonteCarlo, DivergenceDiagnosticIsPopulated) {
+  // The trials walk the recorded runs, so the divergence must not depend
+  // on the execution scale the estimate is extrapolated to.  Against the
+  // scaled count law (1e4, as the CLI uses) it read 1 whatever the model.
   support::set_global_threads(1);
-  auto cfg = small_config();
-  cfg.executor.record_block_trace = true;
-  core::ErrorRateFramework fw(pipeline(), cfg);
   const auto& spec = spec_named("pgp.encode");
   const isa::Program program = workloads::generate_program(spec);
-  report::ReportOptions options;
-  options.mc_trials = 200;
-  const auto r = fw.analyze(program, workloads::generate_inputs(spec, 2, 7));
-  const report::RunReport rep = report::build_report(fw, program, r, options);
-  EXPECT_TRUE(rep.mc.enabled);
-  EXPECT_EQ(rep.mc.trials, 200u);
-  EXPECT_GE(rep.mc.divergence, 0.0);
-  EXPECT_LE(rep.mc.divergence, 1.0);
+  auto divergence = [&](double scale) {
+    auto cfg = small_config();
+    cfg.executor.record_block_trace = true;
+    cfg.execution_scale = scale;
+    core::ErrorRateFramework fw(pipeline(), cfg);
+    report::ReportOptions options;
+    options.mc_trials = 200;
+    const auto r = fw.analyze(program, workloads::generate_inputs(spec, 2, 7));
+    const report::RunReport rep = report::build_report(fw, program, r, options);
+    EXPECT_TRUE(rep.mc.enabled);
+    EXPECT_EQ(rep.mc.trials, 200u);
+    return rep.mc.divergence;
+  };
+  const double scaled = divergence(1e4);
+  EXPECT_EQ(scaled, divergence(1.0));
+  EXPECT_GE(scaled, 0.0);
+  EXPECT_LT(scaled, 1.0);
 }
 
 TEST(TraceExport, FourThreadAnalyzeEmitsParsableEventsWithTids) {
