@@ -9,9 +9,7 @@
 #include <fstream>
 #include <system_error>
 
-#include "cache/key.hpp"
 #include "cache/serialize.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "robust/degrade.hpp"
@@ -54,12 +52,10 @@ struct CacheMetrics {
 
 ArtifactCache::ArtifactCache(std::string dir) : dir_(std::move(dir)) {
   TE_REQUIRE(!dir_.empty(), "ArtifactCache needs a directory");
+  // A directory that cannot be created surfaces as failed stores
+  // (cache.store_errors and a degraded run), not here.
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
-  if (ec) {
-    obs::log_warn("cache", "cannot create cache directory",
-                  {{"dir", dir_}, {"error", ec.message()}});
-  }
 }
 
 std::string ArtifactCache::path_for(std::string_view kind, std::uint64_t key) const {
@@ -73,47 +69,42 @@ std::optional<std::vector<std::uint8_t>> ArtifactCache::load(std::string_view ki
   obs::ScopedSpan span("cache.load");
   const std::string path = path_for(kind, key);
 
-  auto miss = [&](const char* why, bool corrupt) -> std::optional<std::vector<std::uint8_t>> {
+  // Any file that is present but cannot be read back intact is a corrupt
+  // miss: the caller recomputes and re-stores it.
+  auto corrupt = [&]() -> std::optional<std::vector<std::uint8_t>> {
     m.misses.increment();
-    if (corrupt) {
-      m.corrupt.increment();
-      obs::log_warn("cache", "corrupt artifact, recomputing",
-                    {{"kind", std::string(kind)}, {"path", path}, {"why", why}});
-    } else {
-      obs::log_debug("cache", "miss", {{"kind", std::string(kind)}, {"why", why}});
-    }
+    m.corrupt.increment();
     return std::nullopt;
   };
 
   std::ifstream in(path, std::ios::binary);
-  if (!in) return miss("absent", false);
+  if (!in) {
+    m.misses.increment();
+    return std::nullopt;
+  }
   // One read of the whole file at its current size.
   std::error_code ec;
   const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  if (ec) return miss("read error", true);
+  if (ec) return corrupt();
   std::vector<std::uint8_t> file(static_cast<std::size_t>(size));
   if (!in.read(reinterpret_cast<char*>(file.data()), static_cast<std::streamsize>(size)))
-    return miss("read error", true);
-  if (file.size() < kHeaderBytes + kTrailerBytes) return miss("truncated header", true);
+    return corrupt();
+  if (file.size() < kHeaderBytes + kTrailerBytes) return corrupt();
 
   ByteReader header(file.data(), kHeaderBytes);
-  if (header.u32() != kMagic) return miss("bad magic", true);
-  if (header.u32() != kFormatVersion) return miss("format version", true);
-  if (header.u64() != key) return miss("key mismatch", true);
+  if (header.u32() != kMagic) return corrupt();
+  if (header.u32() != kFormatVersion) return corrupt();
+  if (header.u64() != key) return corrupt();
   const std::uint64_t payload_size = header.u64();
-  if (payload_size != file.size() - kHeaderBytes - kTrailerBytes)
-    return miss("payload size", true);
+  if (payload_size != file.size() - kHeaderBytes - kTrailerBytes) return corrupt();
 
   const std::uint8_t* payload = file.data() + kHeaderBytes;
   ByteReader trailer(payload + payload_size, kTrailerBytes);
-  if (trailer.u64() != support::fnv1a(payload, payload_size, kKeyBasis))
-    return miss("checksum", true);
+  if (trailer.u64() != support::fnv1a(payload, payload_size)) return corrupt();
 
   m.hits.increment();
   m.bytes_read.increment(file.size());
   span.counter("bytes", static_cast<double>(payload_size));
-  obs::log_debug("cache", "hit",
-                 {{"kind", std::string(kind)}, {"bytes", payload_size}});
   file.resize(kHeaderBytes + payload_size);
   file.erase(file.begin(), file.begin() + kHeaderBytes);
   return file;
@@ -137,7 +128,7 @@ void ArtifactCache::store(std::string_view kind, std::uint64_t key,
   header.u64(key);
   header.u64(payload.size());
   ByteWriter trailer;
-  trailer.u64(support::fnv1a(payload.data(), payload.size(), kKeyBasis));
+  trailer.u64(support::fnv1a(payload.data(), payload.size()));
 
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);
@@ -151,8 +142,6 @@ void ArtifactCache::store(std::string_view kind, std::uint64_t key,
     }
     if (!out) {
       m.store_errors.increment();
-      obs::log_warn_once("cache.store_errors.write", "cache", "cannot write artifact",
-                         {{"kind", std::string(kind)}, {"path", temp}});
       robust::note_degraded("cache", "cannot write artifact temp file " + temp +
                                          "; cache stays cold for this key");
       std::error_code ec;
@@ -165,23 +154,14 @@ void ArtifactCache::store(std::string_view kind, std::uint64_t key,
   std::filesystem::rename(temp, path, ec);
   if (ec) {
     m.store_errors.increment();
-    obs::log_warn_once("cache.store_errors.rename", "cache", "cannot publish artifact",
-                       {{"kind", std::string(kind)}, {"path", path}, {"error", ec.message()}});
     robust::note_degraded("cache", "cannot publish artifact " + path + ": " + ec.message());
     std::error_code rm_ec;
     std::filesystem::remove(temp, rm_ec);
-    if (rm_ec) {
-      m.store_errors.increment();
-      obs::log_warn("cache", "cannot remove temp file",
-                    {{"path", temp}, {"error", rm_ec.message()}});
-    }
+    if (rm_ec) m.store_errors.increment();
     return;
   }
-  const std::uint64_t total = kHeaderBytes + payload.size() + kTrailerBytes;
-  m.bytes_written.increment(total);
+  m.bytes_written.increment(kHeaderBytes + payload.size() + kTrailerBytes);
   span.counter("bytes", static_cast<double>(payload.size()));
-  obs::log_info("cache", "stored artifact",
-                {{"kind", std::string(kind)}, {"bytes", total}});
 }
 
 std::string resolve_cache_dir(const std::string& configured) {

@@ -39,8 +39,9 @@ class ArtifactCache {
                                                               std::uint64_t key) const;
 
   /// Atomically persist the payload under <kind, key>.  I/O failures are
-  /// logged and swallowed: a cache that cannot write degrades to a cache
-  /// that never hits, never into an analysis failure.
+  /// counted (`cache.store_errors`), mark the run degraded and are
+  /// swallowed: a cache that cannot write degrades to a cache that never
+  /// hits, never into an analysis failure.
   void store(std::string_view kind, std::uint64_t key,
              const std::vector<std::uint8_t>& payload) const;
 

@@ -32,7 +32,7 @@ void feed_edge_samples(HashStream& h, const isa::EdgeSamples& es) {
 }  // namespace
 
 std::uint64_t hash_netlist(const netlist::Netlist& nl) {
-  HashStream h(kKeyBasis);
+  HashStream h;
   h.u64(nl.size());
   h.u8(nl.stage_count());
   for (netlist::GateId g = 0; g < nl.size(); ++g) {
@@ -49,7 +49,7 @@ std::uint64_t hash_netlist(const netlist::Netlist& nl) {
 }
 
 std::uint64_t hash_variation(const timing::VariationConfig& cfg) {
-  HashStream h(kKeyBasis);
+  HashStream h;
   h.f64(cfg.sigma);
   h.f64(cfg.w_global);
   h.f64(cfg.w_spatial);
@@ -62,16 +62,15 @@ std::uint64_t hash_variation(const timing::VariationConfig& cfg) {
 }
 
 std::uint64_t hash_spec(const timing::TimingSpec& spec) {
-  HashStream h(kKeyBasis);
+  HashStream h;
   h.f64(spec.period_ps);
   h.f64(spec.setup_ps);
   return h.digest();
 }
 
 std::uint64_t hash_dts_config(const dta::DtsConfig& cfg) {
-  HashStream h(kKeyBasis);
+  HashStream h;
   h.u64(cfg.top_k);
-  h.f64(cfg.percentile_low);
   h.f64(cfg.percentile_high);
   h.u8(static_cast<std::uint8_t>(cfg.ordering));
   h.f64(cfg.prune_sigmas);
@@ -79,7 +78,7 @@ std::uint64_t hash_dts_config(const dta::DtsConfig& cfg) {
 }
 
 std::uint64_t hash_characterizer_config(const dta::ControlCharacterizerConfig& cfg) {
-  HashStream h(kKeyBasis);
+  HashStream h;
   h.i32(cfg.pred_tail);
   h.i32(cfg.warmup_nops);
   return h.digest();
@@ -87,7 +86,7 @@ std::uint64_t hash_characterizer_config(const dta::ControlCharacterizerConfig& c
 
 std::uint64_t hash_program(const isa::Program& program) {
   // The name is cosmetic; only structure and instruction content matter.
-  HashStream h(kKeyBasis);
+  HashStream h;
   h.u64(program.block_count());
   h.u32(program.entry());
   for (isa::BlockId b = 0; b < program.block_count(); ++b) {
@@ -107,7 +106,7 @@ std::uint64_t hash_program(const isa::Program& program) {
 }
 
 std::uint64_t hash_profile(const isa::ProgramProfile& profile) {
-  HashStream h(kKeyBasis);
+  HashStream h;
   h.u64(profile.total_instructions);
   h.u64(profile.runs);
   h.u64(profile.blocks.size());
@@ -124,7 +123,7 @@ std::uint64_t hash_profile(const isa::ProgramProfile& profile) {
 }
 
 std::uint64_t hash_inputs(const std::vector<isa::ProgramInput>& inputs) {
-  HashStream h(kKeyBasis);
+  HashStream h;
   h.u64(inputs.size());
   for (const isa::ProgramInput& in : inputs) {
     h.u64(in.registers.size());
@@ -135,7 +134,7 @@ std::uint64_t hash_inputs(const std::vector<isa::ProgramInput>& inputs) {
 }
 
 std::uint64_t hash_executor_config(const isa::ExecutorConfig& cfg) {
-  HashStream h(kKeyBasis);
+  HashStream h;
   h.u64(cfg.max_instructions);
   h.u64(cfg.samples_per_edge);
   h.u64(cfg.memory_words);
@@ -145,7 +144,7 @@ std::uint64_t hash_executor_config(const isa::ExecutorConfig& cfg) {
 }
 
 std::uint64_t combine(std::initializer_list<std::uint64_t> parts) {
-  HashStream h(kKeyBasis);
+  HashStream h;
   h.u64(parts.size());
   for (const std::uint64_t p : parts) h.u64(p);
   return h.digest();

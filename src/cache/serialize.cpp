@@ -222,7 +222,6 @@ void encode_datapath(const dta::DatapathModel::Params& params, ByteWriter& w) {
   encode_dts(params.logic, w);
   encode_dts(params.shift, w);
   encode_dts(params.pass, w);
-  w.f64(params.period_ref);
 }
 
 std::optional<dta::DatapathModel::Params> decode_datapath(ByteReader& r) {
@@ -233,7 +232,6 @@ std::optional<dta::DatapathModel::Params> decode_datapath(ByteReader& r) {
   p.logic = decode_dts(r);
   p.shift = decode_dts(r);
   p.pass = decode_dts(r);
-  p.period_ref = r.f64();
   if (!r.done()) return std::nullopt;
   return p;
 }

@@ -7,7 +7,6 @@
 #include "cache/key.hpp"
 #include "cache/serialize.hpp"
 #include "obs/journal.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "robust/degrade.hpp"
@@ -68,12 +67,8 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
 
   if (const std::string dir = cache::resolve_cache_dir(config_.cache_dir); !dir.empty()) {
     cache_ = std::make_unique<cache::ArtifactCache>(dir);
-    obs::log_info("cache", "artifact cache enabled", {{"dir", dir}});
   }
   journal_path_ = obs::resolve_journal_path(config_.journal_path);
-  if (!journal_path_.empty()) {
-    obs::log_info("core", "run journal enabled", {{"path", journal_path_}});
-  }
 
   // Datapath-model training is spec-independent (arrival-form parameters),
   // so its key omits the timing spec.
@@ -101,8 +96,6 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
 
   characterizer_ = std::make_unique<dta::ControlCharacterizer>(
       pipeline_, vm_, config_.spec, config_.dts, config_.characterizer);
-  obs::log_debug("core", "framework initialised",
-                 {{"period_ps", config_.spec.period_ps}});
 }
 
 void ErrorRateFramework::set_spec(timing::TimingSpec spec) {
@@ -123,8 +116,8 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
   analyze_calls.increment();
 
   // Run identity (DESIGN §5g): the same inputs at the same ordinal give
-  // the same id, so a run correlates across report, journal, and logs
-  // without any nondeterministic token.
+  // the same id, so a run correlates across report and journal without
+  // any nondeterministic token.
   BenchmarkResult result;
   result.name = program.name();
   const std::uint64_t program_hash = cache::hash_program(program);
@@ -133,18 +126,15 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
        cache::hash_spec(config_.spec), program_hash, analyze_ordinal_++}));
   result.basic_blocks = program.block_count();
 
-  // Per-run degradation bookkeeping starts clean under this run's id, and
-  // the pool's fault / retry hooks are wired before any parallel region
-  // can run.
-  robust::DegradationLog::instance().begin_run(result.run_id);
+  // Per-run degradation bookkeeping starts clean, and the pool's fault /
+  // retry hooks are wired before any parallel region can run.
+  robust::DegradationLog::instance().begin_run();
   robust::install_pool_hooks();
 
   obs::ScopedSpan span("analyze");
   span.counter("inputs", static_cast<double>(inputs.size()));
   // Per-run counter deltas for the result and the journal event.
   const obs::MetricsScope run_metrics(obs::MetricsRegistry::instance());
-  obs::log_info("core", "analyze start",
-                {{"program", program.name()}, {"inputs", inputs.size()}, {"run", result.run_id}});
 
   const support::ThreadPool::Stats pool_before = support::global_pool().stats();
 
@@ -193,9 +183,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
   // estimate covers, not the instructions executed in this process.
   result.instructions = last_.executor->profile().total_instructions;
   instr_metric.increment(result.instructions);
-  obs::log_info("core", "simulation phase done",
-                {{"seconds", result.simulation_seconds},
-                 {"instructions", result.instructions}});
 
   // --- training phase (gate-level control-network characterisation) -----
   {
@@ -232,9 +219,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     }
     result.training_seconds = seconds_since(t0);
   }
-  obs::log_info("core", "training phase done",
-                {{"seconds", result.training_seconds},
-                 {"blocks", result.basic_blocks}});
 
   // --- estimation ---------------------------------------------------------
   {
@@ -260,20 +244,12 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     result.estimate = estimate_error_rate(est_in);
     result.estimation_seconds = seconds_since(t0);
   }
-  obs::log_info("core", "estimation phase done",
-                {{"seconds", result.estimation_seconds},
-                 {"rate_mean", result.estimate.rate_mean()},
-                 {"rate_sd", result.estimate.rate_sd()}});
 
   result.cache_hits = run_metrics.delta("cache.hits");
   result.cache_misses = run_metrics.delta("cache.misses");
   const auto& degradation = robust::DegradationLog::instance();
   result.degraded = degradation.degraded();
   result.degraded_sites = degradation.sites();
-  if (result.degraded) {
-    obs::log_warn("core", "analysis degraded",
-                  {{"sites", static_cast<std::uint64_t>(result.degraded_sites.size())}});
-  }
 
   // Wide-event journal append (DESIGN §5g).  Strictly observational: the
   // event is assembled from the finished result, and a failed append

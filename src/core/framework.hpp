@@ -61,8 +61,8 @@ struct BenchmarkResult {
   std::string name;
   /// Deterministic 16-hex run id (obs::format_run_id of the run key):
   /// identical framework inputs + program + analyze ordinal give
-  /// identical ids, so reports, journal events and degradation warnings
-  /// from the same logical run correlate byte-stably.
+  /// identical ids, so the report, the journal event and the CLI summary
+  /// of the same logical run correlate byte-stably.
   std::string run_id;
   /// Dynamic instructions the profile covers (all runs), whether this
   /// call executed them or adopted a cached profile.

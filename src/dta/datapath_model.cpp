@@ -201,7 +201,6 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
   span.counter("measurements", static_cast<double>(tasks.size()));
 
   DatapathModel model;
-  model.period_ref_ = spec.period_ps;
 
   // --- adder: controlled carry chains of length L --------------------------
   std::vector<Measurement> adder_ms;
@@ -230,7 +229,7 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
 }
 
 DatapathModel::Params DatapathModel::params() const {
-  return {adder_mean_, adder_sd_, adder_gl_, logic_, shift_, pass_, period_ref_};
+  return {adder_mean_, adder_sd_, adder_gl_, logic_, shift_, pass_};
 }
 
 DatapathModel DatapathModel::from_params(const Params& p) {
@@ -241,7 +240,6 @@ DatapathModel DatapathModel::from_params(const Params& p) {
   model.logic_ = p.logic;
   model.shift_ = p.shift;
   model.pass_ = p.pass;
-  model.period_ref_ = p.period_ref;
   return model;
 }
 

@@ -81,7 +81,6 @@ class DatapathModel {
     DtsGaussian logic;
     DtsGaussian shift;
     DtsGaussian pass;
-    double period_ref = 0.0;
   };
   [[nodiscard]] Params params() const;
   /// Rebuild a model from a snapshot (warm-start path): bit-identical to
@@ -97,7 +96,6 @@ class DatapathModel {
   DtsGaussian logic_{};
   DtsGaussian shift_{};
   DtsGaussian pass_{};
-  double period_ref_ = 0.0;  ///< spec used during training (for conversion)
 };
 
 }  // namespace terrors::dta

@@ -108,9 +108,8 @@ DtsAnalyzer::DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationMode
       cache_(nl.size()),
       arrivals_(nl.size() + 1, -std::numeric_limits<double>::infinity()) {
   TE_REQUIRE(config.top_k > 0, "top_k must be positive");
-  TE_REQUIRE(config.percentile_low > 0.0 && config.percentile_high < 1.0 &&
-                 config.percentile_low < config.percentile_high,
-             "bad percentile configuration");
+  TE_REQUIRE(config.percentile_high > 0.5 && config.percentile_high < 1.0,
+             "percentile_high must lie in (0.5, 1)");
 }
 
 DtsAnalyzer::DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationModel& vm,
@@ -124,9 +123,8 @@ DtsAnalyzer::DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationMode
       cache_(nl.size()),
       arrivals_(nl.size() + 1, -std::numeric_limits<double>::infinity()) {
   TE_REQUIRE(config.top_k > 0, "top_k must be positive");
-  TE_REQUIRE(config.percentile_low > 0.0 && config.percentile_high < 1.0 &&
-                 config.percentile_low < config.percentile_high,
-             "bad percentile configuration");
+  TE_REQUIRE(config.percentile_high > 0.5 && config.percentile_high < 1.0,
+             "percentile_high must lie in (0.5, 1)");
 }
 
 DtsAnalyzer::EndpointCache& DtsAnalyzer::endpoint_cache(GateId endpoint) {

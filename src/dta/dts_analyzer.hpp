@@ -79,7 +79,8 @@ class CycleActivation {
 
 struct DtsConfig {
   std::size_t top_k = 24;  ///< candidate paths examined per endpoint and pass
-  double percentile_low = 0.01;
+  /// Upper percentile of the two candidate orderings; the lower one is its
+  /// mirror image 1 - percentile_high (the same z, negated).
   double percentile_high = 0.99;
   stat::MinOrdering ordering = stat::MinOrdering::kGreedyTightness;
   /// Paths whose mean slack exceeds the best mean by more than

@@ -1,9 +1,7 @@
 #include "robust/degrade.hpp"
 
 #include <algorithm>
-#include <utility>
 
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace terrors::robust {
@@ -13,10 +11,9 @@ DegradationLog& DegradationLog::instance() {
   return log;
 }
 
-void DegradationLog::begin_run(std::string run_id) {
+void DegradationLog::begin_run() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
-  run_id_ = std::move(run_id);
 }
 
 void DegradationLog::note(std::string_view site, std::string_view detail) {
@@ -26,27 +23,13 @@ void DegradationLog::note(std::string_view site, std::string_view detail) {
       .counter("robust.degraded." + std::string(site))
       .increment();
 
-  bool first = false;
-  std::string run;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = std::find_if(entries_.begin(), entries_.end(),
-                           [&](const Entry& e) { return e.site == site; });
-    if (it == entries_.end()) {
-      entries_.push_back({std::string(site), std::string(detail), 1});
-      first = true;
-      run = run_id_;
-    } else {
-      ++it->events;
-    }
-  }
-  if (first) {
-    // Tag the warning with the run so a shared log file attributes
-    // degradation to the analyze() call that suffered it.
-    std::vector<obs::LogField> fields = {{"site", std::string(site)},
-                                         {"detail", std::string(detail)}};
-    if (!run.empty()) fields.push_back({"run", run});
-    obs::log_warn("robust", "degraded mode: serving best-effort result", fields);
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = std::find_if(entries_.begin(), entries_.end(),
+                         [&](const Entry& e) { return e.site == site; });
+  if (it == entries_.end()) {
+    entries_.push_back({std::string(site), std::string(detail), 1});
+  } else {
+    ++it->events;
   }
 }
 

@@ -6,14 +6,14 @@
 // DegradationLog is the single place those events land:
 //
 //   * `robust.degraded` (total) and `robust.degraded.<site>` counters,
-//   * one WARN log line per (site) per run (repeats are recorded
-//     silently, so a prob=1 chaos run does not spam stderr),
-//   * an entry list the framework copies into BenchmarkResult /
-//     the run report's `degraded` section.
+//   * one entry per site per run holding the first failure detail
+//     (repeats only bump its event count, so a prob=1 chaos run stays
+//     one entry), which the framework copies into BenchmarkResult / the
+//     run report's `degraded` section and `terrors analyze` prints as
+//     one warning line per entry.
 //
-// begin_run(run_id) is called at the top of Framework::analyze; entries
-// are per-run, counters are cumulative like every other metric, and the
-// run id tags every warning until the next begin_run.
+// begin_run() is called at the top of Framework::analyze; entries are
+// per-run, counters are cumulative like every other metric.
 #pragma once
 
 #include <cstdint>
@@ -34,12 +34,12 @@ class DegradationLog {
     std::uint64_t events = 0;
   };
 
-  /// Clear per-run entries and tag later warnings with `run_id`
-  /// (counters and logs are untouched).
-  void begin_run(std::string run_id);
+  /// Clear per-run entries (counters are untouched).
+  void begin_run();
 
-  /// Record one degradation event; warns (once per site per run) and
-  /// bumps `robust.degraded` + `robust.degraded.<site>`.
+  /// Record one degradation event: the first per site per run adds an
+  /// entry, later ones count on it; bumps `robust.degraded` +
+  /// `robust.degraded.<site>`.
   void note(std::string_view site, std::string_view detail);
 
   [[nodiscard]] bool degraded() const;
@@ -52,7 +52,6 @@ class DegradationLog {
 
   mutable std::mutex mutex_;
   std::vector<Entry> entries_;
-  std::string run_id_;
 };
 
 /// Shorthand for DegradationLog::instance().note(...).

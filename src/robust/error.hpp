@@ -37,7 +37,7 @@ enum class Category : int {
 };
 
 /// Stable lowercase name ("input", "artifact", ...), used in error
-/// rendering, doctor findings, and logs.
+/// rendering and doctor findings.
 [[nodiscard]] std::string_view category_name(Category c);
 
 /// Process exit code for a failure of this category.  0..2 are taken by

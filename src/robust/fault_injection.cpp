@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <mutex>
 
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "robust/hooks.hpp"
 #include "support/hash.hpp"
@@ -129,10 +128,6 @@ void FaultInjector::arm(FaultPlan plan) {
   }
   fires_.store(0, std::memory_order_relaxed);
   armed_.store(have, std::memory_order_release);
-  if (have) {
-    obs::log_warn("robust", "fault plan armed",
-                  {{"entries", static_cast<std::uint64_t>(plan.specs().size())}});
-  }
 }
 
 bool FaultInjector::should_fire(std::string_view site, std::optional<std::uint64_t> key) {
@@ -172,9 +167,6 @@ bool FaultInjector::should_fire(std::string_view site, std::optional<std::uint64
     static obs::Counter& injected =
         obs::MetricsRegistry::instance().counter("robust.faults_injected");
     injected.increment();
-    obs::log_warn("robust", "fault fired",
-                  {{"site", std::string(site)},
-                   {"key", key.has_value() ? std::to_string(*key) : std::string("-")}});
   }
   return fire;
 }

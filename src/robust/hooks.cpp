@@ -3,7 +3,6 @@
 #include <mutex>
 #include <string>
 
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "robust/degrade.hpp"
 #include "robust/fault_injection.hpp"
@@ -20,16 +19,12 @@ void install_pool_hooks() {
     hooks.task_enter = [](std::size_t index) {
       maybe_fault("pool.task", static_cast<std::uint64_t>(index));
     };
-    hooks.task_retry = [](std::size_t index, const char* what, bool retry_ok) {
+    hooks.task_retry = [](std::size_t index, const char* what) {
       static obs::Counter& retries =
           obs::MetricsRegistry::instance().counter("pool.task_retries");
       retries.increment();
       note_degraded("pool", "task index " + std::to_string(index) +
                                 " retried serially after: " + what);
-      if (!retry_ok) {
-        obs::log_error("pool", "task retry failed, propagating",
-                       {{"index", static_cast<std::uint64_t>(index)}, {"error", what}});
-      }
     };
     support::set_pool_hooks(std::move(hooks));
   });

@@ -18,8 +18,6 @@ inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 /// stable across builds of the same platform family.
 class HashStream {
  public:
-  explicit HashStream(std::uint64_t basis = kFnvOffsetBasis) : h_(basis) {}
-
   void bytes(const void* data, std::size_t len) {
     const auto* p = static_cast<const unsigned char*>(data);
     for (std::size_t i = 0; i < len; ++i) {
@@ -47,13 +45,12 @@ class HashStream {
   [[nodiscard]] std::uint64_t digest() const { return h_; }
 
  private:
-  std::uint64_t h_;
+  std::uint64_t h_ = kFnvOffsetBasis;
 };
 
 /// One-shot digest of a byte range.
-inline std::uint64_t fnv1a(const void* data, std::size_t len,
-                           std::uint64_t basis = kFnvOffsetBasis) {
-  HashStream h(basis);
+inline std::uint64_t fnv1a(const void* data, std::size_t len) {
+  HashStream h;
   h.bytes(data, len);
   return h.digest();
 }

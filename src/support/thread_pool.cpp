@@ -124,16 +124,12 @@ void ThreadPool::retry_failures(std::vector<Failure>& failures, const PoolHooks*
             [](const Failure& a, const Failure& b) { return a.index < b.index; });
   for (const auto& f : failures) {
     retries_.fetch_add(1, std::memory_order_relaxed);
-    const std::string what = describe(f.error);
+    if (hooks != nullptr && hooks->task_retry)
+      hooks->task_retry(f.index, describe(f.error).c_str());
     // The retry runs the task directly — deliberately NOT through
     // task_enter, so an injected fault at this index fires exactly once.
-    try {
-      fn(f.index, tl_worker);
-    } catch (...) {
-      if (hooks != nullptr && hooks->task_retry) hooks->task_retry(f.index, what.c_str(), false);
-      throw;
-    }
-    if (hooks != nullptr && hooks->task_retry) hooks->task_retry(f.index, what.c_str(), true);
+    // A second failure propagates to the caller.
+    fn(f.index, tl_worker);
   }
 }
 

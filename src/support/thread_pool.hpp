@@ -109,13 +109,13 @@ std::size_t global_threads();
 ///    the task itself throwing — this is the `pool.task` fault-injection
 ///    site.  Must be deterministic in `index` (never in worker/arrival
 ///    order), or chaos runs lose reproducibility.
-///  * task_retry(index, what, ok) reports the outcome of the serial
-///    retry of a failed index (degradation metering + logging).
+///  * task_retry(index, what) runs before the serial retry of a failed
+///    index (degradation metering).
 ///
 /// Both must be thread-safe; either may be empty.
 struct PoolHooks {
   std::function<void(std::size_t index)> task_enter;
-  std::function<void(std::size_t index, const char* what, bool retry_ok)> task_retry;
+  std::function<void(std::size_t index, const char* what)> task_retry;
 };
 void set_pool_hooks(PoolHooks hooks);
 

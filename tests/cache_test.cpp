@@ -24,7 +24,6 @@
 #include "isa/executor.hpp"
 #include "netlist/pipeline.hpp"
 #include "obs/metrics.hpp"
-#include "support/hash.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/specs.hpp"
@@ -52,8 +51,9 @@ struct TempDir {
 // --- keys --------------------------------------------------------------------
 
 TEST(Keys, DigestsKeepTheirBasis) {
-  // Every stored artifact name and run id hashes from kKeyBasis.
-  EXPECT_EQ(support::fnv1a("a", 1, kKeyBasis), 0x44bd8ad473cd9906ull);
+  // Every stored artifact name and run id is a standard FNV-1a digest:
+  // combine({1, 2}) hashes the little-endian u64s 2, 1, 2.
+  EXPECT_EQ(combine({1, 2}), 0x422dee74521c4b44ull);
 }
 
 TEST(Keys, CombineIsOrderSensitive) {
@@ -184,10 +184,10 @@ TEST(Codec, DatapathRoundTripsExactly) {
   p.shift.global_loading = 1.25;
   p.pass.slack = {200.0, 1.0};
   p.pass.global_loading = 0.5;
-  p.period_ref = 1300.0;
 
   ByteWriter w;
   encode_datapath(p, w);
+  EXPECT_EQ(w.bytes().size(), 15u * 8u);  // three linear fits, three Gaussians
   ByteReader r(w.bytes());
   const auto back = decode_datapath(r);
   ASSERT_TRUE(back.has_value());

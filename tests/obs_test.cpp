@@ -1,6 +1,6 @@
 // Tests for the observability layer: tracer span nesting and timing,
-// counter registry semantics, JSON exporter well-formedness, log-level
-// filtering, counter thread safety,
+// counter registry semantics, JSON exporter well-formedness, counter
+// thread safety,
 // run ids and per-run metric views (MetricsScope), the tracer span cap,
 // and the folded-stack profile the tracer writes and `terrors profile`
 // reads.
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "obs/json.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -456,60 +455,6 @@ TEST_F(TracerTest, FoldedStacksAreTheSpansSelfTimes) {
   std::ostringstream again;
   for (const auto& [stack, us] : folded) again << stack << " " << us << "\n";
   EXPECT_EQ(again.str(), os.str());
-}
-
-// ---------------------------------------------------------------------------
-
-class LoggerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    obs::Logger::instance().set_sink(&sink_);
-    obs::Logger::instance().set_level(obs::LogLevel::kOff);
-  }
-  void TearDown() override {
-    obs::Logger::instance().set_sink(nullptr);
-    obs::Logger::instance().set_level(obs::LogLevel::kOff);
-  }
-  std::ostringstream sink_;
-};
-
-TEST_F(LoggerTest, OffByDefaultSuppressesEverything) {
-  obs::log_error("test", "should not appear");
-  obs::log_info("test", "should not appear");
-  EXPECT_TRUE(sink_.str().empty());
-}
-
-TEST_F(LoggerTest, LevelFilteringSuppressesFinerLevels) {
-  obs::Logger::instance().set_level(obs::LogLevel::kInfo);
-  obs::log_debug("test", "filtered");
-  EXPECT_TRUE(sink_.str().empty());
-  obs::log_info("test", "visible");
-  EXPECT_NE(sink_.str().find("msg=visible"), std::string::npos);
-  obs::log_error("test", "also visible");
-  EXPECT_NE(sink_.str().find("level=error"), std::string::npos);
-}
-
-TEST_F(LoggerTest, StructuredFieldsAreKeyValueFormatted) {
-  obs::Logger::instance().set_level(obs::LogLevel::kInfo);
-  obs::log_info("core", "phase done",
-                {{"seconds", 1.5}, {"blocks", 14}, {"name", "two words"}});
-  const std::string line = sink_.str();
-  EXPECT_NE(line.find("comp=core"), std::string::npos) << line;
-  EXPECT_NE(line.find("seconds=1.5"), std::string::npos) << line;
-  EXPECT_NE(line.find("blocks=14"), std::string::npos) << line;
-  EXPECT_NE(line.find("name=\"two words\""), std::string::npos) << line;
-  EXPECT_EQ(line.back(), '\n');
-}
-
-TEST_F(LoggerTest, ParseLogLevelRoundTrips) {
-  EXPECT_EQ(obs::parse_log_level("info"), obs::LogLevel::kInfo);
-  EXPECT_EQ(obs::parse_log_level("trace"), obs::LogLevel::kTrace);
-  EXPECT_EQ(obs::parse_log_level("off"), obs::LogLevel::kOff);
-  EXPECT_FALSE(obs::parse_log_level("bogus").has_value());
-  for (const auto lvl : {obs::LogLevel::kError, obs::LogLevel::kWarn, obs::LogLevel::kInfo,
-                         obs::LogLevel::kDebug, obs::LogLevel::kTrace}) {
-    EXPECT_EQ(obs::parse_log_level(obs::log_level_name(lvl)), lvl);
-  }
 }
 
 }  // namespace

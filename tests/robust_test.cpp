@@ -339,7 +339,7 @@ TEST_F(RobustTest, WorkerRetryReproducesSerialResultExactly) {
   };
   const std::vector<std::uint64_t> baseline = run_loop(1);
 
-  robust::DegradationLog::instance().begin_run("");
+  robust::DegradationLog::instance().begin_run();
   const std::uint64_t retries_before = counter("pool.task_retries");
   robust::FaultInjector::instance().arm(robust::FaultPlan::parse("pool.task:key=2"));
   const std::vector<std::uint64_t> serial = run_loop(1);
@@ -375,6 +375,29 @@ TEST_F(RobustTest, WorkerFaultsThroughAnalyzeKeepBitIdentity) {
   EXPECT_TRUE(faulted.degraded);
   ASSERT_FALSE(faulted.degraded_sites.empty());
   EXPECT_EQ(faulted.degraded_sites.front(), "pool");
+}
+
+TEST_F(RobustTest, DegradationLogKeepsTheFirstDetailPerSite) {
+  // The entries are what `terrors analyze` prints as warnings.
+  robust::DegradationLog& log = robust::DegradationLog::instance();
+  log.begin_run();
+  robust::note_degraded("solver", "first solver detail");
+  robust::note_degraded("cache", "first cache detail");
+  robust::note_degraded("solver", "second solver detail");
+
+  const std::vector<robust::DegradationLog::Entry> entries = log.entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].site, "solver");
+  EXPECT_EQ(entries[0].detail, "first solver detail");
+  EXPECT_EQ(entries[0].events, 2u);
+  EXPECT_EQ(entries[1].site, "cache");
+  EXPECT_EQ(entries[1].detail, "first cache detail");
+  EXPECT_EQ(entries[1].events, 1u);
+  EXPECT_EQ(log.sites(), (std::vector<std::string>{"cache", "solver"}));
+
+  log.begin_run();
+  EXPECT_TRUE(log.entries().empty());
+  EXPECT_FALSE(log.degraded());
 }
 
 TEST_F(RobustTest, EmptyPlanLeavesResultsUndegraded) {

@@ -10,7 +10,7 @@
 //                   [--trace F] [--trace-tree] [--trace-limit N]
 //                   [--metrics F] [--report F]
 //                   [--report-mc N] [--journal F] [--profile F]
-//                   [--log-level L] [--cache-dir D]
+//                   [--cache-dir D]
 //                                        full error-rate analysis row
 //   terrors stats <journal>              aggregate a run-journal JSONL file
 //   terrors tail <journal> [--n N]       render the newest journal events
@@ -22,7 +22,10 @@
 // by: ...`) with category exit codes: 3 input, 4 artifact, 5 numerical,
 // 6 resource, 7 internal (0 ok, 1 generic, 2 diff regression).  A fault
 // plan from --inject-faults / TERRORS_FAULTS arms deterministic chaos
-// (see src/robust/fault_injection.hpp).
+// (see src/robust/fault_injection.hpp).  After its summary, a degraded
+// `analyze` writes one `warning: degraded <site>: <first detail>` line
+// per degraded site to stderr; a healthy run writes nothing there
+// (unless --trace-tree asks for the phase tree).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -32,7 +35,6 @@
 #include <vector>
 
 #include "core/framework.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -260,7 +262,6 @@ int cmd_analyze(int argc, char** argv, const char* name) {
                     {"--report-mc", true},
                     {"--journal", true},
                     {"--profile", true},
-                    {"--log-level", true},
                     {"--cache-dir", true},
                     {"--inject-faults", true},
                     {"--strict", false}},
@@ -281,14 +282,6 @@ int cmd_analyze(int argc, char** argv, const char* name) {
     support::set_global_threads(
         static_cast<std::size_t>(robust::parse_uint_arg("--threads", it->second)));
 
-  if (const auto it = flags.find("--log-level"); it != flags.end()) {
-    const auto lvl = obs::parse_log_level(it->second);
-    if (!lvl.has_value()) {
-      std::fprintf(stderr, "unknown log level '%s'\n", it->second.c_str());
-      return 1;
-    }
-    obs::Logger::instance().set_level(*lvl);
-  }
   if (const auto it = flags.find("--trace-limit"); it != flags.end()) {
     obs::Tracer::instance().set_span_limit(
         static_cast<std::size_t>(robust::parse_uint_arg("--trace-limit", it->second)));
@@ -345,6 +338,10 @@ int cmd_analyze(int argc, char** argv, const char* name) {
     }
     std::printf("  degraded         : yes (%s) — best-effort result\n", sites.c_str());
   }
+  // The warnings follow the summary even when both streams share a file.
+  std::fflush(stdout);
+  for (const auto& entry : robust::DegradationLog::instance().entries())
+    std::fprintf(stderr, "warning: degraded %s: %s\n", entry.site.c_str(), entry.detail.c_str());
 
   // Peripheral outputs (trace, report, metrics): the headline estimate is
   // already on stdout, so a failed write degrades (warn + robust.degraded)
@@ -553,7 +550,6 @@ void usage() {
       "          [--journal FILE]      append a wide run event (JSONL; or TERRORS_JOURNAL)\n"
       "          [--profile FILE]      write span self times (us) as folded stacks\n"
       "                                for flamegraph.pl / speedscope\n"
-      "          [--log-level LVL]     error|warn|info|debug|trace (default off)\n"
       "          [--cache-dir DIR]     content-addressed artifact cache (or\n"
       "                                TERRORS_CACHE_DIR; off by default)\n"
       "          [--inject-faults SPEC] arm a deterministic fault plan (or\n"
