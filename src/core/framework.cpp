@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "cache/key.hpp"
 #include "cache/serialize.hpp"
@@ -57,6 +58,7 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
     : pipeline_(pipeline), config_(config), vm_(pipeline.netlist, config.variation) {
   require_valid_spec(config_.spec);
   obs::ScopedSpan span("framework.init");
+  robust::DegradationLog::instance().begin_run();
 
   // Component hashes feed both cache keys and run ids, so they are
   // computed whether or not the cache is enabled.
@@ -96,6 +98,7 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
 
   characterizer_ = std::make_unique<dta::ControlCharacterizer>(
       pipeline_, vm_, config_.spec, config_.dts, config_.characterizer);
+  construction_degradation_ = robust::DegradationLog::instance().entries();
 }
 
 void ErrorRateFramework::set_spec(timing::TimingSpec spec) {
@@ -126,9 +129,10 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
        cache::hash_spec(config_.spec), program_hash, analyze_ordinal_++}));
   result.basic_blocks = program.block_count();
 
-  // Per-run degradation bookkeeping starts clean, and the pool's fault /
-  // retry hooks are wired before any parallel region can run.
-  robust::DegradationLog::instance().begin_run();
+  // Per-run degradation bookkeeping starts with what construction noted
+  // (first run only), and the pool's fault / retry hooks are wired before
+  // any parallel region can run.
+  robust::DegradationLog::instance().begin_run(std::exchange(construction_degradation_, {}));
   robust::install_pool_hooks();
 
   obs::ScopedSpan span("analyze");

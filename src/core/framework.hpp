@@ -29,6 +29,7 @@
 #include "dta/datapath_model.hpp"
 #include "isa/executor.hpp"
 #include "netlist/pipeline.hpp"
+#include "robust/degrade.hpp"
 #include "timing/variation.hpp"
 
 namespace terrors::core {
@@ -139,6 +140,9 @@ class ErrorRateFramework {
   /// Per-framework analyze() ordinal folded into the run key, so repeated
   /// analyses of the same program get distinct (still deterministic) ids.
   std::uint64_t analyze_ordinal_ = 0;
+  /// Fallbacks noted during construction (the datapath cache load and
+  /// store); the first analyze() reports them as its own.
+  std::vector<robust::DegradationLog::Entry> construction_degradation_;
   std::unique_ptr<dta::DatapathModel> datapath_;
   std::unique_ptr<dta::ControlCharacterizer> characterizer_;
   Artifacts last_;

@@ -129,7 +129,7 @@ struct RobustSolveResult {
 /// The residual, the refinement and the fixed point run over the stored
 /// entries, in the dense column order.  `fault_key` (the SCC id) arms
 /// the `solver.pivot` injection site ahead of the direct solve.  Exposed
-/// for `terrors doctor` and tests.
+/// for tests.
 RobustSolveResult solve_scc_robust(SparseLu& lu, const SparseMatrix& a,
                                    const std::vector<double>& b,
                                    std::optional<std::uint64_t> fault_key = std::nullopt);

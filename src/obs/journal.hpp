@@ -6,9 +6,9 @@
 // metric families, emit ONE wide event carrying everything — identity
 // (run id, program), shape (period, threads, instructions), cost (phase
 // wall times, per-run counter deltas, peak RSS), outcome (headline
-// lambda / error rate, degradation sites).  `terrors stats` and `terrors
-// tail` aggregate and render the file; nothing ever reads it on the
-// analysis path, so journaling is bit-invisible to the estimate.
+// lambda / error rate, degradation sites).  `terrors stats` aggregates
+// the file; nothing ever reads it on the analysis path, so journaling
+// is bit-invisible to the estimate.
 //
 // The journal path resolves as `--journal FILE` > TERRORS_JOURNAL > off.
 // Appends are atomic in the practical sense: the full line is built in

@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 
 #include "obs/json.hpp"
@@ -135,44 +134,6 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
   os << "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"droppedSpans\":";
   json_number(os, dropped_);
   os << "}}\n";
-}
-
-void Tracer::write_text_tree(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Children, in recording order, per parent.
-  std::vector<std::vector<std::size_t>> children(nodes_.size());
-  std::vector<std::size_t> roots;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].parent == kNoParent) {
-      roots.push_back(i);
-    } else {
-      children[nodes_[i].parent].push_back(i);
-    }
-  }
-  // Iterative pre-order walk.
-  struct Frame {
-    std::size_t index;
-    int depth;
-  };
-  std::vector<Frame> work;
-  for (auto it = roots.rbegin(); it != roots.rend(); ++it) work.push_back({*it, 0});
-  while (!work.empty()) {
-    const Frame f = work.back();
-    work.pop_back();
-    const Node& node = nodes_[f.index];
-    const std::uint64_t end = node.end_ns != 0 ? node.end_ns : node.start_ns;
-    for (int d = 0; d < f.depth; ++d) os << "  ";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(end - node.start_ns) / 1e6);
-    os << node.name << "  " << buf << " ms";
-    for (const auto& [key, value] : node.counters) {
-      std::snprintf(buf, sizeof(buf), "%.6g", value);
-      os << "  " << key << "=" << buf;
-    }
-    os << "\n";
-    const auto& kids = children[f.index];
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) work.push_back({*it, f.depth + 1});
-  }
 }
 
 void Tracer::write_folded(std::ostream& os) const {

@@ -1,12 +1,13 @@
 // Scoped-span tracing: a hierarchical phase tree over the estimation
 // pipeline (simulation → training → estimation, with nested DTA and
 // solver spans), exportable as a Chrome trace_event JSON file
-// (chrome://tracing, Perfetto) or rendered as a plain-text tree.
+// (chrome://tracing, Perfetto) or folded into a span profile.
 //
 // Tracing is OFF by default: a ScopedSpan constructed while the tracer is
 // disabled is a no-op (one relaxed atomic load), so the instrumented hot
-// layers cost nothing in normal library use.  The CLI's --trace flag and
-// the benches enable it around the work they want profiled.
+// layers cost nothing in normal library use.  The CLI's --trace and
+// --profile flags and the benches enable it around the work they want
+// profiled.
 //
 //   obs::Tracer::instance().set_enabled(true);
 //   {
@@ -22,10 +23,10 @@
 // enforces.  begin/end/counter are mutex-protected — tracing is opt-in
 // profiling, so the lock is acceptable and keeps worker spans readable.
 //
-// The span buffer is bounded (set_span_limit / --trace-limit, default
-// 1M spans): once full, new spans are counted in dropped() and the
-// `trace.dropped` metric instead of recorded, so long-running processes
-// cannot grow memory without bound.
+// The span buffer is bounded (kDefaultSpanLimit, 1M spans): once full,
+// new spans are counted in dropped() and the `trace.dropped` metric
+// instead of recorded, so long-running processes cannot grow memory
+// without bound.
 //
 // The recorded spans are also the profile: write_folded() folds them
 // into per-path self times (obs/profiler.hpp reads the result back).
@@ -69,7 +70,8 @@ class Tracer {
   [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Cap the recorded-span buffer (existing spans are kept even if over a
-  /// newly lowered cap; only future begin_span calls are affected).
+  /// newly lowered cap; only future begin_span calls are affected).  Only
+  /// tests lower it.
   void set_span_limit(std::size_t limit);
   /// Spans discarded because the buffer was full (since last reset()).
   [[nodiscard]] std::uint64_t dropped() const;
@@ -90,8 +92,6 @@ class Tracer {
   /// Chrome trace_event JSON ("X" complete events, microsecond units);
   /// span counters become event args.
   void write_chrome_trace(std::ostream& os) const;
-  /// Indented tree with per-span wall time in ms and counters.
-  void write_text_tree(std::ostream& os) const;
   /// Folded stacks for flamegraph.pl / speedscope: one "root;...;leaf N"
   /// line per distinct span path, sorted by path, N = the path's total
   /// self time (duration less recorded child spans) in whole

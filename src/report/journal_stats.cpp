@@ -189,22 +189,4 @@ void write_stats_text(const JournalStats& s, std::ostream& os) {
   os.flags(flags);
 }
 
-void write_tail_text(const std::vector<obs::RunEvent>& events, std::size_t n, std::ostream& os) {
-  const std::ios_base::fmtflags flags = os.flags();
-  const std::size_t start = events.size() > n ? events.size() - n : 0;
-  os << "journal tail: " << (events.size() - start) << " of " << events.size()
-     << " run event(s)\n";
-  rule(os);
-  for (std::size_t i = start; i < events.size(); ++i) {
-    const obs::RunEvent& e = events[i];
-    os << "  " << e.run_id << "  " << std::setw(12) << std::left << e.program << std::right
-       << "  " << std::fixed << std::setprecision(3) << std::setw(8) << e.analyze_seconds()
-       << " s  " << std::scientific << std::setprecision(3) << "lambda " << e.lambda_mean
-       << std::defaultfloat << std::setprecision(6) << "  threads " << e.threads;
-    if (e.degraded) os << "  DEGRADED";
-    os << "\n";
-  }
-  os.flags(flags);
-}
-
 }  // namespace terrors::report

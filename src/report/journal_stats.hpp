@@ -4,8 +4,8 @@
 // the read side — it lives in report because the JSON parser and the
 // DistSummary machinery do.  `terrors stats JOURNAL` aggregates phase
 // wall times, cache behaviour, and per-program trends (last run vs its
-// own p50 — the "did this just get slower?" question); `terrors tail
-// JOURNAL` renders the most recent events one line each.
+// own p50 — the "did this just get slower?" question).  Each event is
+// one JSONL line, so `tail -n` already shows the newest runs whole.
 #pragma once
 
 #include <cstdint>
@@ -61,9 +61,5 @@ struct JournalStats {
 
 /// Render the aggregate (`terrors stats`).
 void write_stats_text(const JournalStats& stats, std::ostream& os);
-
-/// Render the last `n` events, one line each, oldest first
-/// (`terrors tail`).
-void write_tail_text(const std::vector<obs::RunEvent>& events, std::size_t n, std::ostream& os);
 
 }  // namespace terrors::report

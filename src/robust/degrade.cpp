@@ -1,6 +1,7 @@
 #include "robust/degrade.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -11,9 +12,9 @@ DegradationLog& DegradationLog::instance() {
   return log;
 }
 
-void DegradationLog::begin_run() {
+void DegradationLog::begin_run(std::vector<Entry> carried) {
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
+  entries_ = std::move(carried);
 }
 
 void DegradationLog::note(std::string_view site, std::string_view detail) {

@@ -12,8 +12,9 @@
 //     run report's `degraded` section and `terrors analyze` prints as
 //     one warning line per entry.
 //
-// begin_run() is called at the top of Framework::analyze; entries are
-// per-run, counters are cumulative like every other metric.
+// begin_run() is called at the top of Framework::analyze, carrying the
+// entries its constructor noted into the framework's first run; entries
+// are per-run, counters are cumulative like every other metric.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +35,10 @@ class DegradationLog {
     std::uint64_t events = 0;
   };
 
-  /// Clear per-run entries (counters are untouched).
-  void begin_run();
+  /// Start a run whose entries are `carried` (fallbacks noted before it
+  /// began, e.g. while its framework was constructed); counters are
+  /// untouched.
+  void begin_run(std::vector<Entry> carried = {});
 
   /// Record one degradation event: the first per site per run adds an
   /// entry, later ones count on it; bumps `robust.degraded` +

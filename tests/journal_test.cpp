@@ -4,7 +4,7 @@
 //     line-delimited file that load_journal reads back in order.
 //  2. Aggregation: terrors stats' aggregate() computes phase summaries,
 //     cache hit rates, and per-program last-vs-p50 deltas from a known
-//     event set; write_stats_text / write_tail_text render them.
+//     event set; write_stats_text renders them.
 //  3. Bit-invisibility: an analyze() with the journal and the traced
 //     profile enabled produces byte-identical report JSON and
 //     bit-identical estimates to one without, at 1 and 4 threads.
@@ -216,24 +216,12 @@ TEST(JournalStats, AggregateComputesPhaseQuantilesCacheAndPerProgram) {
 }
 
 TEST(JournalStats, RenderersMentionTheHeadlineNumbers) {
-  std::vector<obs::RunEvent> events = {sample_event("typeset", 0.5, 2.0, 0.25)};
+  const std::vector<obs::RunEvent> events = {sample_event("typeset", 0.5, 2.0, 0.25)};
   std::ostringstream stats_os;
   report::write_stats_text(report::aggregate(events), stats_os);
   EXPECT_NE(stats_os.str().find("1 run event(s)"), std::string::npos) << stats_os.str();
   EXPECT_NE(stats_os.str().find("typeset"), std::string::npos);
   EXPECT_NE(stats_os.str().find("75.0% hit rate"), std::string::npos) << stats_os.str();
-
-  std::ostringstream tail_os;
-  report::write_tail_text(events, 10, tail_os);
-  EXPECT_NE(tail_os.str().find("00000000deadbeef"), std::string::npos) << tail_os.str();
-  EXPECT_NE(tail_os.str().find("DEGRADED"), std::string::npos) << tail_os.str();
-
-  // Tail truncates to the newest n.
-  events.push_back(sample_event("other", 1, 1, 1));
-  std::ostringstream tail1;
-  report::write_tail_text(events, 1, tail1);
-  EXPECT_EQ(tail1.str().find("typeset"), std::string::npos) << tail1.str();
-  EXPECT_NE(tail1.str().find("other"), std::string::npos);
 }
 
 TEST(JournalStats, EmptyJournalAggregatesToZeros) {

@@ -240,19 +240,6 @@ TEST_F(TracerTest, ChromeTraceJsonIsWellFormed) {
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
 }
 
-TEST_F(TracerTest, TextTreeShowsHierarchy) {
-  {
-    obs::ScopedSpan outer("outer");
-    obs::ScopedSpan inner("inner");
-  }
-  std::ostringstream os;
-  obs::Tracer::instance().write_text_tree(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("outer"), std::string::npos);
-  // The child is indented under the parent.
-  EXPECT_NE(text.find("\n  inner"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, CounterAccumulatesAndResets) {

@@ -19,7 +19,6 @@
 #include "obs/metrics.hpp"
 #include "report/json_value.hpp"
 #include "robust/degrade.hpp"
-#include "robust/doctor.hpp"
 #include "robust/error.hpp"
 #include "robust/fault_injection.hpp"
 #include "robust/hooks.hpp"
@@ -189,15 +188,23 @@ const netlist::Pipeline& pipeline() {
   return p;
 }
 
-core::BenchmarkResult run_analyze(const std::string& cache_dir) {
-  const auto& spec = workloads::mibench_specs()[3];  // patricia: smallest
+core::FrameworkConfig small_config(const std::string& cache_dir) {
   core::FrameworkConfig cfg;
   cfg.spec = timing::TimingSpec{1300.0};
   cfg.executor.max_instructions = 6000;
   cfg.error_model.mixed_samples = 32;
   cfg.cache_dir = cache_dir;
-  core::ErrorRateFramework fw(pipeline(), cfg);
+  return cfg;
+}
+
+core::BenchmarkResult analyze_patricia(core::ErrorRateFramework& fw) {
+  const auto& spec = workloads::mibench_specs()[3];  // patricia: smallest
   return fw.analyze(workloads::generate_program(spec), workloads::generate_inputs(spec, 2, 7));
+}
+
+core::BenchmarkResult run_analyze(const std::string& cache_dir) {
+  core::ErrorRateFramework fw(pipeline(), small_config(cache_dir));
+  return analyze_patricia(fw);
 }
 
 void expect_same_estimate(const core::BenchmarkResult& a, const core::BenchmarkResult& b) {
@@ -256,6 +263,37 @@ TEST_F(RobustTest, UnwritableCacheDirDegradesButAnalyzeSucceeds) {
   EXPECT_TRUE(r.degraded);
   ASSERT_FALSE(r.degraded_sites.empty());
   EXPECT_EQ(r.degraded_sites.front(), "cache");
+  // The first failure is the datapath store at construction.
+  const std::vector<robust::DegradationLog::Entry> entries =
+      robust::DegradationLog::instance().entries();
+  ASSERT_FALSE(entries.empty());
+  EXPECT_NE(entries.front().detail.find("/datapath-"), std::string::npos)
+      << entries.front().detail;
+}
+
+TEST_F(RobustTest, FirstAnalyzeReportsTheConstructionFallback) {
+  const TempDir dir("construction");
+  const core::BenchmarkResult cold = run_analyze(dir.path.string());
+
+  // Occurrence 1 of cache.read is the datapath load in the constructor.
+  robust::FaultInjector::instance().arm(robust::FaultPlan::parse("cache.read:nth=1"));
+  core::ErrorRateFramework fw(pipeline(), small_config(dir.path.string()));
+  const core::BenchmarkResult first = analyze_patricia(fw);
+  robust::FaultInjector::instance().disarm();
+
+  expect_same_estimate(cold, first);
+  EXPECT_TRUE(first.degraded);
+  EXPECT_EQ(first.degraded_sites, std::vector<std::string>{"cache"});
+  const std::vector<robust::DegradationLog::Entry> entries =
+      robust::DegradationLog::instance().entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].detail.rfind("datapath load failed, recomputing: ", 0), 0u)
+      << entries[0].detail;
+
+  // Construction belongs to the first run only.
+  const core::BenchmarkResult second = analyze_patricia(fw);
+  EXPECT_FALSE(second.degraded);
+  EXPECT_TRUE(robust::DegradationLog::instance().entries().empty());
 }
 
 TEST_F(RobustTest, SolverFallbackIsFiniteAndFlagged) {
@@ -404,21 +442,6 @@ TEST_F(RobustTest, EmptyPlanLeavesResultsUndegraded) {
   const core::BenchmarkResult r = run_analyze("");
   EXPECT_FALSE(r.degraded);
   EXPECT_TRUE(r.degraded_sites.empty());
-}
-
-// --- doctor ------------------------------------------------------------------
-
-TEST_F(RobustTest, DoctorPassesInAHealthyEnvironment) {
-  const TempDir dir("doctor");
-  robust::DoctorOptions options;
-  options.cache_dir = dir.path.string();
-  const robust::DoctorReport report = robust::run_doctor(options);
-  for (const auto& f : report.findings) {
-    EXPECT_TRUE(f.ok) << f.check << ": " << f.detail;
-  }
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.exit_code(), 0);
-  ASSERT_EQ(report.findings.size(), 4u);  // cache, pool, solver, analysis
 }
 
 // --- checked flag parsing ----------------------------------------------------

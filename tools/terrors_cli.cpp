@@ -7,16 +7,13 @@
 //   terrors report <file> [--top N]      render a run-report JSON file
 //   terrors diff <old> <new>             regression gate over two run reports
 //   terrors analyze <name> [--period P] [--scale S] [--runs R] [--threads T]
-//                   [--trace F] [--trace-tree] [--trace-limit N]
-//                   [--metrics F] [--report F]
+//                   [--trace F] [--metrics F] [--report F]
 //                   [--report-mc N] [--journal F] [--profile F]
 //                   [--cache-dir D]
 //                                        full error-rate analysis row
 //   terrors stats <journal>              aggregate a run-journal JSONL file
-//   terrors tail <journal> [--n N]       render the newest journal events
 //   terrors profile <folded> [--top N]   hotspot table from folded stacks
 //   terrors vcd <name> [--cycles N]      VCD dump of a benchmark window
-//   terrors doctor [--cache-dir D]       environment self-test
 //
 // Failures surface as typed error chains (`error: [category] ...: caused
 // by: ...`) with category exit codes: 3 input, 4 artifact, 5 numerical,
@@ -24,8 +21,7 @@
 // plan from --inject-faults / TERRORS_FAULTS arms deterministic chaos
 // (see src/robust/fault_injection.hpp).  After its summary, a degraded
 // `analyze` writes one `warning: degraded <site>: <first detail>` line
-// per degraded site to stderr; a healthy run writes nothing there
-// (unless --trace-tree asks for the phase tree).
+// per degraded site to stderr; a healthy run writes nothing there.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -47,7 +43,6 @@
 #include "report/render.hpp"
 #include "report/run_report.hpp"
 #include "robust/degrade.hpp"
-#include "robust/doctor.hpp"
 #include "robust/error.hpp"
 #include "robust/fault_injection.hpp"
 #include "robust/parse.hpp"
@@ -255,8 +250,6 @@ int cmd_analyze(int argc, char** argv, const char* name) {
                     {"--runs", true},
                     {"--threads", true},
                     {"--trace", true},
-                    {"--trace-tree", false},
-                    {"--trace-limit", true},
                     {"--metrics", true},
                     {"--report", true},
                     {"--report-mc", true},
@@ -282,15 +275,10 @@ int cmd_analyze(int argc, char** argv, const char* name) {
     support::set_global_threads(
         static_cast<std::size_t>(robust::parse_uint_arg("--threads", it->second)));
 
-  if (const auto it = flags.find("--trace-limit"); it != flags.end()) {
-    obs::Tracer::instance().set_span_limit(
-        static_cast<std::size_t>(robust::parse_uint_arg("--trace-limit", it->second)));
-  }
   // The profile is a fold of the tracer's spans, so --profile implies
   // tracing even without a --trace output file.
-  const bool tracing = flags.count("--trace") != 0 || flags.count("--trace-tree") != 0 ||
-                       flags.count("--profile") != 0;
-  if (tracing) obs::Tracer::instance().set_enabled(true);
+  if (flags.count("--trace") != 0 || flags.count("--profile") != 0)
+    obs::Tracer::instance().set_enabled(true);
 
   core::FrameworkConfig cfg;
   cfg.spec = timing::TimingSpec{period};
@@ -343,7 +331,7 @@ int cmd_analyze(int argc, char** argv, const char* name) {
   for (const auto& entry : robust::DegradationLog::instance().entries())
     std::fprintf(stderr, "warning: degraded %s: %s\n", entry.site.c_str(), entry.detail.c_str());
 
-  // Peripheral outputs (trace, report, metrics): the headline estimate is
+  // Peripheral outputs (trace, profile, report, metrics): the estimate is
   // already on stdout, so a failed write degrades (warn + robust.degraded)
   // instead of failing the analysis — unless --strict asks otherwise.
   int peripheral_rc = 0;
@@ -372,23 +360,17 @@ int cmd_analyze(int argc, char** argv, const char* name) {
     peripheral("trace", it->second,
                [](std::ostream& out) { obs::Tracer::instance().write_chrome_trace(out); });
   }
-  if (flags.count("--trace-tree") != 0) obs::Tracer::instance().write_text_tree(std::cerr);
   if (const auto it = flags.find("--profile"); it != flags.end()) {
     peripheral("profile", it->second,
                [](std::ostream& out) { obs::Tracer::instance().write_folded(out); });
   }
   if (want_report) {
-    const std::string& path = flags.at("--report");
-    try {
-      report::ReportOptions ropt;
-      ropt.mc_trials = mc_trials;
-      ropt.threads = support::global_pool().size();
-      report::build_report(framework, program, r, ropt).save(path);
-    } catch (const std::exception& e) {
-      robust::note_degraded("io", std::string("run report write failed: ") + e.what());
-      std::fprintf(stderr, "warning: cannot write report '%s': %s\n", path.c_str(), e.what());
-      if (strict && peripheral_rc == 0) peripheral_rc = print_error(e);
-    }
+    report::ReportOptions ropt;
+    ropt.mc_trials = mc_trials;
+    ropt.threads = support::global_pool().size();
+    peripheral("report", flags.at("--report"), [&](std::ostream& out) {
+      report::build_report(framework, program, r, ropt).write_json(out);
+    });
   }
   if (const auto it = flags.find("--metrics"); it != flags.end()) {
     peripheral("metrics", it->second,
@@ -407,23 +389,6 @@ int cmd_stats(int argc, char** argv) {
   try {
     const auto events = report::load_journal(argv[2]);
     report::write_stats_text(report::aggregate(events), std::cout);
-  } catch (const std::exception& e) {
-    return print_error(e);
-  }
-  return 0;
-}
-
-int cmd_tail(int argc, char** argv) {
-  if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
-    std::fprintf(stderr, "usage: terrors tail <journal.jsonl> [--n N]\n");
-    return 1;
-  }
-  std::map<std::string, std::string> flags;
-  if (!parse_flags(argc, argv, 3, {{"--n", true}}, flags)) return 1;
-  const auto n = static_cast<std::size_t>(uint_flag(flags, "--n", 10));
-  try {
-    const auto events = report::load_journal(argv[2]);
-    report::write_tail_text(events, n, std::cout);
   } catch (const std::exception& e) {
     return print_error(e);
   }
@@ -458,28 +423,6 @@ int cmd_profile(int argc, char** argv) {
     return print_error(e);
   }
   return 0;
-}
-
-int cmd_doctor(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  if (!parse_flags(argc, argv, 2, {{"--cache-dir", true}}, flags)) return 1;
-  robust::DoctorOptions options;
-  if (const auto it = flags.find("--cache-dir"); it != flags.end()) options.cache_dir = it->second;
-  const robust::DoctorReport report = robust::run_doctor(options);
-  for (const auto& f : report.findings) {
-    if (f.ok) {
-      std::printf("  ok   %-8s %s\n", f.check.c_str(), f.detail.c_str());
-    } else {
-      std::printf("  FAIL %-8s [%s] %s\n", f.check.c_str(),
-                  std::string(robust::category_name(f.category)).c_str(), f.detail.c_str());
-    }
-  }
-  if (report.ok()) {
-    std::printf("doctor: environment healthy\n");
-  } else {
-    std::printf("doctor: environment has problems (exit %d)\n", report.exit_code());
-  }
-  return report.exit_code();
 }
 
 int cmd_vcd(int argc, char** argv, const char* name) {
@@ -525,7 +468,7 @@ int cmd_vcd(int argc, char** argv, const char* name) {
 }
 
 constexpr const char* kCommands[] = {"info", "list", "program", "report", "diff", "analyze",
-                                     "stats", "tail", "profile", "vcd", "doctor"};
+                                     "stats", "profile", "vcd"};
 
 void usage() {
   std::fputs(
@@ -542,8 +485,6 @@ void usage() {
       "  analyze <name> [--period P] [--scale S] [--runs R]\n"
       "          [--threads T]         worker threads (0 = all cores; or TERRORS_THREADS)\n"
       "          [--trace FILE]        write a Chrome trace_event JSON phase tree\n"
-      "          [--trace-tree]        print the phase tree to stderr\n"
-      "          [--trace-limit N]     cap recorded spans; excess increments trace.dropped\n"
       "          [--metrics FILE]      write the metric counters as JSON\n"
       "          [--report FILE]       write the error-attribution run report (JSON)\n"
       "          [--report-mc N]       add an N-trial Monte-Carlo cross-check\n"
@@ -557,10 +498,8 @@ void usage() {
       "          [--strict]            fail on peripheral write errors\n"
       "  stats <journal>               aggregate a run journal (phase p50/p95, cache,\n"
       "                                per-program last-vs-typical)\n"
-      "  tail <journal> [--n N]        render the newest N journal events (default 10)\n"
       "  profile <folded> [--top N]    hotspot table from a folded-stack file\n"
       "  vcd <name> [--cycles N]       dump a VCD window to stdout\n"
-      "  doctor [--cache-dir D]        self-test the environment; category exit codes\n"
       "flags accept both '--flag value' and '--flag=value'\n"
       "error exit codes: 1 generic, 2 diff regression, 3 input, 4 artifact,\n"
       "                  5 numerical, 6 resource, 7 internal\n",
@@ -590,9 +529,7 @@ int main(int argc, char** argv) {
     if (cmd == "report") return cmd_report(argc, argv);
     if (cmd == "diff") return cmd_diff(argc, argv);
     if (cmd == "stats") return cmd_stats(argc, argv);
-    if (cmd == "tail") return cmd_tail(argc, argv);
     if (cmd == "profile") return cmd_profile(argc, argv);
-    if (cmd == "doctor") return cmd_doctor(argc, argv);
     if (cmd == "program" && argc >= 3) return cmd_program(argv[2]);
     if (cmd == "analyze" && argc >= 3) return cmd_analyze(argc, argv, argv[2]);
     if (cmd == "vcd" && argc >= 3) return cmd_vcd(argc, argv, argv[2]);
