@@ -14,17 +14,13 @@
 using namespace terrors;
 
 int main(int argc, char** argv) {
-  const auto rs = bench::parse_scale(argc, argv);
-  bool all = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--all") all = true;
-  }
+  const auto rs = bench::parse_scale(argc, argv, /*takes_all=*/true);
   core::ErrorRateFramework framework(bench::pipeline(), bench::default_config());
   const perf::TsProcessorModel ts;
 
   // Benchmarks: a light / medium / heavy triple by default.
   std::vector<std::size_t> picks = {3, 0, 11};  // patricia, basicmath, gsm.decode
-  if (all) {
+  if (rs.all) {
     picks.clear();
     for (std::size_t i = 0; i < workloads::mibench_specs().size(); ++i) picks.push_back(i);
   }

@@ -44,8 +44,8 @@ struct Range {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)argc;
-  (void)argv;
+  std::map<std::string, std::string> flags;
+  if (!robust::parse_flags(argc, argv, 1, {}, flags)) return 1;  // takes no flags
   std::printf("Limit-theorem validation vs Monte Carlo (working point %.1f MHz)\n",
               bench::working_spec().frequency_mhz());
 

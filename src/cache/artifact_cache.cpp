@@ -12,7 +12,7 @@
 #include "cache/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "robust/degrade.hpp"
+#include "robust/error.hpp"
 #include "robust/fault_injection.hpp"
 #include "support/check.hpp"
 #include "support/hash.hpp"
@@ -53,7 +53,7 @@ struct CacheMetrics {
 ArtifactCache::ArtifactCache(std::string dir) : dir_(std::move(dir)) {
   TE_REQUIRE(!dir_.empty(), "ArtifactCache needs a directory");
   // A directory that cannot be created surfaces as failed stores
-  // (cache.store_errors and a degraded run), not here.
+  // (cache.store_errors and a kResource error from store()), not here.
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
 }
@@ -142,23 +142,22 @@ void ArtifactCache::store(std::string_view kind, std::uint64_t key,
     }
     if (!out) {
       m.store_errors.increment();
-      robust::note_degraded("cache", "cannot write artifact temp file " + temp +
-                                         "; cache stays cold for this key");
       std::error_code ec;
       std::filesystem::remove(temp, ec);
       if (ec) m.store_errors.increment();
-      return;
+      robust::raise(robust::Category::kResource, "cannot write artifact temp file " + temp +
+                                                     "; cache stays cold for this key");
     }
   }
   std::error_code ec;
   std::filesystem::rename(temp, path, ec);
   if (ec) {
     m.store_errors.increment();
-    robust::note_degraded("cache", "cannot publish artifact " + path + ": " + ec.message());
     std::error_code rm_ec;
     std::filesystem::remove(temp, rm_ec);
     if (rm_ec) m.store_errors.increment();
-    return;
+    robust::raise(robust::Category::kResource,
+                  "cannot publish artifact " + path + ": " + ec.message());
   }
   m.bytes_written.increment(kHeaderBytes + payload.size() + kTrailerBytes);
   span.counter("bytes", static_cast<double>(payload.size()));

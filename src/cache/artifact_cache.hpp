@@ -38,10 +38,10 @@ class ArtifactCache {
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> load(std::string_view kind,
                                                               std::uint64_t key) const;
 
-  /// Atomically persist the payload under <kind, key>.  I/O failures are
-  /// counted (`cache.store_errors`), mark the run degraded and are
-  /// swallowed: a cache that cannot write degrades to a cache that never
-  /// hits, never into an analysis failure.
+  /// Atomically persist the payload under <kind, key>.  An I/O failure is
+  /// counted (`cache.store_errors`), leaves no temp file behind and throws
+  /// a kResource robust::Error; the framework catches it and degrades the
+  /// run (a cache that cannot write is a cache that never hits).
   void store(std::string_view kind, std::uint64_t key,
              const std::vector<std::uint8_t>& payload) const;
 

@@ -10,10 +10,7 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "robust/degrade.hpp"
-#include "robust/hooks.hpp"
 #include "support/check.hpp"
-#include "support/thread_pool.hpp"
 
 namespace terrors::core {
 
@@ -28,28 +25,36 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
+support::ThreadPool::Stats pool_stats_since(const support::ThreadPool::Stats& before) {
+  const support::ThreadPool::Stats now = support::global_pool().stats();
+  return {now.tasks - before.tasks, now.steal_or_wait - before.steal_or_wait,
+          now.retries - before.retries};
+}
+
 // Degradation policy (DESIGN §5f): the cache is an accelerator, never a
 // dependency.  A throwing load is a miss (recompute), a throwing store
-// loses only warm-start time; both are recorded, neither fails analyze().
-std::optional<std::vector<std::uint8_t>> safe_cache_load(const cache::ArtifactCache& c,
-                                                         std::string_view kind,
-                                                         std::uint64_t key) {
+// loses only warm-start time; both are noted in `degradation`, neither
+// fails analyze().
+std::optional<std::vector<std::uint8_t>> safe_cache_load(
+    const cache::ArtifactCache& c, std::string_view kind, std::uint64_t key,
+    std::vector<robust::Degradation>& degradation) {
   try {
     return c.load(kind, key);
   } catch (const std::exception& e) {
-    robust::note_degraded("cache",
+    robust::note_degraded(degradation, "cache",
                           std::string(kind) + " load failed, recomputing: " + e.what());
     return std::nullopt;
   }
 }
 
 void safe_cache_store(const cache::ArtifactCache& c, std::string_view kind, std::uint64_t key,
-                      const std::vector<std::uint8_t>& payload) {
+                      const std::vector<std::uint8_t>& payload,
+                      std::vector<robust::Degradation>& degradation) {
   try {
     c.store(kind, key, payload);
   } catch (const std::exception& e) {
-    robust::note_degraded(
-        "cache", std::string(kind) + " store failed, artifact not persisted: " + e.what());
+    robust::note_degraded(degradation, "cache",
+                          std::string(kind) + " store failed, artifact not persisted: " + e.what());
   }
 }
 }  // namespace
@@ -58,7 +63,8 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
     : pipeline_(pipeline), config_(config), vm_(pipeline.netlist, config.variation) {
   require_valid_spec(config_.spec);
   obs::ScopedSpan span("framework.init");
-  robust::DegradationLog::instance().begin_run();
+  const obs::MetricsScope init_metrics(obs::MetricsRegistry::instance());
+  const support::ThreadPool::Stats pool_before = support::global_pool().stats();
 
   // Component hashes feed both cache keys and run ids, so they are
   // computed whether or not the cache is enabled.
@@ -77,7 +83,7 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
   if (cache_) {
     const std::uint64_t key =
         cache::combine({cache::kModelVersion, netlist_hash_, variation_hash_, dts_hash_});
-    if (auto bytes = safe_cache_load(*cache_, "datapath", key)) {
+    if (auto bytes = safe_cache_load(*cache_, "datapath", key, carried_.degradation)) {
       cache::ByteReader r(*bytes);
       if (auto params = cache::decode_datapath(r)) {
         datapath_ = std::make_unique<dta::DatapathModel>(
@@ -89,7 +95,7 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
           dta::DatapathModel::train(pipeline_, vm_, config_.dts));
       cache::ByteWriter w;
       cache::encode_datapath(datapath_->params(), w);
-      safe_cache_store(*cache_, "datapath", key, w.bytes());
+      safe_cache_store(*cache_, "datapath", key, w.bytes(), carried_.degradation);
     }
   } else {
     datapath_ = std::make_unique<dta::DatapathModel>(
@@ -98,7 +104,8 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
 
   characterizer_ = std::make_unique<dta::ControlCharacterizer>(
       pipeline_, vm_, config_.spec, config_.dts, config_.characterizer);
-  construction_degradation_ = robust::DegradationLog::instance().entries();
+  carried_.counters = init_metrics.deltas();
+  carried_.pool = pool_stats_since(pool_before);
 }
 
 void ErrorRateFramework::set_spec(timing::TimingSpec spec) {
@@ -129,11 +136,10 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
        cache::hash_spec(config_.spec), program_hash, analyze_ordinal_++}));
   result.basic_blocks = program.block_count();
 
-  // Per-run degradation bookkeeping starts with what construction noted
-  // (first run only), and the pool's fault / retry hooks are wired before
-  // any parallel region can run.
-  robust::DegradationLog::instance().begin_run(std::exchange(construction_degradation_, {}));
-  robust::install_pool_hooks();
+  // Construction belongs to the first run: its counters, pool work and
+  // fallbacks count as this run's.
+  Carried carried = std::exchange(carried_, {});
+  result.degradation = std::move(carried.degradation);
 
   obs::ScopedSpan span("analyze");
   span.counter("inputs", static_cast<double>(inputs.size()));
@@ -161,7 +167,7 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
       profile_key = cache::combine({cache::kModelVersion, program_hash,
                                     cache::hash_inputs(inputs),
                                     cache::hash_executor_config(config_.executor)});
-      if (auto bytes = safe_cache_load(*cache_, "profile", profile_key)) {
+      if (auto bytes = safe_cache_load(*cache_, "profile", profile_key, result.degradation)) {
         cache::ByteReader r(*bytes);
         if (auto cached = cache::decode_profile(r, *last_.executor)) {
           last_.executor->adopt(std::move(cached->profile));
@@ -176,7 +182,7 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
         profile_digest = cache::hash_profile(last_.executor->profile());
         cache::ByteWriter w;
         cache::encode_profile(last_.executor->profile(), profile_digest, w);
-        safe_cache_store(*cache_, "profile", profile_key, w.bytes());
+        safe_cache_store(*cache_, "profile", profile_key, w.bytes(), result.degradation);
       }
     }
     result.simulation_seconds = seconds_since(t0);
@@ -203,7 +209,7 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
       control_key = cache::combine({cache::kModelVersion, netlist_hash_, variation_hash_,
                                     dts_hash_, charcfg_hash_, cache::hash_spec(config_.spec),
                                     program_hash, profile_digest});
-      if (auto bytes = safe_cache_load(*cache_, "control", control_key)) {
+      if (auto bytes = safe_cache_load(*cache_, "control", control_key, result.degradation)) {
         cache::ByteReader r(*bytes);
         if (auto control = cache::decode_control(r, config_.spec)) {
           last_.control = std::move(*control);
@@ -218,7 +224,7 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
       if (cache_) {
         cache::ByteWriter w;
         cache::encode_control(last_.control, config_.spec, w);
-        safe_cache_store(*cache_, "control", control_key, w.bytes());
+        safe_cache_store(*cache_, "control", control_key, w.bytes(), result.degradation);
       }
     }
     result.training_seconds = seconds_since(t0);
@@ -249,11 +255,31 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     result.estimation_seconds = seconds_since(t0);
   }
 
-  result.cache_hits = run_metrics.delta("cache.hits");
-  result.cache_misses = run_metrics.delta("cache.misses");
-  const auto& degradation = robust::DegradationLog::instance();
-  result.degraded = degradation.degraded();
-  result.degraded_sites = degradation.sites();
+  // The run's degradation, from what it already holds: the cache notes
+  // above, the pool's serial retries and the solver's fallback SCCs.
+  support::ThreadPool::Stats pool = pool_stats_since(pool_before);
+  pool.tasks += carried.pool.tasks;
+  pool.retries += carried.pool.retries;
+  if (pool.retries > 0) {
+    robust::note_degraded(result.degradation, "pool",
+                          std::to_string(pool.retries) + " failed task(s) retried serially",
+                          pool.retries);
+  }
+  for (const SccSolveDiag& d : last_.sccs) {
+    if (d.degraded) {
+      robust::note_degraded(result.degradation, "solver",
+                            "scc " + std::to_string(d.scc) +
+                                " direct solve rejected; served refinement/fixed-point result");
+    }
+  }
+  result.degraded = !result.degradation.empty();
+
+  const auto count = [&](const char* name) {
+    const auto it = carried.counters.find(name);
+    return run_metrics.delta(name) + (it == carried.counters.end() ? 0 : it->second);
+  };
+  result.cache_hits = count("cache.hits");
+  result.cache_misses = count("cache.misses");
 
   // Wide-event journal append (DESIGN §5g).  Strictly observational: the
   // event is assembled from the finished result, and a failed append
@@ -278,21 +304,21 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     event.training_seconds = result.training_seconds;
     event.estimation_seconds = result.estimation_seconds;
     event.counters = run_metrics.deltas();
-    const support::ThreadPool::Stats pool_after = support::global_pool().stats();
-    event.pool_tasks = pool_after.tasks - pool_before.tasks;
-    event.pool_retries = pool_after.retries - pool_before.retries;
+    for (const auto& [name, n] : carried.counters) event.counters[name] += n;
+    event.pool_tasks = pool.tasks;
+    event.pool_retries = pool.retries;
     event.lambda_mean = result.estimate.lambda.mean;
     event.rate_mean = result.estimate.rate_mean();
     event.rate_sd = result.estimate.rate_sd();
     event.degraded = result.degraded;
-    event.degraded_sites = result.degraded_sites;
+    for (const robust::Degradation& d : result.degradation) event.degraded_sites.push_back(d.site);
     event.peak_rss_bytes = obs::peak_rss_bytes();
     try {
       obs::append_event(journal_path_, event);
     } catch (const std::exception& e) {
-      robust::note_degraded("io", "journal append failed: " + std::string(e.what()));
-      result.degraded = degradation.degraded();
-      result.degraded_sites = degradation.sites();
+      robust::note_degraded(result.degradation, "io",
+                            "journal append failed: " + std::string(e.what()));
+      result.degraded = true;
     }
   }
   return result;

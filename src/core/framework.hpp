@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "isa/executor.hpp"
 #include "netlist/pipeline.hpp"
 #include "robust/degrade.hpp"
+#include "support/thread_pool.hpp"
 #include "timing/variation.hpp"
 
 namespace terrors::core {
@@ -74,15 +76,18 @@ struct BenchmarkResult {
   /// Error-model build + marginal solve + limit-theorem estimate.
   double estimation_seconds = 0.0;
   /// cache.hits / cache.misses deltas accrued during this analyze() call
-  /// (0/0 when the artifact cache is disabled).
+  /// and, on a framework's first call, during its construction (0/0 when
+  /// the artifact cache is disabled).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// True when any graceful-degradation policy fired during this run
   /// (DESIGN §5f): the estimate is still best-effort valid, but a cache
-  /// read/write, SCC solve, or worker task needed a fallback.
+  /// read/write, SCC solve, worker task or journal append needed a
+  /// fallback.
   bool degraded = false;
-  /// Sorted unique degradation site tags ("cache", "solver", "pool", "io").
-  std::vector<std::string> degraded_sites;
+  /// One entry per degraded site ("cache", "io", "pool", "solver"), sorted
+  /// by site, holding the site's first failure detail.
+  std::vector<robust::Degradation> degradation;
   ErrorRateEstimate estimate;
 };
 
@@ -140,9 +145,15 @@ class ErrorRateFramework {
   /// Per-framework analyze() ordinal folded into the run key, so repeated
   /// analyses of the same program get distinct (still deterministic) ids.
   std::uint64_t analyze_ordinal_ = 0;
-  /// Fallbacks noted during construction (the datapath cache load and
-  /// store); the first analyze() reports them as its own.
-  std::vector<robust::DegradationLog::Entry> construction_degradation_;
+  /// What construction did: its counter and pool-stat deltas and its
+  /// fallbacks (the datapath cache load and store).  The first analyze()
+  /// reports them as its own.
+  struct Carried {
+    std::map<std::string, std::uint64_t> counters;
+    support::ThreadPool::Stats pool;
+    std::vector<robust::Degradation> degradation;
+  };
+  Carried carried_;
   std::unique_ptr<dta::DatapathModel> datapath_;
   std::unique_ptr<dta::ControlCharacterizer> characterizer_;
   Artifacts last_;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "robust/degrade.hpp"
 #include "robust/fault_injection.hpp"
 #include "support/check.hpp"
 
@@ -425,12 +423,7 @@ std::vector<BlockMarginals> MarginalSolver::solve(
       // is keyed by SCC id so fault decisions are thread-count independent.
       const RobustSolveResult solved =
           solve_scc_robust(lu, sys.mat, sys.rhs, static_cast<std::uint64_t>(scc));
-      if (solved.degraded && !scc_degraded[scc]) {
-        scc_degraded[scc] = 1;
-        robust::note_degraded(
-            "solver", "scc " + std::to_string(scc) +
-                          " direct solve rejected; served refinement/fixed-point result");
-      }
+      if (solved.degraded) scc_degraded[scc] = 1;
       scc_residual[scc] = std::max(scc_residual[scc], solved.residual);
       for (std::size_t i = 0; i < members.size(); ++i) p_in[members[i]] = solved.x[i];
     }

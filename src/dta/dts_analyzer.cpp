@@ -7,6 +7,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
+#include "support/hash.hpp"
 #include "support/math.hpp"
 
 namespace terrors::dta {
@@ -257,10 +258,10 @@ const PathStat& DtsAnalyzer::dp_path_stat(GateId endpoint, const std::vector<dou
   const std::vector<netlist::ProgramGate>& program = nl_.program();
   const GateId d = nl_.gate(endpoint).fanin[0];
   backtrack_.clear();
-  std::uint64_t h = (0xCBF29CE484222325ull ^ endpoint) * 0x100000001B3ull;
+  std::uint64_t h = (support::kFnvOffsetBasis ^ endpoint) * support::kFnvPrime;
   for (GateId g = d;;) {
     backtrack_.push_back(g);
-    h = (h ^ g) * 0x100000001B3ull;
+    h = (h ^ g) * support::kFnvPrime;
     const GateId at = nl_.program_index(g);
     if (at == netlist::kNoGate) break;  // reached the launching endpoint
     const netlist::ProgramGate& pg = program[at];
@@ -278,23 +279,15 @@ const PathStat& DtsAnalyzer::dp_path_stat(GateId endpoint, const std::vector<dou
   }
   static obs::Counter& dp_fallbacks = obs::MetricsRegistry::instance().counter("dta.dp_fallbacks");
   dp_fallbacks.increment();
-  const auto [it, inserted] = dp_cache_.try_emplace(h);
-  if (!inserted && it->second.gates == backtrack_) return it->second.stat;
+  const auto [first, last] = dp_cache_.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    if (it->second.gates == backtrack_) return it->second.stat;
+  }
   TimingPath p;
   p.endpoint = endpoint;
   p.gates.assign(backtrack_.rbegin(), backtrack_.rend());
   p.delay_ps = arrivals[d];
-  if (inserted) {
-    it->second.gates = backtrack_;
-    it->second.stat = timing::path_stat(p, vm_);
-    return it->second.stat;
-  }
-  // A different gate sequence behind the same key: the cached entry stays,
-  // since the AP set may point at it.
-  static obs::Counter& collisions =
-      obs::MetricsRegistry::instance().counter("dta.dp_cache_collisions");
-  collisions.increment();
-  return dp_collided_.emplace_back(timing::path_stat(p, vm_));
+  return dp_cache_.emplace(h, DpEntry{backtrack_, timing::path_stat(p, vm_)})->second.stat;
 }
 
 std::optional<DtsGaussian> DtsAnalyzer::stage_dts(std::uint8_t stage, CycleActivation& cycle,
@@ -302,7 +295,6 @@ std::optional<DtsGaussian> DtsAnalyzer::stage_dts(std::uint8_t stage, CycleActiv
   TE_REQUIRE(stage < nl_.stage_count(), "stage out of range");
   static obs::Counter& queries = obs::MetricsRegistry::instance().counter("dta.stage_dts_queries");
   queries.increment();
-  dp_collided_.clear();
   arrivals_ready_ = false;
   const netlist::Cone& cone = nl_.stage_cone(stage, cls);
   // AP order: each endpoint's representative in endpoint order, then every

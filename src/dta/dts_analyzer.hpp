@@ -25,7 +25,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -178,18 +177,16 @@ class DtsAnalyzer {
   /// plus the zero slot; entries outside the cone are stale.
   std::vector<double> arrivals_;
   bool arrivals_ready_ = false;
-  /// DP-fallback path statistics keyed by the FNV hash of (endpoint, gate
-  /// sequence): activated carry chains recur across cycles.  The entry
-  /// stores the gates so a hash collision is detected instead of silently
-  /// returning the wrong path's statistics.
+  /// DP-fallback path statistics keyed by the FNV-1a hash of (endpoint,
+  /// gate sequence): activated carry chains recur across cycles.  Each
+  /// entry stores its gates and paths with equal hashes share the key, so
+  /// a collision costs one comparison, never a wrong path.  Nodes never
+  /// move, so the AP set's pointers survive later insertions.
   struct DpEntry {
     std::vector<netlist::GateId> gates;  ///< endpoint-D -> source order
     timing::PathStat stat;
   };
-  std::unordered_map<std::uint64_t, DpEntry> dp_cache_;
-  /// Paths whose key collided with a different cached path, computed for
-  /// the current stage_dts call only (the AP set points at them).
-  std::deque<timing::PathStat> dp_collided_;
+  std::unordered_multimap<std::uint64_t, DpEntry> dp_cache_;
   std::vector<netlist::GateId> backtrack_;  ///< dp_path_stat's reused path buffer
 };
 

@@ -50,8 +50,9 @@ struct RunEvent {
   double training_seconds = 0.0;
   double estimation_seconds = 0.0;
 
-  // Run-scoped counter deltas (MetricsScope::deltas()): cache.*, pool
-  // retries, degradation events, sim cycles — whatever the run touched.
+  // Run-scoped counter deltas (MetricsScope::deltas()): cache.*,
+  // degradation events, sim cycles — whatever the run touched, a
+  // framework's first run counting its construction too.
   std::map<std::string, std::uint64_t> counters;
 
   // Pool scheduling cost of this run (cumulative-stat deltas).

@@ -214,7 +214,7 @@ RunReport build_report(core::ErrorRateFramework& fw, const isa::Program& program
 
   // --- degradation stamp (DESIGN §5f) --------------------------------------
   r.degraded = result.degraded;
-  r.degraded_sites = result.degraded_sites;
+  for (const robust::Degradation& d : result.degradation) r.degraded_sites.push_back(d.site);
 
   // --- Monte-Carlo cross-check ---------------------------------------------
   // Each trial walks one recorded run, so its reference is the count law

@@ -5,8 +5,8 @@
 #include <mutex>
 
 #include "obs/metrics.hpp"
-#include "robust/hooks.hpp"
 #include "support/hash.hpp"
+#include "support/thread_pool.hpp"
 
 namespace terrors::robust {
 
@@ -119,9 +119,17 @@ void FaultInjector::arm(FaultPlan plan) {
     specs->push_back(std::move(armed));
   }
   const bool have = !specs->empty();
-  // The pool.task site lives behind a runtime hook; make sure it is wired
-  // before any plan can name it.
-  if (have) install_pool_hooks();
+  // The pool.task site sits in support, below this layer, behind a hook;
+  // wire it before any plan can name it.  Keyed by loop index, so the set
+  // of failing tasks is identical at any thread count.
+  if (have) {
+    static std::once_flag once;
+    std::call_once(once, [] {
+      support::set_task_hook([](std::size_t index) {
+        maybe_fault("pool.task", static_cast<std::uint64_t>(index));
+      });
+    });
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     specs_ = std::move(specs);

@@ -2,6 +2,8 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <system_error>
 
@@ -40,6 +42,56 @@ std::uint64_t parse_uint_arg(std::string_view what, std::string_view value) {
   if (ec == std::errc::result_out_of_range) reject(what, value, "integer out of range:");
   if (ec != std::errc() || ptr != last) reject(what, value, "expected a non-negative integer, got");
   return out;
+}
+
+bool parse_flags(int argc, char** argv, int start, const std::vector<FlagSpec>& specs,
+                 std::map<std::string, std::string>& out) {
+  for (int i = start; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
+      return false;
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const FlagSpec* spec = nullptr;
+    for (const auto& s : specs) {
+      if (name == s.name) spec = &s;
+    }
+    if (spec == nullptr) {
+      std::fprintf(stderr, "unknown flag '%s'\n", name.c_str());
+      return false;
+    }
+    if (!spec->takes_value) {
+      if (eq != std::string::npos) {
+        std::fprintf(stderr, "flag '%s' takes no value\n", name.c_str());
+        return false;
+      }
+      out[name] = "";
+      continue;
+    }
+    if (eq != std::string::npos) {
+      out[name] = arg.substr(eq + 1);
+    } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+      out[name] = argv[++i];
+    } else {
+      std::fprintf(stderr, "flag '%s' needs a value\n", name.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+double num_flag(const std::map<std::string, std::string>& flags, const char* name,
+                double fallback) {
+  const auto it = flags.find(name);
+  return it == flags.end() ? fallback : parse_double_arg(name, it->second);
+}
+
+std::uint64_t uint_flag(const std::map<std::string, std::string>& flags, const char* name,
+                        std::uint64_t fallback) {
+  const auto it = flags.find(name);
+  return it == flags.end() ? fallback : parse_uint_arg(name, it->second);
 }
 
 }  // namespace terrors::robust

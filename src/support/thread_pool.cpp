@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <exception>
 #include <memory>
-#include <string>
 
 #include "support/check.hpp"
 
@@ -16,50 +14,33 @@ namespace {
 thread_local std::size_t tl_worker = 0;
 thread_local bool tl_in_parallel = false;
 
-std::mutex g_hooks_mutex;
-std::shared_ptr<const PoolHooks> g_hooks;
+using TaskHook = std::function<void(std::size_t)>;
+std::mutex g_hook_mutex;
+std::shared_ptr<const TaskHook> g_hook;
 
-std::shared_ptr<const PoolHooks> hooks_snapshot() {
-  std::lock_guard<std::mutex> lock(g_hooks_mutex);
-  return g_hooks;
-}
-
-/// What() of an exception_ptr, for the retry hook.
-std::string describe(const std::exception_ptr& e) {
-  try {
-    std::rethrow_exception(e);
-  } catch (const std::exception& ex) {
-    return ex.what();
-  } catch (...) {
-    return "unknown exception";
-  }
+std::shared_ptr<const TaskHook> hook_snapshot() {
+  std::lock_guard<std::mutex> lock(g_hook_mutex);
+  return g_hook;
 }
 
 }  // namespace
 
-void set_pool_hooks(PoolHooks hooks) {
-  std::lock_guard<std::mutex> lock(g_hooks_mutex);
-  g_hooks = std::make_shared<const PoolHooks>(std::move(hooks));
+void set_task_hook(std::function<void(std::size_t index)> hook) {
+  std::lock_guard<std::mutex> lock(g_hook_mutex);
+  g_hook = std::make_shared<const TaskHook>(std::move(hook));
 }
-
-/// One index whose task threw, with the exception — retried serially by
-/// the caller after quiescence.
-struct ThreadPool::Failure {
-  std::size_t index;
-  std::exception_ptr error;
-};
 
 /// One published parallel_for: an atomic chunk cursor plus completion and
 /// quiescence accounting.  Lives on the caller's stack; `refs` (mutated
 /// under the pool mutex) keeps workers from touching it after retirement.
 struct ThreadPool::Job {
   const Task* fn = nullptr;
-  const PoolHooks* hooks = nullptr;  ///< per-job snapshot (may be null)
+  const TaskHook* hook = nullptr;  ///< per-job snapshot (may be null)
   std::size_t n = 0;
   std::size_t grain = 1;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
-  std::vector<Failure> failures;  ///< guarded by mutex_
+  std::vector<std::size_t> failed;  ///< indices whose task threw (guarded by mutex_)
   std::size_t refs = 0;           ///< workers currently attached (guarded by mutex_)
 };
 
@@ -100,11 +81,11 @@ void ThreadPool::run_chunks(Job& job, std::size_t worker) {
       // retried serially by the caller after the loop quiesces, so a
       // transient fault leaves every slot identical to a serial run.
       try {
-        if (job.hooks != nullptr && job.hooks->task_enter) job.hooks->task_enter(i);
+        if (job.hook != nullptr && *job.hook) (*job.hook)(i);
         (*job.fn)(i, worker);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mutex_);
-        job.failures.push_back({i, std::current_exception()});
+        job.failed.push_back(i);
       }
     }
     tasks_.fetch_add(1, std::memory_order_relaxed);
@@ -118,18 +99,14 @@ void ThreadPool::run_chunks(Job& job, std::size_t worker) {
   if (!got_work) waits_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ThreadPool::retry_failures(std::vector<Failure>& failures, const PoolHooks* hooks,
-                                const Task& fn) {
-  std::sort(failures.begin(), failures.end(),
-            [](const Failure& a, const Failure& b) { return a.index < b.index; });
-  for (const auto& f : failures) {
+void ThreadPool::retry_failures(std::vector<std::size_t>& failed, const Task& fn) {
+  std::sort(failed.begin(), failed.end());
+  for (const std::size_t index : failed) {
     retries_.fetch_add(1, std::memory_order_relaxed);
-    if (hooks != nullptr && hooks->task_retry)
-      hooks->task_retry(f.index, describe(f.error).c_str());
-    // The retry runs the task directly — deliberately NOT through
-    // task_enter, so an injected fault at this index fires exactly once.
+    // The retry runs the task directly — deliberately NOT through the
+    // task hook, so an injected fault at this index fires exactly once.
     // A second failure propagates to the caller.
-    fn(f.index, tl_worker);
+    fn(index, tl_worker);
   }
 }
 
@@ -157,28 +134,28 @@ void ThreadPool::worker_main(std::size_t worker) {
 void ThreadPool::parallel_for(std::size_t n, std::size_t grain, const Task& fn) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
-  const std::shared_ptr<const PoolHooks> hooks = hooks_snapshot();
+  const std::shared_ptr<const TaskHook> hook = hook_snapshot();
 
   // Serial fallback and nested calls: run inline, in index order, with
   // the same catch-and-retry-once contract as the pooled path.
   if (threads_ == 1 || n == 1 || tl_in_parallel) {
-    std::vector<Failure> failures;
+    std::vector<std::size_t> failed;
     for (std::size_t i = 0; i < n; ++i) {
       try {
-        if (hooks && hooks->task_enter) hooks->task_enter(i);
+        if (hook && *hook) (*hook)(i);
         fn(i, tl_worker);
       } catch (...) {
-        failures.push_back({i, std::current_exception()});
+        failed.push_back(i);
       }
     }
     tasks_.fetch_add((n + grain - 1) / grain, std::memory_order_relaxed);
-    if (!failures.empty()) retry_failures(failures, hooks.get(), fn);
+    if (!failed.empty()) retry_failures(failed, fn);
     return;
   }
 
   Job job;
   job.fn = &fn;
-  job.hooks = hooks.get();
+  job.hook = hook.get();
   job.n = n;
   job.grain = grain;
   {
@@ -202,12 +179,12 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain, const Task& fn) 
     });
     job_ = nullptr;
   }
-  if (!job.failures.empty()) {
+  if (!job.failed.empty()) {
     // Retries happen outside the pool region but must keep the nested-call
     // semantics the task saw the first time (nested parallel_for inlines).
     tl_in_parallel = true;
     try {
-      retry_failures(job.failures, hooks.get(), fn);
+      retry_failures(job.failed, fn);
     } catch (...) {
       tl_in_parallel = false;
       throw;

@@ -33,8 +33,6 @@
 
 namespace terrors::support {
 
-struct PoolHooks;
-
 class ThreadPool {
  public:
   /// fn(index, worker): one loop index, executed by worker `worker` in
@@ -66,12 +64,11 @@ class ThreadPool {
 
  private:
   struct Job;
-  struct Failure;
   void worker_main(std::size_t worker);
   void run_chunks(Job& job, std::size_t worker);
   /// Serially re-run failed indices (sorted) once; rethrows on a second
   /// failure of the same index.
-  void retry_failures(std::vector<Failure>& failures, const PoolHooks* hooks, const Task& fn);
+  void retry_failures(std::vector<std::size_t>& failed, const Task& fn);
 
   std::size_t threads_;
   std::vector<std::thread> workers_;
@@ -101,22 +98,13 @@ void set_global_threads(std::size_t threads);
 /// The currently configured global pool size (after env / flag resolution).
 std::size_t global_threads();
 
-/// Cross-cutting hooks, installed once by the robust layer (support is
-/// the bottom of the link order and cannot call obs/robust directly).
-///
-///  * task_enter(index) runs immediately before each loop index, on the
-///    worker that owns it.  A throw from the hook is treated exactly like
-///    the task itself throwing — this is the `pool.task` fault-injection
-///    site.  Must be deterministic in `index` (never in worker/arrival
-///    order), or chaos runs lose reproducibility.
-///  * task_retry(index, what) runs before the serial retry of a failed
-///    index (degradation metering).
-///
-/// Both must be thread-safe; either may be empty.
-struct PoolHooks {
-  std::function<void(std::size_t index)> task_enter;
-  std::function<void(std::size_t index, const char* what)> task_retry;
-};
-void set_pool_hooks(PoolHooks hooks);
+/// The `pool.task` fault-injection site, installed by
+/// robust::FaultInjector::arm (support is the bottom of the link order and
+/// cannot call robust directly).  The hook runs immediately before each
+/// loop index, on the worker that owns it; a throw from it is treated
+/// exactly like the task itself throwing.  It must be thread-safe and
+/// deterministic in `index` (never in worker/arrival order), or chaos runs
+/// lose reproducibility.
+void set_task_hook(std::function<void(std::size_t index)> hook);
 
 }  // namespace terrors::support

@@ -13,14 +13,11 @@
 
 namespace terrors::test {
 
-/// Every registered counter except the names under `skip_prefixes` and
-/// dta.dp_cache_collisions, which counts hash collisions in each worker's
-/// own DP cache and so varies with which worker characterised which edge.
+/// Every registered counter except the names under `skip_prefixes`.
 inline std::map<std::string, std::uint64_t> counter_snapshot(
     std::initializer_list<std::string_view> skip_prefixes) {
   std::map<std::string, std::uint64_t> out = obs::MetricsRegistry::instance().counter_values();
   std::erase_if(out, [&](const auto& entry) {
-    if (entry.first == "dta.dp_cache_collisions") return true;
     for (const std::string_view prefix : skip_prefixes) {
       if (entry.first.starts_with(prefix)) return true;
     }

@@ -370,34 +370,6 @@ TEST(ControlCharacterizer, CharacterizesLoopProgram) {
   for (const auto& d : result[1].entry.instr) EXPECT_FALSE(d.has_value());
 }
 
-TEST(ControlCharacterizer, DpMemoKeysDoNotAliasAcrossEndpoints) {
-  // The DP-fallback memo once seeded its key with endpoint ^ D input, so
-  // endpoint pairs such as 1965/1921 and 1961/1925 shared keys and evicted
-  // each other's paths; a serial patricia characterisation hit that
-  // hundreds of times.
-  const auto& specs = workloads::mibench_specs();
-  const auto spec = std::find_if(specs.begin(), specs.end(), [](const workloads::WorkloadSpec& s) {
-    return s.name == "patricia";
-  });
-  ASSERT_NE(spec, specs.end());
-  const isa::Program program = workloads::generate_program(*spec);
-  const isa::Cfg cfg(program);
-  isa::Executor ex(program, cfg, workloads::executor_config_for(*spec, 4));
-  for (const auto& in : workloads::generate_inputs(*spec, 4, 2026)) ex.run(in);
-
-  obs::Counter& fallbacks = obs::MetricsRegistry::instance().counter("dta.dp_fallbacks");
-  obs::Counter& collisions = obs::MetricsRegistry::instance().counter("dta.dp_cache_collisions");
-  const std::uint64_t fallbacks_before = fallbacks.value();
-  const std::uint64_t collisions_before = collisions.value();
-  const std::size_t threads = support::global_threads();
-  support::set_global_threads(1);  // one analyzer, so one memo sees every query
-  ControlCharacterizer cc(shared_pipeline(), shared_vm(), timing::TimingSpec{1300.0});
-  (void)cc.characterize(program, cfg, ex.profile());
-  support::set_global_threads(threads);
-  EXPECT_GT(fallbacks.value() - fallbacks_before, 10000u);
-  EXPECT_EQ(collisions.value() - collisions_before, 0u);
-}
-
 // --- the control-cone kernel against whole-netlist oracles ---------------
 
 /// Control endpoints of every stage, in stage then endpoint order.
@@ -704,6 +676,39 @@ TEST(ControlCharacterizer, MatchesWholeNetlistReferenceAtOneAndFourThreads) {
     }
   }
   support::set_global_threads(threads);
+}
+
+TEST(ControlCharacterizer, DpMemoKeysDoNotAliasAcrossEndpoints) {
+  // The DP-fallback memo once seeded its key with endpoint ^ D input, so
+  // endpoint pairs such as 1965/1921 and 1961/1925 shared keys and evicted
+  // each other's paths.  Paths with equal keys now share the key and are
+  // told apart by their gates: after a whole serial characterisation has
+  // filled one analyzer's memo, its answers equal those of analyzers with
+  // an empty memo on the same queries.
+  const auto prog = profiled("patricia");
+  ASSERT_NE(prog, nullptr);
+  const netlist::Netlist& nl = shared_pipeline().netlist;
+  const timing::TimingSpec spec{1300.0};
+  obs::Counter& fallbacks = obs::MetricsRegistry::instance().counter("dta.dp_fallbacks");
+  const std::uint64_t fallbacks_before = fallbacks.value();
+  DtsAnalyzer memo(nl, shared_vm(), spec);
+  std::vector<std::vector<std::uint8_t>> queried;
+  (void)reference_characterize(prog->program, prog->cfg, prog->executor.profile(), memo,
+                               &queried);
+  EXPECT_GT(fallbacks.value() - fallbacks_before, 10000u);
+
+  // reference_characterize queries stages 0..5 per instruction, in order.
+  std::size_t with_dts = 0;
+  for (std::size_t i = 0; i < queried.size(); i += 101) {
+    const auto stage = static_cast<std::uint8_t>(i % Pipeline::kStages);
+    CycleActivation cycle(nl, queried[i]);
+    DtsAnalyzer empty(nl, shared_vm(), spec, memo.config(), memo.paths());
+    const auto want = empty.stage_dts(stage, cycle, EndpointClass::kControl);
+    ASSERT_TRUE(same_dts(memo.stage_dts(stage, cycle, EndpointClass::kControl), want))
+        << "query " << i << ", stage " << int(stage);
+    with_dts += want.has_value() ? 1 : 0;
+  }
+  EXPECT_GT(with_dts, 20u);
 }
 
 TEST(GraphDta, AggregatesWorstArrivals) {

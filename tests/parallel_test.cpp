@@ -45,9 +45,8 @@ const workloads::WorkloadSpec& spec_named(const char* name) {
   return workloads::mibench_specs()[0];
 }
 
-/// Work counters that must not depend on the thread count.  Left out:
-/// dta.dp_cache_collisions (depends on which worker's memo saw which
-/// edge) and the pool.* / cache.* counters.
+/// Work counters that must not depend on the thread count (no counter
+/// does; these are the ones that measure work).
 constexpr const char* kWorkCounters[] = {
     "sim.cycles",           "sim.gate_toggles",      "timing.paths_enumerated",
     "timing.path_expansions", "dta.stage_dts_queries", "dta.edges_characterized",

@@ -21,7 +21,6 @@
 #include "robust/degrade.hpp"
 #include "robust/error.hpp"
 #include "robust/fault_injection.hpp"
-#include "robust/hooks.hpp"
 #include "robust/parse.hpp"
 #include "support/thread_pool.hpp"
 #include "timing/variation.hpp"
@@ -35,6 +34,13 @@ namespace fs = std::filesystem;
 
 std::uint64_t counter(const char* name) {
   return obs::MetricsRegistry::instance().counter(name).value();
+}
+
+/// Sorted site tags of a result's degradation entries.
+std::vector<std::string> sites(const core::BenchmarkResult& r) {
+  std::vector<std::string> out;
+  for (const robust::Degradation& d : r.degradation) out.push_back(d.site);
+  return out;
 }
 
 /// Every test leaves the process clean: no armed plan, serial pool.
@@ -242,8 +248,7 @@ TEST_F(RobustTest, EveryCacheReadFaultingKeepsWarmRunBitIdentical) {
   // Degraded, recomputed — and byte-for-byte the same estimate.
   expect_same_estimate(cold, warm);
   EXPECT_TRUE(warm.degraded);
-  ASSERT_FALSE(warm.degraded_sites.empty());
-  EXPECT_EQ(warm.degraded_sites.front(), "cache");
+  EXPECT_EQ(sites(warm), std::vector<std::string>{"cache"});
   EXPECT_EQ(warm.cache_hits, 0u);
   EXPECT_GT(counter("robust.degraded"), degraded_before);
   EXPECT_GT(counter("robust.degraded.cache"), 0u);
@@ -261,14 +266,15 @@ TEST_F(RobustTest, UnwritableCacheDirDegradesButAnalyzeSucceeds) {
   EXPECT_TRUE(std::isfinite(r.estimate.rate_mean()));
   EXPECT_GT(counter("cache.store_errors"), store_errors_before);
   EXPECT_TRUE(r.degraded);
-  ASSERT_FALSE(r.degraded_sites.empty());
-  EXPECT_EQ(r.degraded_sites.front(), "cache");
-  // The first failure is the datapath store at construction.
-  const std::vector<robust::DegradationLog::Entry> entries =
-      robust::DegradationLog::instance().entries();
-  ASSERT_FALSE(entries.empty());
-  EXPECT_NE(entries.front().detail.find("/datapath-"), std::string::npos)
-      << entries.front().detail;
+  // The first failure is the datapath store at construction, which the
+  // framework prefixes like any other store failure.
+  ASSERT_EQ(r.degradation.size(), 1u);
+  EXPECT_EQ(r.degradation[0].site, "cache");
+  EXPECT_EQ(r.degradation[0].detail.rfind("datapath store failed, artifact not persisted: ", 0),
+            0u)
+      << r.degradation[0].detail;
+  EXPECT_NE(r.degradation[0].detail.find("/datapath-"), std::string::npos)
+      << r.degradation[0].detail;
 }
 
 TEST_F(RobustTest, FirstAnalyzeReportsTheConstructionFallback) {
@@ -283,17 +289,42 @@ TEST_F(RobustTest, FirstAnalyzeReportsTheConstructionFallback) {
 
   expect_same_estimate(cold, first);
   EXPECT_TRUE(first.degraded);
-  EXPECT_EQ(first.degraded_sites, std::vector<std::string>{"cache"});
-  const std::vector<robust::DegradationLog::Entry> entries =
-      robust::DegradationLog::instance().entries();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].detail.rfind("datapath load failed, recomputing: ", 0), 0u)
-      << entries[0].detail;
+  ASSERT_EQ(first.degradation.size(), 1u);
+  EXPECT_EQ(first.degradation[0].site, "cache");
+  EXPECT_EQ(first.degradation[0].detail.rfind("datapath load failed, recomputing: ", 0), 0u)
+      << first.degradation[0].detail;
 
   // Construction belongs to the first run only.
   const core::BenchmarkResult second = analyze_patricia(fw);
   EXPECT_FALSE(second.degraded);
-  EXPECT_TRUE(robust::DegradationLog::instance().entries().empty());
+  EXPECT_TRUE(second.degradation.empty());
+}
+
+TEST_F(RobustTest, FirstRunCountsConstructionWork) {
+  const TempDir dir("first_run_counts");
+  (void)run_analyze(dir.path.string());
+
+  // A warm framework reads the datapath artifact while it is built and
+  // the profile and control artifacts in analyze(); its first run reports
+  // all three, like the process-wide counters, in its result and its
+  // journal event.
+  const fs::path journal = dir.path / "journal.jsonl";
+  core::FrameworkConfig cfg = small_config(dir.path.string());
+  cfg.journal_path = journal.string();
+  const std::uint64_t hits_before = counter("cache.hits");
+  core::ErrorRateFramework fw(pipeline(), cfg);
+  const core::BenchmarkResult first = analyze_patricia(fw);
+  EXPECT_EQ(counter("cache.hits") - hits_before, 3u);
+  EXPECT_EQ(first.cache_hits, 3u);
+  EXPECT_EQ(first.cache_misses, 0u);
+  std::ifstream in(journal);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  const report::JsonValue event = report::JsonValue::parse(line);
+  EXPECT_EQ(event.find("counters")->find("cache.hits")->as_uint(), 3u);
+
+  // Construction belongs to the first run only.
+  EXPECT_EQ(analyze_patricia(fw).cache_hits, 2u);
 }
 
 TEST_F(RobustTest, SolverFallbackIsFiniteAndFlagged) {
@@ -355,8 +386,7 @@ TEST_F(RobustTest, PivotFaultsThroughAnalyzeStayFiniteAndFlagged) {
     // The workload has cyclic SCCs; every pivot faulted, so the run must
     // say it served fallback results.
     EXPECT_TRUE(r.degraded);
-    ASSERT_FALSE(r.degraded_sites.empty());
-    EXPECT_EQ(r.degraded_sites.front(), "solver");
+    EXPECT_EQ(sites(r), std::vector<std::string>{"solver"});
   } else {
     expect_same_estimate(baseline, r);  // nothing cyclic: bit-identical
   }
@@ -366,7 +396,6 @@ TEST_F(RobustTest, WorkerRetryReproducesSerialResultExactly) {
   // Pool-level contract: a task whose entry faults is retried serially and
   // the result array is exactly what an unfaulted run produces, at any
   // thread count.
-  robust::install_pool_hooks();
   const auto run_loop = [](std::size_t threads) {
     support::set_global_threads(threads);
     std::vector<std::uint64_t> slots(64, 0);
@@ -377,24 +406,25 @@ TEST_F(RobustTest, WorkerRetryReproducesSerialResultExactly) {
   };
   const std::vector<std::uint64_t> baseline = run_loop(1);
 
-  robust::DegradationLog::instance().begin_run();
-  const std::uint64_t retries_before = counter("pool.task_retries");
+  // One serial retry of index 2 per faulted loop, on either pool.
+  const auto retries = [](std::size_t threads) {
+    support::set_global_threads(threads);
+    return support::global_pool().stats().retries;
+  };
+  const std::uint64_t serial_before = retries(1);
   robust::FaultInjector::instance().arm(robust::FaultPlan::parse("pool.task:key=2"));
   const std::vector<std::uint64_t> serial = run_loop(1);
-  EXPECT_EQ(counter("pool.task_retries"), retries_before + 1);
+  EXPECT_EQ(retries(1), serial_before + 1);
 
+  const std::uint64_t parallel_before = retries(4);
   robust::FaultInjector::instance().arm(robust::FaultPlan::parse("pool.task:key=2"));
   const std::vector<std::uint64_t> parallel = run_loop(4);
+  EXPECT_EQ(retries(4), parallel_before + 1);
   robust::FaultInjector::instance().disarm();
   support::set_global_threads(1);
 
   EXPECT_EQ(baseline, serial);
   EXPECT_EQ(baseline, parallel);
-  EXPECT_EQ(counter("pool.task_retries"), retries_before + 2);
-  EXPECT_TRUE(robust::DegradationLog::instance().degraded());
-  const std::vector<std::string> sites = robust::DegradationLog::instance().sites();
-  ASSERT_FALSE(sites.empty());
-  EXPECT_EQ(sites.front(), "pool");
 }
 
 TEST_F(RobustTest, WorkerFaultsThroughAnalyzeKeepBitIdentity) {
@@ -411,37 +441,35 @@ TEST_F(RobustTest, WorkerFaultsThroughAnalyzeKeepBitIdentity) {
 
   expect_same_estimate(baseline, faulted);
   EXPECT_TRUE(faulted.degraded);
-  ASSERT_FALSE(faulted.degraded_sites.empty());
-  EXPECT_EQ(faulted.degraded_sites.front(), "pool");
+  // key=2 fires once in the datapath training at construction and once
+  // in the characterisation; the run reports both as one pool entry.
+  ASSERT_EQ(faulted.degradation.size(), 1u);
+  EXPECT_EQ(faulted.degradation[0].site, "pool");
+  EXPECT_EQ(faulted.degradation[0].detail, "2 failed task(s) retried serially");
 }
 
-TEST_F(RobustTest, DegradationLogKeepsTheFirstDetailPerSite) {
+TEST_F(RobustTest, NoteDegradedKeepsTheFirstDetailPerSite) {
   // The entries are what `terrors analyze` prints as warnings.
-  robust::DegradationLog& log = robust::DegradationLog::instance();
-  log.begin_run();
-  robust::note_degraded("solver", "first solver detail");
-  robust::note_degraded("cache", "first cache detail");
-  robust::note_degraded("solver", "second solver detail");
+  const std::uint64_t total_before = counter("robust.degraded");
+  const std::uint64_t solver_before = counter("robust.degraded.solver");
+  std::vector<robust::Degradation> entries;
+  robust::note_degraded(entries, "solver", "first solver detail");
+  robust::note_degraded(entries, "cache", "first cache detail");
+  robust::note_degraded(entries, "solver", "second solver detail", 3);
 
-  const std::vector<robust::DegradationLog::Entry> entries = log.entries();
   ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].site, "solver");
-  EXPECT_EQ(entries[0].detail, "first solver detail");
-  EXPECT_EQ(entries[0].events, 2u);
-  EXPECT_EQ(entries[1].site, "cache");
-  EXPECT_EQ(entries[1].detail, "first cache detail");
-  EXPECT_EQ(entries[1].events, 1u);
-  EXPECT_EQ(log.sites(), (std::vector<std::string>{"cache", "solver"}));
-
-  log.begin_run();
-  EXPECT_TRUE(log.entries().empty());
-  EXPECT_FALSE(log.degraded());
+  EXPECT_EQ(entries[0].site, "cache");  // sorted by site
+  EXPECT_EQ(entries[0].detail, "first cache detail");
+  EXPECT_EQ(entries[1].site, "solver");
+  EXPECT_EQ(entries[1].detail, "first solver detail");
+  EXPECT_EQ(counter("robust.degraded") - total_before, 5u);
+  EXPECT_EQ(counter("robust.degraded.solver") - solver_before, 4u);
 }
 
 TEST_F(RobustTest, EmptyPlanLeavesResultsUndegraded) {
   const core::BenchmarkResult r = run_analyze("");
   EXPECT_FALSE(r.degraded);
-  EXPECT_TRUE(r.degraded_sites.empty());
+  EXPECT_TRUE(r.degradation.empty());
 }
 
 // --- checked flag parsing ----------------------------------------------------

@@ -57,67 +57,11 @@ using namespace terrors;
 
 namespace {
 
-struct FlagSpec {
-  const char* name;       ///< including the leading "--"
-  bool takes_value;
-};
-
-/// Parse argv[start..argc) against `specs`.  Both `--flag=V` and
-/// `--flag V` are accepted; unknown or malformed flags are reported on
-/// stderr (instead of being silently ignored) and fail the parse.
-bool parse_flags(int argc, char** argv, int start, std::initializer_list<FlagSpec> specs,
-                 std::map<std::string, std::string>& out) {
-  for (int i = start; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
-      return false;
-    }
-    const std::size_t eq = arg.find('=');
-    const std::string name = arg.substr(0, eq);
-    const FlagSpec* spec = nullptr;
-    for (const auto& s : specs) {
-      if (name == s.name) spec = &s;
-    }
-    if (spec == nullptr) {
-      std::fprintf(stderr, "unknown flag '%s'\n", name.c_str());
-      return false;
-    }
-    if (!spec->takes_value) {
-      if (eq != std::string::npos) {
-        std::fprintf(stderr, "flag '%s' takes no value\n", name.c_str());
-        return false;
-      }
-      out[name] = "";
-      continue;
-    }
-    if (eq != std::string::npos) {
-      out[name] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      out[name] = argv[++i];
-    } else {
-      std::fprintf(stderr, "flag '%s' needs a value\n", name.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-// Checked flag accessors (robust/parse.hpp): garbage like "--threads=abc"
-// or "--threads=-1" surfaces as a typed kInput error naming the flag and
-// value (exit 3), never as an untyped std::sto* crash or a silent wrap of
-// a negative into a huge unsigned.
-double num_flag(const std::map<std::string, std::string>& flags, const char* name,
-                double fallback) {
-  const auto it = flags.find(name);
-  return it == flags.end() ? fallback : robust::parse_double_arg(name, it->second);
-}
-
-std::uint64_t uint_flag(const std::map<std::string, std::string>& flags, const char* name,
-                        std::uint64_t fallback) {
-  const auto it = flags.find(name);
-  return it == flags.end() ? fallback : robust::parse_uint_arg(name, it->second);
-}
+// Strict flags and checked values (robust/parse.hpp), shared with the
+// benches.
+using robust::num_flag;
+using robust::parse_flags;
+using robust::uint_flag;
 
 /// Print a typed error chain and return its category exit code.
 int print_error(const std::exception& e) {
@@ -320,21 +264,24 @@ int cmd_analyze(int argc, char** argv, const char* name) {
               100.0 * ts.performance_improvement(std::min(1.0, r.estimate.rate_mean())));
   if (r.degraded) {
     std::string sites;
-    for (const auto& site : r.degraded_sites) {
+    for (const auto& d : r.degradation) {
       if (!sites.empty()) sites += ", ";
-      sites += site;
+      sites += d.site;
     }
     std::printf("  degraded         : yes (%s) — best-effort result\n", sites.c_str());
   }
   // The warnings follow the summary even when both streams share a file.
   std::fflush(stdout);
-  for (const auto& entry : robust::DegradationLog::instance().entries())
-    std::fprintf(stderr, "warning: degraded %s: %s\n", entry.site.c_str(), entry.detail.c_str());
+  for (const auto& d : r.degradation)
+    std::fprintf(stderr, "warning: degraded %s: %s\n", d.site.c_str(), d.detail.c_str());
 
   // Peripheral outputs (trace, profile, report, metrics): the estimate is
-  // already on stdout, so a failed write degrades (warn + robust.degraded)
-  // instead of failing the analysis — unless --strict asks otherwise.
+  // already on stdout, so a failed write degrades (warn + robust.degraded.io)
+  // instead of failing the analysis — unless --strict asks otherwise.  The
+  // failures stay out of `r`, whose summary and report describe the
+  // analysis.
   int peripheral_rc = 0;
+  std::vector<robust::Degradation> peripheral_failures;
   auto peripheral = [&](const char* what, const std::string& path, auto&& writer) {
     try {
       robust::maybe_fault("io.write");
@@ -350,7 +297,8 @@ int cmd_analyze(int argc, char** argv, const char* name) {
                       std::string("write to ") + what + " file '" + path + "' failed");
       }
     } catch (const std::exception& e) {
-      robust::note_degraded("io", std::string(what) + " write failed: " + e.what());
+      robust::note_degraded(peripheral_failures, "io",
+                            std::string(what) + " write failed: " + e.what());
       std::fprintf(stderr, "warning: %s\n", e.what());
       if (strict && peripheral_rc == 0) peripheral_rc = print_error(e);
     }
