@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double sd_frac = vm.config().sigma;  // relative per-gate sigma
+  const double sd_frac = timing::kGateDelaySigma;
   const auto op = perf::derive_operating_points(static_worst, sd_frac * static_worst * 0.4,
                                                 dynamic_worst, netlist::kSetupTimePs);
   const perf::TsProcessorModel ts;

@@ -50,13 +50,6 @@ std::uint64_t hash_netlist(const netlist::Netlist& nl) {
 
 std::uint64_t hash_variation(const timing::VariationConfig& cfg) {
   HashStream h;
-  h.f64(cfg.sigma);
-  h.f64(cfg.w_global);
-  h.f64(cfg.w_spatial);
-  h.f64(cfg.w_indep);
-  h.i32(cfg.anchors_x);
-  h.i32(cfg.anchors_y);
-  h.f64(cfg.corr_length);
   h.u8(cfg.spatial_enabled ? 1 : 0);
   return h.digest();
 }
@@ -71,9 +64,6 @@ std::uint64_t hash_spec(const timing::TimingSpec& spec) {
 std::uint64_t hash_dts_config(const dta::DtsConfig& cfg) {
   HashStream h;
   h.u64(cfg.top_k);
-  h.f64(cfg.percentile_high);
-  h.u8(static_cast<std::uint8_t>(cfg.ordering));
-  h.f64(cfg.prune_sigmas);
   return h.digest();
 }
 

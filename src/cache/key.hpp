@@ -11,7 +11,13 @@
 //
 // The profile key names the executor's inputs, not its code: a change to
 // the executor or the ISA semantics that alters any recorded profile must
-// bump kModelVersion.
+// bump kModelVersion.  Likewise the variation and DTS hashes cover only
+// the settable fields: the fixed constants behind them (the variation
+// weights, anchor grid, correlation length and gate sigma in
+// timing/variation.*, and Algorithm 1's percentile, prune width and Clark
+// ordering in dta/dts_analyzer.cpp) are in no key, so changing one must
+// bump kModelVersion.  The pipeline's elaboration constants reach every
+// key through the netlist hash.
 #pragma once
 
 #include <cstdint>

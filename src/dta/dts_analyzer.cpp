@@ -6,6 +6,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "stat/clark.hpp"
 #include "support/check.hpp"
 #include "support/hash.hpp"
 #include "support/math.hpp"
@@ -17,6 +18,15 @@ using netlist::GateId;
 using stat::Gaussian;
 using timing::PathStat;
 using timing::TimingPath;
+
+namespace {
+
+/// Algorithm 1 orders candidates at the 1st and 99th percentile (Section
+/// 3): the z of kPercentileHigh, and its negation.
+constexpr double kPercentileHigh = 0.99;
+constexpr double kPruneSigmas = 6.0;  ///< see statistical_path_min
+
+}  // namespace
 
 double DtsGaussian::global_corr(const DtsGaussian& other) const {
   const double denom = slack.sd * other.slack.sd;
@@ -36,11 +46,11 @@ DtsGaussian dts_min(const DtsGaussian& a, const DtsGaussian& b) {
 
 DtsGaussian statistical_path_min(std::span<const PathStat* const> paths,
                                  const timing::VariationModel& vm,
-                                 const timing::TimingSpec& spec, const DtsConfig& config) {
+                                 const timing::TimingSpec& spec) {
   TE_REQUIRE(!paths.empty(), "statistical_path_min over an empty AP set");
 
   // Prune paths that cannot win the minimum slack: path i is irrelevant
-  // when its mean slack exceeds the best one by more than prune_sigmas
+  // when its mean slack exceeds the best one by more than kPruneSigmas
   // combined standard deviations.
   double best_mean = std::numeric_limits<double>::infinity();
   std::size_t dominant = 0;
@@ -55,7 +65,7 @@ DtsGaussian statistical_path_min(std::span<const PathStat* const> paths,
   const double sd_best = slacks[dominant].sd;
   std::vector<std::size_t> keep;
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (slacks[i].mean - best_mean <= config.prune_sigmas * (slacks[i].sd + sd_best) + 1e-9)
+    if (slacks[i].mean - best_mean <= kPruneSigmas * (slacks[i].sd + sd_best) + 1e-9)
       keep.push_back(i);
   }
   TE_CHECK(!keep.empty(), "pruning removed all paths");
@@ -73,7 +83,7 @@ DtsGaussian statistical_path_min(std::span<const PathStat* const> paths,
     }
   }
   DtsGaussian out;
-  out.slack = stat::statistical_min(vars, cov, config.ordering);
+  out.slack = stat::statistical_min(vars, cov, stat::MinOrdering::kGreedyTightness);
   // Global loading of the result: approximate with the dominant (minimum
   // mean slack) path's loading, clipped to the result spread.
   out.global_loading = std::min(paths[dominant]->g_loading, out.slack.sd);
@@ -98,19 +108,16 @@ const std::vector<double>& CycleActivation::arrivals() const {
 // ---------------------------------------------------------------------------
 
 DtsAnalyzer::DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationModel& vm,
-                         timing::TimingSpec spec, DtsConfig config,
-                         timing::PathConfig path_config)
+                         timing::TimingSpec spec, DtsConfig config)
     : nl_(nl),
       vm_(vm),
       spec_(spec),
       config_(config),
-      owned_paths_(std::make_unique<timing::PathEnumerator>(nl, path_config)),
+      owned_paths_(std::make_unique<timing::PathEnumerator>(nl)),
       paths_(owned_paths_.get()),
       cache_(nl.size()),
       arrivals_(nl.size() + 1, -std::numeric_limits<double>::infinity()) {
   TE_REQUIRE(config.top_k > 0, "top_k must be positive");
-  TE_REQUIRE(config.percentile_high > 0.5 && config.percentile_high < 1.0,
-             "percentile_high must lie in (0.5, 1)");
 }
 
 DtsAnalyzer::DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationModel& vm,
@@ -124,8 +131,6 @@ DtsAnalyzer::DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationMode
       cache_(nl.size()),
       arrivals_(nl.size() + 1, -std::numeric_limits<double>::infinity()) {
   TE_REQUIRE(config.top_k > 0, "top_k must be positive");
-  TE_REQUIRE(config.percentile_high > 0.5 && config.percentile_high < 1.0,
-             "percentile_high must lie in (0.5, 1)");
 }
 
 DtsAnalyzer::EndpointCache& DtsAnalyzer::endpoint_cache(GateId endpoint) {
@@ -147,7 +152,7 @@ DtsAnalyzer::EndpointCache& DtsAnalyzer::endpoint_cache(GateId endpoint) {
     c.stats.push_back(timing::path_stat(candidates[i], vm_));
   // Two fixed orderings (Section 3): by worst-case (1st pct) slack — i.e.
   // largest 99th-percentile delay — and by best-case (99th pct) slack.
-  const double z = support::normal_quantile(config_.percentile_high);
+  const double z = support::normal_quantile(kPercentileHigh);
   c.order_low.resize(built);
   c.order_high.resize(built);
   for (std::size_t i = 0; i < built; ++i) c.order_low[i] = c.order_high[i] = i;
@@ -311,7 +316,7 @@ std::optional<DtsGaussian> DtsAnalyzer::stage_dts(std::uint8_t stage, CycleActiv
   }
   ap.insert(ap.end(), alternates.begin(), alternates.end());
   if (ap.empty()) return std::nullopt;
-  return statistical_path_min(ap, vm_, spec_, config_);
+  return statistical_path_min(ap, vm_, spec_);
 }
 
 std::optional<double> DtsAnalyzer::stage_dts_deterministic(std::uint8_t stage,

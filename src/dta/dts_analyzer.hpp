@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "stat/clark.hpp"
 #include "stat/gaussian.hpp"
 #include "timing/paths.hpp"
 #include "timing/sta.hpp"
@@ -78,20 +77,12 @@ class CycleActivation {
 
 struct DtsConfig {
   std::size_t top_k = 24;  ///< candidate paths examined per endpoint and pass
-  /// Upper percentile of the two candidate orderings; the lower one is its
-  /// mirror image 1 - percentile_high (the same z, negated).
-  double percentile_high = 0.99;
-  stat::MinOrdering ordering = stat::MinOrdering::kGreedyTightness;
-  /// Paths whose mean slack exceeds the best mean by more than
-  /// prune_sigmas * (their combined sd) cannot win the minimum; drop them.
-  double prune_sigmas = 6.0;
 };
 
 class DtsAnalyzer {
  public:
   DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationModel& vm,
-              timing::TimingSpec spec, DtsConfig config = {},
-              timing::PathConfig path_config = {});
+              timing::TimingSpec spec, DtsConfig config = {});
 
   /// Borrowing variant: share a pre-warmed (and frozen, when used
   /// concurrently) PathEnumerator instead of owning one.  Worker-local
@@ -194,6 +185,6 @@ class DtsAnalyzer {
 /// exposed for Algorithm 2 (minimum over stages) and tests.
 DtsGaussian statistical_path_min(std::span<const timing::PathStat* const> paths,
                                  const timing::VariationModel& vm,
-                                 const timing::TimingSpec& spec, const DtsConfig& config);
+                                 const timing::TimingSpec& spec);
 
 }  // namespace terrors::dta

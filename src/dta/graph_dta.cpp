@@ -13,10 +13,8 @@ namespace {
 constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 }
 
-GraphDta::GraphDta(const netlist::Netlist& nl, GraphDtaConfig config)
-    : nl_(nl), config_(config) {
+GraphDta::GraphDta(const netlist::Netlist& nl) : nl_(nl) {
   TE_REQUIRE(nl.finalized(), "graph DTA needs a finalized netlist");
-  TE_REQUIRE(config.n_worst > 0, "n_worst must be positive");
   slot_of_.assign(nl.size(), kNoSlot);
   std::uint32_t next = 0;
   for (std::uint8_t s = 0; s < nl.stage_count(); ++s) {
@@ -34,12 +32,12 @@ void GraphDta::observe(CycleActivation& cycle) {
       const std::uint32_t slot = slot_of_[e];
       worst_ = std::max(worst_, a);
       auto& worst_list = n_worst_[slot];
-      // Insert in descending order, keeping at most n_worst entries.
+      // Insert in descending order, keeping at most kNWorst entries.
       auto pos = std::lower_bound(worst_list.begin(), worst_list.end(), a,
                                   std::greater<double>());
-      if (pos != worst_list.end() || worst_list.size() < config_.n_worst) {
+      if (pos != worst_list.end() || worst_list.size() < kNWorst) {
         worst_list.insert(pos, a);
-        if (worst_list.size() > config_.n_worst) worst_list.pop_back();
+        if (worst_list.size() > kNWorst) worst_list.pop_back();
       }
     }
   }

@@ -22,13 +22,12 @@
 
 namespace terrors::dta {
 
-struct GraphDtaConfig {
-  std::size_t n_worst = 8;  ///< arrivals kept per endpoint
-};
-
 class GraphDta {
  public:
-  GraphDta(const netlist::Netlist& nl, GraphDtaConfig config = {});
+  /// Arrivals kept per endpoint.
+  static constexpr std::size_t kNWorst = 8;
+
+  explicit GraphDta(const netlist::Netlist& nl);
 
   /// Fold one simulated cycle into the aggregate (uses the cycle's
   /// activated-arrival DP).
@@ -36,7 +35,7 @@ class GraphDta {
 
   [[nodiscard]] std::uint64_t cycles_observed() const { return cycles_; }
 
-  /// The N worst activated arrivals seen at `endpoint`, descending.
+  /// The kNWorst worst activated arrivals seen at `endpoint`, descending.
   [[nodiscard]] const std::vector<double>& worst_arrivals(netlist::GateId endpoint) const;
 
   /// Design-wide worst activated arrival over the whole run.
@@ -50,7 +49,6 @@ class GraphDta {
 
  private:
   const netlist::Netlist& nl_;
-  GraphDtaConfig config_;
   std::uint64_t cycles_ = 0;
   double worst_ = 0.0;
   /// Indexed by capture-endpoint *slot* (dense remap of endpoint ids).

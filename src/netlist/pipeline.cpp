@@ -1,7 +1,5 @@
 #include "netlist/pipeline.hpp"
 
-#include "support/check.hpp"
-
 namespace terrors::netlist {
 namespace {
 
@@ -12,17 +10,21 @@ constexpr std::uint8_t kEx = 3;
 constexpr std::uint8_t kMe = 4;
 constexpr std::uint8_t kWb = 5;
 
+constexpr int kWidth = 32;             ///< datapath bits: the 32-bit ISA's word
+constexpr std::uint64_t kSeed = 1;     ///< elaboration seed (placement, clouds, jitter)
+constexpr double kDelayJitter = 0.08;  ///< per-gate delay jitter fraction
+constexpr int kCloudWidth = 40;        ///< gates per layer in random control clouds
+constexpr int kCloudDepth = 7;         ///< layers per random control cloud
+constexpr int kCtrlStateBits = 16;     ///< control state flip-flops per stage cloud
+
 }  // namespace
 
 Pipeline build_pipeline(const PipelineConfig& config) {
-  TE_REQUIRE(config.width >= 8 && config.width <= 64, "datapath width out of range");
-  TE_REQUIRE(config.cloud_width > 0 && config.cloud_depth > 0, "bad cloud dimensions");
-  const int w = config.width;
+  const int w = kWidth;
 
-  NetlistBuilder b(support::Rng(config.seed));
-  b.set_delay_jitter(config.delay_jitter);
+  NetlistBuilder b{support::Rng(kSeed)};
+  b.set_delay_jitter(kDelayJitter);
   Pipeline p;
-  p.config = config;
   PipelinePorts& ports = p.ports;
   PipelineTaps& taps = p.taps;
 
@@ -44,8 +46,8 @@ Pipeline build_pipeline(const PipelineConfig& config) {
 
   // Instruction-memory control cloud: consumes PC bits, drives FE state.
   b.begin_component(kFe, 0.5f, 0.1f);
-  Word fe_cloud = b.random_cloud(taps.pc_reg, config.cloud_width, config.cloud_depth);
-  Word fe_state = b.dff_word("fe_state", config.ctrl_state_bits, EndpointClass::kControl);
+  Word fe_cloud = b.random_cloud(taps.pc_reg, kCloudWidth, kCloudDepth);
+  Word fe_state = b.dff_word("fe_state", kCtrlStateBits, EndpointClass::kControl);
   for (std::size_t i = 0; i < fe_state.size(); ++i)
     b.connect(fe_state[i], fe_cloud[i % fe_cloud.size()]);
 
@@ -54,8 +56,8 @@ Pipeline build_pipeline(const PipelineConfig& config) {
   b.begin_component(kDe, 1.5f, 0.15f);
   Word de_in = taps.ir_reg;
   de_in.insert(de_in.end(), fe_state.begin(), fe_state.end());
-  Word de_cloud = b.random_cloud(de_in, config.cloud_width, config.cloud_depth);
-  Word de_state = b.dff_word("de_state", config.ctrl_state_bits, EndpointClass::kControl);
+  Word de_cloud = b.random_cloud(de_in, kCloudWidth, kCloudDepth);
+  Word de_state = b.dff_word("de_state", kCtrlStateBits, EndpointClass::kControl);
   for (std::size_t i = 0; i < de_state.size(); ++i)
     b.connect(de_state[i], de_cloud[i % de_cloud.size()]);
 
@@ -124,8 +126,8 @@ Pipeline build_pipeline(const PipelineConfig& config) {
   const GateId cmp_eq = b.equals(taps.op_a_reg, taps.op_b_reg);
   Word ra_in = de_state;
   ra_in.push_back(cmp_eq);
-  Word ra_cloud = b.random_cloud(ra_in, config.cloud_width, config.cloud_depth);
-  Word ra_state = b.dff_word("ra_state", config.ctrl_state_bits, EndpointClass::kControl);
+  Word ra_cloud = b.random_cloud(ra_in, kCloudWidth, kCloudDepth);
+  Word ra_state = b.dff_word("ra_state", kCtrlStateBits, EndpointClass::kControl);
   for (std::size_t i = 0; i < ra_state.size(); ++i)
     b.connect(ra_state[i], ra_cloud[i % ra_cloud.size()]);
 
@@ -186,8 +188,8 @@ Pipeline build_pipeline(const PipelineConfig& config) {
   b.begin_component(kEx, 3.5f, 0.9f);
   Word ex_in = ra_state;
   ex_in.push_back(add.carry_out);
-  Word ex_cloud = b.random_cloud(ex_in, config.cloud_width, config.cloud_depth);
-  Word ex_state = b.dff_word("ex_state", config.ctrl_state_bits, EndpointClass::kControl);
+  Word ex_cloud = b.random_cloud(ex_in, kCloudWidth, kCloudDepth);
+  Word ex_state = b.dff_word("ex_state", kCtrlStateBits, EndpointClass::kControl);
   for (std::size_t i = 0; i < ex_state.size(); ++i)
     b.connect(ex_state[i], ex_cloud[i % ex_cloud.size()]);
 
@@ -204,8 +206,8 @@ Pipeline build_pipeline(const PipelineConfig& config) {
   b.begin_component(kMe, 4.5f, 0.15f);
   Word me_in = ex_state;
   me_in.push_back(ports.mem_is_load);
-  Word me_cloud = b.random_cloud(me_in, config.cloud_width, config.cloud_depth);
-  Word me_state = b.dff_word("me_state", config.ctrl_state_bits, EndpointClass::kControl);
+  Word me_cloud = b.random_cloud(me_in, kCloudWidth, kCloudDepth);
+  Word me_state = b.dff_word("me_state", kCtrlStateBits, EndpointClass::kControl);
   for (std::size_t i = 0; i < me_state.size(); ++i)
     b.connect(me_state[i], me_cloud[i % me_cloud.size()]);
 
@@ -224,8 +226,8 @@ Pipeline build_pipeline(const PipelineConfig& config) {
   ports.ctrl_noise = b.input_word("ctrl_noise", 4);
   Word wb_in = me_state;
   wb_in.insert(wb_in.end(), ports.ctrl_noise.begin(), ports.ctrl_noise.end());
-  Word wb_cloud = b.random_cloud(wb_in, config.cloud_width, config.cloud_depth);
-  Word wb_state = b.dff_word("wb_state", config.ctrl_state_bits, EndpointClass::kControl);
+  Word wb_cloud = b.random_cloud(wb_in, kCloudWidth, kCloudDepth);
+  Word wb_state = b.dff_word("wb_state", kCtrlStateBits, EndpointClass::kControl);
   for (std::size_t i = 0; i < wb_state.size(); ++i)
     b.connect(wb_state[i], wb_cloud[i % wb_cloud.size()]);
 

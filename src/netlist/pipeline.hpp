@@ -34,13 +34,7 @@ namespace terrors::netlist {
 enum class AdderKind : std::uint8_t { kRipple, kCarrySelect };
 
 struct PipelineConfig {
-  int width = 32;           ///< datapath width in bits
   AdderKind ex_adder = AdderKind::kRipple;
-  std::uint64_t seed = 1;   ///< elaboration seed (placement, clouds, jitter)
-  double delay_jitter = 0.08;
-  int cloud_width = 40;     ///< gates per layer in random control clouds
-  int cloud_depth = 7;      ///< layers per random control cloud
-  int ctrl_state_bits = 16; ///< control state flip-flops per stage cloud
 };
 
 /// Primary-input handles, grouped by the cycle they must be driven in
@@ -89,7 +83,6 @@ struct Pipeline {
   Netlist netlist;
   PipelinePorts ports;
   PipelineTaps taps;
-  PipelineConfig config;
 };
 
 /// Elaborate, place and finalize the pipeline netlist.

@@ -43,10 +43,11 @@ void MetricsRegistry::write_json(std::ostream& os) const {
 }
 
 std::uint64_t MetricsScope::delta(std::string_view name) const {
-  const std::uint64_t now = registry_->counter(name).value();
-  const auto it = baseline_.find(std::string(name));
-  const std::uint64_t before = it == baseline_.end() ? 0 : it->second;
-  return now >= before ? now - before : 0;
+  // Not registry_->counter(name): that registers the counter, and a read
+  // must not change what write_json() prints.
+  const std::map<std::string, std::uint64_t> moved = deltas();
+  const auto it = moved.find(std::string(name));
+  return it == moved.end() ? 0 : it->second;
 }
 
 std::map<std::string, std::uint64_t> MetricsScope::deltas() const {

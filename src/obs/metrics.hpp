@@ -73,6 +73,7 @@ class MetricsScope {
       : registry_(&registry), baseline_(registry.counter_values()) {}
 
   /// Delta of one counter since the scope opened (0 if never registered).
+  /// Reading does not register the counter.
   [[nodiscard]] std::uint64_t delta(std::string_view name) const;
 
   /// All counters with a nonzero delta since the scope opened, sorted by

@@ -17,9 +17,6 @@ namespace terrors::perf {
 
 struct TsProcessorModel {
   double frequency_ratio = 1.15;  ///< working frequency / baseline
-  int penalty_cycles = 24;        ///< per-error correction penalty
-  double detection_power_overhead = 0.009;  ///< reported in the paper's setup
-  double detection_area_overhead = 0.038;
 
   /// Relative performance improvement over the non-speculative baseline
   /// at a given error rate (negative = degradation).
@@ -36,19 +33,12 @@ struct OperatingPoints {
   double working_mhz = 0.0;   ///< chosen speculative frequency
 };
 
-struct OperatingPointConfig {
-  double guardband = 1.10;     ///< voltage-droop style margin on delay
-  double sigma_quantile = 3.0; ///< worst-case chip quantile for the baseline
-  double working_over_poff = 1.02;  ///< working frequency relative to PoFF
-};
-
 /// Derive operating points from a static worst arrival (STA, guardbanded)
 /// and the largest *observed dynamic* activated arrival of a calibration
 /// workload (which sets the point of first failure).
 [[nodiscard]] OperatingPoints derive_operating_points(double static_worst_arrival_ps,
                                                       double static_worst_arrival_sd_ps,
                                                       double dynamic_worst_arrival_ps,
-                                                      double setup_ps,
-                                                      const OperatingPointConfig& config = {});
+                                                      double setup_ps);
 
 }  // namespace terrors::perf

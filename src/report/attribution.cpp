@@ -18,6 +18,9 @@ namespace terrors::report {
 
 namespace {
 
+/// Seed of the Monte-Carlo cross-check's trials.
+constexpr std::uint64_t kMcSeed = 2026;
+
 /// Block b's share of Eq. 10's lambda, per sample: e_b * sum_k p_{b_k}(s),
 /// summed in the estimator's order so the values match it bit for bit.
 stat::Samples block_lambda_from_marginals(const core::BlockMarginals& bm, double e_b) {
@@ -177,7 +180,7 @@ RunReport build_report(core::ErrorRateFramework& fw, const isa::Program& program
       if (nl.gate(e).endpoint_class != netlist::EndpointClass::kControl) continue;
       ++st.endpoints;
       for (const dta::DtsAnalyzer::EndpointPath& ep :
-           analyzer.endpoint_path_stats(e, options.top_k_paths)) {
+           analyzer.endpoint_path_stats(e, kCulpritPaths)) {
         const stat::Gaussian slack = ep.stat->slack(spec);
         means.push_back(slack.mean);
         CulpritPath c;
@@ -198,7 +201,7 @@ RunReport build_report(core::ErrorRateFramework& fw, const isa::Program& program
     if (a.endpoint != b.endpoint) return a.endpoint < b.endpoint;
     return a.delay_ps > b.delay_ps;
   });
-  if (culprits.size() > options.top_k_paths) culprits.resize(options.top_k_paths);
+  if (culprits.size() > kCulpritPaths) culprits.resize(kCulpritPaths);
   r.culprits = std::move(culprits);
 
   // --- solver diagnostics --------------------------------------------------
@@ -221,7 +224,7 @@ RunReport build_report(core::ErrorRateFramework& fw, const isa::Program& program
   // of the recorded runs themselves: the estimate at execution_scale 1, not
   // the extrapolated one the run reports.
   if (options.mc_trials > 0 && !profile.block_traces.empty()) {
-    support::Rng rng(options.mc_seed);
+    support::Rng rng(kMcSeed);
     const std::vector<std::uint64_t> counts = core::monte_carlo_error_counts(
         profile, art.conditionals, options.mc_trials, rng);
     core::EstimatorInputs unscaled;

@@ -20,13 +20,13 @@
 
 namespace terrors::report {
 
+/// Culprit paths listed in the report (and per-endpoint stats depth).
+inline constexpr std::size_t kCulpritPaths = 10;
+
 struct ReportOptions {
-  /// Culprit paths listed in the report (and per-endpoint stats depth).
-  std::size_t top_k_paths = 10;
   /// Monte-Carlo trials for the divergence diagnostic; 0 disables.  Needs
   /// a profile recorded with ExecutorConfig::record_block_trace.
   std::size_t mc_trials = 0;
-  std::uint64_t mc_seed = 2026;
   /// Worker-thread count of the run, recorded verbatim in the report.
   std::size_t threads = 1;
 };

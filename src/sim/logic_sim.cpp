@@ -82,11 +82,6 @@ std::uint64_t LogicSimulator::value_word(const std::vector<GateId>& word) const 
   return v;
 }
 
-void LogicSimulator::force_state(GateId dff, bool v) {
-  TE_REQUIRE(nl_.gate(dff).kind == GateKind::kDff, "force_state on a non-DFF gate");
-  values_[dff] = v ? 1 : 0;
-}
-
 LogicSimulator::State LogicSimulator::save() const {
   return {values_, prev_values_, pending_inputs_, activated_, cycle_};
 }

@@ -55,10 +55,6 @@ class LogicSimulator {
   /// Cycles elapsed since reset.
   [[nodiscard]] std::uint64_t cycle() const { return cycle_; }
 
-  /// Force a flip-flop's current output (used to model error-correction
-  /// induced state, e.g. a flushed pipeline).
-  void force_state(netlist::GateId dff, bool value);
-
   /// Everything step() carries from one cycle into the next, for resuming
   /// a simulation from a saved cycle.
   struct State {

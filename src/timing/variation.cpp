@@ -6,22 +6,31 @@
 
 namespace terrors::timing {
 
+namespace {
+
+// Component weights before normalisation, the spatial field's anchor grid
+// over the die, and its correlation length in die units (larger =
+// smoother field).
+constexpr double kWeightGlobal = 0.5;
+constexpr double kWeightSpatial = 0.6;
+constexpr double kWeightIndep = 0.624;
+constexpr int kAnchorsX = 7;
+constexpr int kAnchorsY = 3;
+constexpr double kCorrLength = 1.2;
+
+}  // namespace
+
 VariationModel::VariationModel(const netlist::Netlist& nl, const VariationConfig& config)
     : nl_(nl), config_(config) {
   TE_REQUIRE(nl.finalized(), "variation model needs a finalized netlist");
-  TE_REQUIRE(config.sigma >= 0.0, "negative variation sigma");
-  TE_REQUIRE(config.anchors_x > 0 && config.anchors_y > 0, "bad anchor grid");
-  TE_REQUIRE(config.corr_length > 0.0, "correlation length must be positive");
 
   // Normalise the component weights so total per-gate variance is sigma^2.
-  double wg = config.w_global;
-  double ws = config.spatial_enabled ? config.w_spatial : 0.0;
-  double wi = config.spatial_enabled
-                  ? config.w_indep
-                  : std::sqrt(config.w_indep * config.w_indep + config.w_spatial * config.w_spatial);
-  const double norm = std::sqrt(wg * wg + ws * ws + wi * wi);
-  TE_REQUIRE(norm > 0.0, "all variation weights are zero");
-  wg_ = wg / norm;
+  const double ws = config.spatial_enabled ? kWeightSpatial : 0.0;
+  const double wi = config.spatial_enabled
+                        ? kWeightIndep
+                        : std::sqrt(kWeightIndep * kWeightIndep + kWeightSpatial * kWeightSpatial);
+  const double norm = std::sqrt(kWeightGlobal * kWeightGlobal + ws * ws + wi * wi);
+  wg_ = kWeightGlobal / norm;
   ws_ = ws / norm;
   wi_ = wi / norm;
 
@@ -40,10 +49,10 @@ VariationModel::VariationModel(const netlist::Netlist& nl, const VariationConfig
       max_y = std::max(max_y, nl.gate(g).y);
     }
   }
-  for (int iy = 0; iy < config.anchors_y; ++iy) {
-    for (int ix = 0; ix < config.anchors_x; ++ix) {
-      const double fx = config.anchors_x == 1 ? 0.5 : static_cast<double>(ix) / (config.anchors_x - 1);
-      const double fy = config.anchors_y == 1 ? 0.5 : static_cast<double>(iy) / (config.anchors_y - 1);
+  for (int iy = 0; iy < kAnchorsY; ++iy) {
+    for (int ix = 0; ix < kAnchorsX; ++ix) {
+      const double fx = static_cast<double>(ix) / (kAnchorsX - 1);
+      const double fy = static_cast<double>(iy) / (kAnchorsY - 1);
       anchor_x_.push_back(min_x + fx * (max_x - min_x));
       anchor_y_.push_back(min_y + fy * (max_y - min_y));
     }
@@ -60,7 +69,7 @@ VariationModel::VariationModel(const netlist::Netlist& nl, const VariationConfig
         const double dx = nl.gate(g).x - anchor_x_[k];
         const double dy = nl.gate(g).y - anchor_y_[k];
         const double d = std::sqrt(dx * dx + dy * dy);
-        const double wk = std::exp(-d / config.corr_length);
+        const double wk = std::exp(-d / kCorrLength);
         w[k] = static_cast<float>(wk);
         norm2 += wk * wk;
       }
@@ -74,7 +83,7 @@ VariationModel::VariationModel(const netlist::Netlist& nl, const VariationConfig
 double VariationModel::mean(netlist::GateId g) const { return nl_.gate(g).delay_ps; }
 
 double VariationModel::sigma(netlist::GateId g) const {
-  return config_.sigma * nl_.gate(g).delay_ps;
+  return kGateDelaySigma * nl_.gate(g).delay_ps;
 }
 
 double VariationModel::global_loading(netlist::GateId g) const { return wg_ * sigma(g); }
@@ -115,7 +124,7 @@ ChipSample VariationModel::sample_chip(support::Rng& rng) const {
       dev += ws_ * sp;
     }
     dev += wi_ * rng.normal();
-    const double d = nl_.gate(g).delay_ps * (1.0 + config_.sigma * dev);
+    const double d = nl_.gate(g).delay_ps * (1.0 + kGateDelaySigma * dev);
     chip[g] = static_cast<float>(d < 0.0 ? 0.0 : d);
   }
   return chip;

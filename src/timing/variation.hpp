@@ -23,14 +23,10 @@
 
 namespace terrors::timing {
 
+/// Total relative delay sigma per gate: sd(D_g) = kGateDelaySigma * mu_g.
+inline constexpr double kGateDelaySigma = 0.05;
+
 struct VariationConfig {
-  double sigma = 0.05;    ///< total relative delay sigma per gate
-  double w_global = 0.5;  ///< weight of the chip-global component
-  double w_spatial = 0.6; ///< weight of the spatially correlated component
-  double w_indep = 0.624; ///< weight of the independent component
-  int anchors_x = 7;      ///< spatial anchor grid
-  int anchors_y = 3;
-  double corr_length = 1.2;  ///< die units; larger = smoother field
   /// If false, the spatial component's weight is folded into the
   /// independent one (ablation switch).
   bool spatial_enabled = true;

@@ -66,15 +66,20 @@ TEST(Keys, SpecAndConfigHashesReactToEveryField) {
   timing::TimingSpec faster{1200.0};
   EXPECT_NE(hash_spec(base), hash_spec(faster));
 
-  dta::DtsConfig dts;
-  const std::uint64_t dts_base = hash_dts_config(dts);
-  dts.top_k += 1;
-  EXPECT_NE(hash_dts_config(dts), dts_base);
+  timing::VariationConfig no_spatial;
+  no_spatial.spatial_enabled = false;
+  EXPECT_NE(hash_variation(no_spatial), hash_variation({}));
 
-  dta::ControlCharacterizerConfig cc;
-  const std::uint64_t cc_base = hash_characterizer_config(cc);
-  cc.pred_tail += 1;
-  EXPECT_NE(hash_characterizer_config(cc), cc_base);
+  dta::DtsConfig dts;
+  dts.top_k += 1;
+  EXPECT_NE(hash_dts_config(dts), hash_dts_config({}));
+
+  dta::ControlCharacterizerConfig tail;
+  tail.pred_tail += 1;
+  EXPECT_NE(hash_characterizer_config(tail), hash_characterizer_config({}));
+  dta::ControlCharacterizerConfig nops;
+  nops.warmup_nops += 1;
+  EXPECT_NE(hash_characterizer_config(nops), hash_characterizer_config({}));
 }
 
 TEST(Keys, ProgramHashIgnoresNameButNotCode) {

@@ -142,9 +142,7 @@ TEST(Builder, RandomCloudIsDeterministicInSeed) {
 }
 
 TEST(Pipeline, BuildsAndFinalizes) {
-  PipelineConfig cfg;
-  cfg.width = 32;
-  const Pipeline p = build_pipeline(cfg);
+  const Pipeline p = build_pipeline({});
   EXPECT_TRUE(p.netlist.finalized());
   EXPECT_EQ(p.netlist.stage_count(), Pipeline::kStages);
   const auto stats = p.netlist.stats();
@@ -182,10 +180,8 @@ TEST(Pipeline, PlacementSpansStageColumns) {
 }
 
 TEST(Pipeline, DeterministicInSeed) {
-  PipelineConfig cfg;
-  cfg.seed = 77;
-  const Pipeline a = build_pipeline(cfg);
-  const Pipeline b = build_pipeline(cfg);
+  const Pipeline a = build_pipeline({});
+  const Pipeline b = build_pipeline({});
   ASSERT_EQ(a.netlist.size(), b.netlist.size());
   for (GateId g = 0; g < a.netlist.size(); ++g) {
     EXPECT_EQ(a.netlist.gate(g).kind, b.netlist.gate(g).kind);

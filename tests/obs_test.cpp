@@ -365,6 +365,14 @@ TEST(RunScopeTest, MetricsScopeDeltasAgainstSnapshot) {
   reg.counter("test.scope_late").reset();
 }
 
+TEST(RunScopeTest, MetricsScopeDeltaDoesNotRegister) {
+  auto& reg = obs::MetricsRegistry::instance();
+  const obs::MetricsScope scope(reg);
+  const auto before = reg.counter_values();
+  EXPECT_EQ(scope.delta("test.scope_never_registered"), 0u);
+  EXPECT_EQ(reg.counter_values(), before);
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(ProfilerTest, FoldedRoundTripAndHotspots) {

@@ -172,7 +172,7 @@ TEST_F(ReportFixture, AttributionTablesAreWellFormed) {
   // One stage entry per pipeline stage; culprits sorted tightest-first.
   EXPECT_EQ(built_.stages.size(), netlist::Pipeline::kStages);
   ASSERT_FALSE(built_.culprits.empty());
-  EXPECT_LE(built_.culprits.size(), report::ReportOptions{}.top_k_paths);
+  EXPECT_LE(built_.culprits.size(), report::kCulpritPaths);
   for (std::size_t i = 1; i < built_.culprits.size(); ++i)
     EXPECT_LE(built_.culprits[i - 1].slack_mean, built_.culprits[i].slack_mean);
 

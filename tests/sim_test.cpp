@@ -186,19 +186,6 @@ TEST(LogicSim, CarryChainActivationDependsOnOperands) {
   EXPECT_TRUE(sim.activated(add.carry_out));
 }
 
-TEST(LogicSim, ForceStateOverridesDff) {
-  NetlistBuilder b(support::Rng(6));
-  const GateId in = b.input("d");
-  const GateId q = b.dff("q", EndpointClass::kControl);
-  b.connect(q, in);
-  const GateId inv = b.gate(GateKind::kInv, q);
-  b.netlist().finalize(1);
-  LogicSimulator sim(b.netlist());
-  sim.force_state(q, true);
-  EXPECT_TRUE(sim.value(q));
-  (void)inv;
-}
-
 /// Scalar oracle for LogicSimulator: its semantics restated gate by gate
 /// over Gate structs and netlist::eval_gate.  Constants are re-applied
 /// after every settle, which must give the same values as the simulator
