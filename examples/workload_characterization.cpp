@@ -2,19 +2,20 @@
 //
 //   $ ./examples/workload_characterization [benchmark-name]
 //
-// Runs the framework on one of the MiBench-like workloads and breaks the
-// estimated error rate down by opcode and by basic block, shows the
-// hottest instructions with their conditional probabilities (p^c vs p^e),
-// and reports the edge-activation profile of the hottest block — the raw
-// material of the paper's Section 4.
+// Runs the framework on one of the MiBench-like workloads and reads the
+// answer from its run report (report::build_report, the record that
+// `terrors analyze --report` writes): the estimated error rate broken down
+// by opcode, the hottest instructions with their conditional
+// probabilities (p^c vs p^e), and the edge-activation profile of the
+// block with the most error mass — the raw material of the paper's
+// Section 4.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <vector>
 
 #include "core/framework.hpp"
 #include "netlist/pipeline.hpp"
+#include "report/attribution.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/specs.hpp"
 
@@ -41,75 +42,55 @@ int main(int argc, char** argv) {
   const isa::Program program = workloads::generate_program(*spec);
   const auto result =
       framework.analyze(program, workloads::generate_inputs(*spec, 4, 2026));
+  const report::RunReport r = report::build_report(framework, program, result);
 
-  std::printf("%s (%s): %zu basic blocks, %llu simulated instructions\n", spec->name.c_str(),
-              std::string(workloads::category_name(spec->category)).c_str(),
-              result.basic_blocks, static_cast<unsigned long long>(result.instructions));
-  std::printf("error rate %.4f %% (SD %.4f %%)\n\n", 100.0 * result.estimate.rate_mean(),
-              100.0 * result.estimate.rate_sd());
+  std::printf("%s (%s): %zu basic blocks, %llu simulated instructions\n", r.program.c_str(),
+              std::string(workloads::category_name(spec->category)).c_str(), r.basic_blocks,
+              static_cast<unsigned long long>(r.instructions));
+  std::printf("error rate %.4f %% (SD %.4f %%)\n\n", 100.0 * r.rate_mean, 100.0 * r.rate_sd);
 
-  // --- per-opcode breakdown ------------------------------------------------
-  const auto& profile = framework.last().executor->profile();
-  const auto& marginals = framework.last().marginals;
-  const auto& conditionals = framework.last().conditionals;
-
-  std::map<isa::Opcode, double> by_opcode;
-  double total = 0.0;
-  struct Hot {
-    double contribution;
-    isa::BlockId block;
-    std::size_t k;
-  };
-  std::vector<Hot> hot;
-  for (isa::BlockId b = 0; b < program.block_count(); ++b) {
-    if (!marginals[b].executed) continue;
-    const double e_i = static_cast<double>(profile.blocks[b].executions);
-    for (std::size_t k = 0; k < marginals[b].instr.size(); ++k) {
-      const double c = e_i * marginals[b].instr[k].mean();
-      by_opcode[program.block(b).instructions[k].op] += c;
-      total += c;
-      hot.push_back({c, b, k});
-    }
-  }
-
+  // --- per-opcode breakdown (heaviest first) ---------------------------------
   std::printf("error contribution by opcode:\n");
-  std::vector<std::pair<double, isa::Opcode>> sorted;
-  for (const auto& [op, c] : by_opcode) sorted.emplace_back(c, op);
-  std::sort(sorted.rbegin(), sorted.rend());
-  for (const auto& [c, op] : sorted) {
-    if (c < total * 0.005) continue;
-    std::printf("  %-5s %6.2f %%\n", std::string(isa::mnemonic(op)).c_str(),
-                100.0 * c / total);
+  for (const auto& oc : r.opcodes) {
+    if (oc.share < 0.005) break;
+    std::printf("  %-5s %6.2f %%\n", oc.mnemonic.c_str(), 100.0 * oc.share);
   }
 
   // --- hottest instructions --------------------------------------------------
-  std::sort(hot.begin(), hot.end(),
-            [](const Hot& a, const Hot& b) { return a.contribution > b.contribution; });
-  std::printf("\nhottest instructions (share, block, p^c mean, p^e mean):\n");
+  // An instruction's error mass is its block's executions per run times
+  // its marginal error probability; the masses sum to lambda.
+  struct Hot {
+    double mass;
+    const report::BlockAttribution* block;
+    std::size_t k;
+  };
+  std::vector<Hot> hot;
+  for (const auto& b : r.blocks) {
+    for (std::size_t k = 0; k < b.instrs.size(); ++k)
+      hot.push_back({b.exec_weight * b.instrs[k].marginal_mean, &b, k});
+  }
+  std::stable_sort(hot.begin(), hot.end(),
+                   [](const Hot& a, const Hot& b) { return a.mass > b.mass; });
+  std::printf("\nhottest instructions (share, block.slot, opcode, p^c mean, p^e mean):\n");
   for (std::size_t i = 0; i < std::min<std::size_t>(8, hot.size()); ++i) {
     const auto& h = hot[i];
-    if (h.contribution <= 0.0) break;
-    const auto& instr = program.block(h.block).instructions[h.k];
-    const auto& cd = conditionals[h.block].instr[h.k];
-    std::printf("  %5.1f %%  B%-4u %-24s p^c=%.2e p^e=%.2e\n", 100.0 * h.contribution / total,
-                h.block, isa::to_string(instr).c_str(), cd.p_correct.mean(),
-                cd.p_error.mean());
+    if (h.mass <= 0.0) break;
+    const auto& in = h.block->instrs[h.k];
+    char site[32];
+    std::snprintf(site, sizeof site, "B%u.%zu", h.block->block, h.k);
+    std::printf("  %5.1f %%  %-8s %-5s p^c=%.2e p^e=%.2e\n", 100.0 * h.mass / r.lambda_mean,
+                site, in.mnemonic.c_str(), in.p_correct_mean, in.p_error_mean);
   }
 
-  // --- edge profile of the hottest block -------------------------------------
-  if (!hot.empty()) {
-    const isa::BlockId b = hot.front().block;
-    const auto& cfg = *framework.last().cfg;
-    std::printf("\nedge-activation profile of hottest block B%u (%llu executions):\n", b,
-                static_cast<unsigned long long>(profile.blocks[b].executions));
-    for (std::size_t j = 0; j < cfg.indegree(b); ++j) {
-      std::printf("  from B%-4u (%s) : p^a = %.3f\n", cfg.predecessors(b)[j].from,
-                  cfg.predecessors(b)[j].via_taken ? "taken" : "fall ",
-                  profile.edge_activation(b, j));
+  // --- edge profile of the block with the most error mass --------------------
+  if (!r.blocks.empty()) {
+    const auto& b = r.blocks.front();
+    std::printf("\nedge-activation profile of block B%u (%.1f %% of lambda, %llu executions):\n",
+                b.block, 100.0 * b.share, static_cast<unsigned long long>(b.executions));
+    for (const auto& e : b.edges) {
+      std::printf("  from B%-4u : %6llu traversals, p^a = %.3f\n", e.from_block,
+                  static_cast<unsigned long long>(e.traversals), e.activation);
     }
-    if (profile.blocks[b].entry_count > 0)
-      std::printf("  program entry    : %llu times\n",
-                  static_cast<unsigned long long>(profile.blocks[b].entry_count));
   }
   return 0;
 }

@@ -45,7 +45,7 @@ class PipelineDriver {
   PipelineDriver(const netlist::Pipeline& pipeline, const netlist::Cone& closure);
 
   /// Called once per simulated cycle with the settled simulator, before
-  /// that cycle's CycleActivation is recorded (e.g. to dump a VCD).
+  /// that cycle's CycleActivation is recorded (e.g. to read gate values).
   using CycleObserver = std::function<void(const sim::LogicSimulator&)>;
 
   /// Simulate the slot stream from reset plus `drain` trailing bubbles.

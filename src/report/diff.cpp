@@ -109,17 +109,6 @@ DiffResult diff_reports(const RunReport& before, const RunReport& after,
     result.entries.push_back(std::move(e));
   }
 
-  if (options.max_runtime_ratio > 0.0) {
-    DiffEntry e;
-    e.field = "analyze_seconds";
-    e.old_value = before.analyze_seconds();
-    e.new_value = after.analyze_seconds();
-    e.delta = e.new_value / std::max(e.old_value, kEps);
-    e.limit = options.max_runtime_ratio;
-    e.regression = e.delta > e.limit;
-    result.entries.push_back(std::move(e));
-  }
-
   std::stable_sort(result.entries.begin(), result.entries.end(),
                    [](const DiffEntry& a, const DiffEntry& b) {
                      return a.regression && !b.regression;

@@ -2,9 +2,9 @@
 //
 // Two RunReports of the same benchmark are compared field by field:
 // headline accuracy numbers within a relative tolerance, structural
-// fields exactly, per-block error-mass shares within an absolute drift
-// tolerance, and (opt-in) runtime within a ratio.  Any violation is a
-// regression; the CLI exits non-zero, which is the whole gate.
+// fields exactly, and per-block error-mass shares within an absolute
+// drift tolerance.  Any violation is a regression; the CLI exits
+// non-zero, which is the whole gate.
 #pragma once
 
 #include <iosfwd>
@@ -20,9 +20,6 @@ struct DiffOptions {
   double max_rel_delta = 0.01;
   /// Max absolute drift of a block's error-mass share.
   double max_share_drift = 0.05;
-  /// Max new/old analyze-runtime ratio; <= 0 disables the runtime gate
-  /// (wall-clock is machine-dependent, so CI opts in explicitly).
-  double max_runtime_ratio = 0.0;
 };
 
 struct DiffEntry {

@@ -162,10 +162,6 @@ struct RunReport {
   SolverDiagnostics solver;
   McDiagnostics mc;
 
-  [[nodiscard]] double analyze_seconds() const {
-    return training_seconds + simulation_seconds + estimation_seconds;
-  }
-
   /// Deterministic single-document JSON (schema above; key order fixed).
   void write_json(std::ostream& os) const;
   /// Inverse of write_json.  Throws robust::Error (kArtifact) on

@@ -27,10 +27,6 @@ struct TimingPath {
   /// Launch endpoint first, then the combinational gates in order.
   std::vector<netlist::GateId> gates;
   double delay_ps = 0.0;  ///< nominal delay incl. launch clk-to-q
-
-  [[nodiscard]] double slack(const TimingSpec& spec) const {
-    return spec.period_ps - spec.setup_ps - delay_ps;
-  }
 };
 
 /// Factor-model Gaussian statistics of a path delay under a VariationModel:

@@ -1,93 +1,24 @@
-// Tests for the extension features: VCD round-trip, exact Poisson-binomial
-// ground truth, timing reports, and a cross-validation property test that
-// pits the architectural executor against the gate-level datapath.
+// Tests for the extension features: exact Poisson-binomial ground truth,
+// and a cross-validation property test that pits the architectural
+// executor against the gate-level datapath.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <iterator>
-#include <map>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "dta/pipeline_driver.hpp"
 #include "isa/cfg.hpp"
 #include "isa/executor.hpp"
-#include "netlist/builder.hpp"
 #include "netlist/pipeline.hpp"
-#include "robust/error.hpp"
 #include "sim/logic_sim.hpp"
-#include "sim/vcd.hpp"
 #include "stat/poisson_binomial.hpp"
 #include "stat/stein.hpp"
-#include "support/math.hpp"
 #include "support/rng.hpp"
-#include "timing/report.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/specs.hpp"
 
 namespace terrors {
 namespace {
-
-// --- VCD round-trip -----------------------------------------------------------
-
-// Reads a dump back into per-cycle values keyed by signal name: `$var`
-// maps identifier codes to names, `#t` opens cycle t / period, and a value
-// holds from its change until the next one.
-std::map<std::string, std::vector<int>> read_vcd(const std::string& text, double period,
-                                                 std::size_t cycles) {
-  std::istringstream is(text);
-  std::map<std::string, std::string> names;  // identifier code -> name
-  std::map<std::string, std::vector<int>> values;
-  std::string tok;
-  while (is >> tok && tok != "$enddefinitions") {
-    if (tok != "$var") continue;
-    std::string type, width, id, name;
-    is >> type >> width >> id >> name;
-    names[id] = name;
-    values[name].assign(cycles, -1);
-  }
-  std::size_t cycle = 0;
-  while (is >> tok) {
-    if (tok == "$end") continue;
-    if (tok[0] == '#') {
-      cycle = static_cast<std::size_t>(std::llround(std::stod(tok.substr(1)) / period));
-      continue;
-    }
-    auto& v = values.at(names.at(tok.substr(1)));
-    for (std::size_t t = cycle; t < cycles; ++t) v[t] = tok[0] == '1' ? 1 : 0;
-  }
-  return values;
-}
-
-TEST(VcdRoundTrip, WriterOutputParsesBack) {
-  netlist::NetlistBuilder b{support::Rng(1)};
-  const auto in = b.input("drive");
-  const auto q = b.dff("state", netlist::EndpointClass::kControl);
-  b.connect(q, in);
-  const auto inv = b.gate(netlist::GateKind::kInv, q);
-  b.netlist().set_name(inv, "inverted");
-  b.netlist().finalize(1);
-
-  sim::LogicSimulator sim(b.netlist());
-  std::ostringstream out;
-  const double period = 1000.0;
-  sim::VcdWriter writer(out, b.netlist(), {in, q, inv}, "1ps", period);
-  const bool pattern[] = {true, true, false, true, false, false};
-  std::map<std::string, std::vector<int>> expected;
-  for (bool v : pattern) {
-    sim.set_input(in, v);
-    sim.step();
-    writer.sample(sim);
-    expected["drive"].push_back(sim.value(in) ? 1 : 0);
-    expected["state"].push_back(sim.value(q) ? 1 : 0);
-    expected["inverted"].push_back(sim.value(inv) ? 1 : 0);
-  }
-
-  // Every watched net reads back with the simulated value at every cycle,
-  // including the cycles where the writer emitted no change for it.
-  EXPECT_EQ(read_vcd(out.str(), period, std::size(pattern)), expected) << out.str();
-}
 
 // --- Poisson-binomial ----------------------------------------------------------
 
@@ -147,41 +78,6 @@ TEST(PoissonBinomial, LeCamRegime) {
   EXPECT_GT(stat::PoissonBinomial(big).dk_to_poisson(),
             stat::PoissonBinomial(small).dk_to_poisson());
   EXPECT_LT(stat::PoissonBinomial(small).dk_to_poisson(), 0.01);
-}
-
-// --- Timing report ---------------------------------------------------------------
-
-TEST(TimingReport, ContainsExpectedSections) {
-  const auto& pipe = []() -> const netlist::Pipeline& {
-    static const netlist::Pipeline p = netlist::build_pipeline({});
-    return p;
-  }();
-  timing::PathEnumerator paths(pipe.netlist);
-  const timing::VariationModel vm(pipe.netlist, {});
-  std::ostringstream out;
-  timing::ReportConfig cfg;
-  cfg.max_paths = 3;
-  cfg.show_statistics = true;
-  timing::write_timing_report(out, pipe.netlist, timing::TimingSpec{1300.0}, paths, &vm, cfg);
-  const std::string s = out.str();
-  EXPECT_NE(s.find("Timing report @"), std::string::npos);
-  EXPECT_NE(s.find("Path 1:"), std::string::npos);
-  EXPECT_NE(s.find("Startpoint:"), std::string::npos);
-  EXPECT_NE(s.find("SSTA: slack"), std::string::npos);
-  // The worst path of this design violates at 1300 ps.
-  EXPECT_NE(s.find("VIOLATED"), std::string::npos);
-}
-
-TEST(TimingReport, SlackArithmeticConsistent) {
-  const auto& pipe = []() -> const netlist::Pipeline& {
-    static const netlist::Pipeline p = netlist::build_pipeline({});
-    return p;
-  }();
-  timing::PathEnumerator paths(pipe.netlist);
-  const auto& top = paths.top_paths(pipe.taps.cc_reg[2], 1);
-  ASSERT_FALSE(top.empty());
-  const timing::TimingSpec spec{2000.0};
-  EXPECT_NEAR(top[0].slack(spec), spec.period_ps - spec.setup_ps - top[0].delay_ps, 1e-9);
 }
 
 // --- Cross-validation: executor vs gate-level datapath -----------------------------

@@ -260,13 +260,10 @@ TEST_F(ReportFixture, DiffAcceptsUnchangedAndFlagsInjectedRegression) {
   other.program = "different";
   EXPECT_THROW(report::diff_reports(built_, other, {}), std::runtime_error);
 
-  // The runtime gate only participates when enabled.
+  // Runtime is not compared: a 10x slower run is no regression.
   report::RunReport slow = built_;
   slow.training_seconds = built_.training_seconds * 10.0 + 1.0;
   EXPECT_TRUE(report::diff_reports(built_, slow, {}).ok());
-  report::DiffOptions gated;
-  gated.max_runtime_ratio = 1.5;
-  EXPECT_FALSE(report::diff_reports(built_, slow, gated).ok());
 
   std::ostringstream os;
   report::write_diff(bad, os);

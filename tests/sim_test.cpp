@@ -2,13 +2,11 @@
 
 #include <array>
 #include <span>
-#include <sstream>
 
 #include "netlist/builder.hpp"
 #include "netlist/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "sim/logic_sim.hpp"
-#include "sim/vcd.hpp"
 #include "support/rng.hpp"
 
 namespace terrors::sim {
@@ -281,39 +279,6 @@ TEST(LogicSim, CompiledProgramMatchesReferenceEvaluator) {
       for (GateId g : const1_fed) const1_fed_toggles += sim.activated(g) ? 1 : 0;
   }
   EXPECT_GT(const1_fed_toggles, 0u);
-}
-
-TEST(Vcd, EmitsValidHeaderAndChanges) {
-  NetlistBuilder b(support::Rng(7));
-  const GateId in = b.input("toggler");
-  const GateId q = b.dff("state", EndpointClass::kControl);
-  b.connect(q, in);
-  b.netlist().finalize(1);
-  LogicSimulator sim(b.netlist());
-  std::ostringstream out;
-  VcdWriter vcd(out, b.netlist(), {in, q}, "1ps", 1300.0);
-  // The flop trails the input by one cycle; the last cycle holds the
-  // input, so only `state` changes there.
-  for (const bool v : {true, false, true, false, false}) {
-    sim.set_input(in, v);
-    sim.step();
-    vcd.sample(sim);
-  }
-  const std::string s = out.str();
-  EXPECT_NE(s.find("$timescale 1ps $end\n"), std::string::npos) << s;
-  EXPECT_NE(s.find("$var wire 1 ! toggler $end\n"), std::string::npos) << s;
-  EXPECT_NE(s.find("$var wire 1 \" state $end\n"), std::string::npos) << s;
-  const std::string defs_end = "$enddefinitions $end\n";
-  const std::size_t body = s.find(defs_end);
-  ASSERT_NE(body, std::string::npos) << s;
-  // One `#k*period` stamp per cycle with a change, then one line per
-  // changed net; unchanged nets are not repeated.
-  EXPECT_EQ(s.substr(body + defs_end.size()),
-            "#0\n1!\n0\"\n"
-            "#1300\n0!\n1\"\n"
-            "#2600\n1!\n0\"\n"
-            "#3900\n0!\n1\"\n"
-            "#5200\n0\"\n");
 }
 
 TEST(PipelineSim, AddFlowsThroughDatapath) {

@@ -3,7 +3,6 @@
 //   terrors info                         pipeline + operating-point summary
 //   terrors list                         available benchmarks
 //   terrors program <name>               generated program listing
-//   terrors report [--period P] [--n N]  signoff-style timing report
 //   terrors report <file> [--top N]      render a run-report JSON file
 //   terrors diff <old> <new>             regression gate over two run reports
 //   terrors analyze <name> [--period P] [--scale S] [--runs R] [--threads T]
@@ -13,7 +12,6 @@
 //                                        full error-rate analysis row
 //   terrors stats <journal>              aggregate a run-journal JSONL file
 //   terrors profile <folded> [--top N]   hotspot table from folded stacks
-//   terrors vcd <name> [--cycles N]      VCD dump of a benchmark window
 //
 // Failures surface as typed error chains (`error: [category] ...: caused
 // by: ...`) with category exit codes: 3 input, 4 artifact, 5 numerical,
@@ -34,7 +32,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
-#include "dta/pipeline_driver.hpp"
 #include "netlist/pipeline.hpp"
 #include "perf/ts_model.hpp"
 #include "report/attribution.hpp"
@@ -46,9 +43,7 @@
 #include "robust/error.hpp"
 #include "robust/fault_injection.hpp"
 #include "robust/parse.hpp"
-#include "sim/vcd.hpp"
 #include "support/thread_pool.hpp"
-#include "timing/report.hpp"
 #include "timing/sta.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/specs.hpp"
@@ -125,51 +120,35 @@ int cmd_program(const char* name) {
 }
 
 int cmd_report(int argc, char** argv) {
-  // With a positional file argument this renders a run-report JSON file;
-  // flags only keep the original signoff-style timing report.
-  if (argc >= 3 && std::strncmp(argv[2], "--", 2) != 0) {
-    std::map<std::string, std::string> flags;
-    if (!parse_flags(argc, argv, 3, {{"--top", true}}, flags)) return 1;
-    const auto top = static_cast<std::size_t>(uint_flag(flags, "--top", 10));
-    try {
-      const report::RunReport r = report::RunReport::load(argv[2]);
-      report::write_text(r, std::cout, top);
-    } catch (const std::exception& e) {
-      return print_error(e);
-    }
-    return 0;
+  if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
+    std::fprintf(stderr, "usage: terrors report <report.json> [--top N]\n");
+    return 1;
   }
   std::map<std::string, std::string> flags;
-  if (!parse_flags(argc, argv, 2, {{"--period", true}, {"--n", true}}, flags)) return 1;
-  const double period = num_flag(flags, "--period", 1300.0);
-  const auto n = static_cast<std::size_t>(uint_flag(flags, "--n", 10));
-  timing::PathEnumerator paths(pipe().netlist);
-  const timing::VariationModel vm(pipe().netlist, {});
-  timing::ReportConfig cfg;
-  cfg.max_paths = n;
-  cfg.show_statistics = true;
-  timing::write_timing_report(std::cout, pipe().netlist, timing::TimingSpec{period}, paths, &vm,
-                              cfg);
+  if (!parse_flags(argc, argv, 3, {{"--top", true}}, flags)) return 1;
+  const auto top = static_cast<std::size_t>(uint_flag(flags, "--top", 10));
+  try {
+    const report::RunReport r = report::RunReport::load(argv[2]);
+    report::write_text(r, std::cout, top);
+  } catch (const std::exception& e) {
+    return print_error(e);
+  }
   return 0;
 }
 
 int cmd_diff(int argc, char** argv) {
   if (argc < 4 || std::strncmp(argv[2], "--", 2) == 0 || std::strncmp(argv[3], "--", 2) == 0) {
     std::fprintf(stderr, "usage: terrors diff <old.json> <new.json> [--max-rel-delta D]\n"
-                         "                    [--max-share-drift D] [--max-runtime-ratio R]\n");
+                         "                    [--max-share-drift D]\n");
     return 1;
   }
   std::map<std::string, std::string> flags;
-  if (!parse_flags(argc, argv, 4,
-                   {{"--max-rel-delta", true},
-                    {"--max-share-drift", true},
-                    {"--max-runtime-ratio", true}},
+  if (!parse_flags(argc, argv, 4, {{"--max-rel-delta", true}, {"--max-share-drift", true}},
                    flags))
     return 1;
   report::DiffOptions opt;
   opt.max_rel_delta = num_flag(flags, "--max-rel-delta", opt.max_rel_delta);
   opt.max_share_drift = num_flag(flags, "--max-share-drift", opt.max_share_drift);
-  opt.max_runtime_ratio = num_flag(flags, "--max-runtime-ratio", opt.max_runtime_ratio);
   try {
     const report::RunReport before = report::RunReport::load(argv[2]);
     const report::RunReport after = report::RunReport::load(argv[3]);
@@ -373,50 +352,8 @@ int cmd_profile(int argc, char** argv) {
   return 0;
 }
 
-int cmd_vcd(int argc, char** argv, const char* name) {
-  const auto* spec = find_spec(name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown benchmark '%s'\n", name);
-    return 1;
-  }
-  std::map<std::string, std::string> flags;
-  if (!parse_flags(argc, argv, 3, {{"--cycles", true}}, flags)) return 1;
-  const auto cycles = static_cast<std::size_t>(uint_flag(flags, "--cycles", 64));
-  // Collect sampled contexts into a short slot stream.
-  const isa::Program program = workloads::generate_program(*spec);
-  const isa::Cfg cfg(program);
-  isa::ExecutorConfig ecfg;
-  ecfg.max_instructions = 4000;
-  isa::Executor ex(program, cfg, ecfg);
-  ex.run(workloads::generate_inputs(*spec, 1, 2026)[0]);
-  std::vector<dta::FetchSlot> slots;
-  for (int i = 0; i < 6; ++i) slots.push_back(dta::FetchSlot::nop(4u * static_cast<std::uint32_t>(i)));
-  for (isa::BlockId b = 0; b < program.block_count() && slots.size() < cycles; ++b) {
-    for (const auto& es : ex.profile().blocks[b].edge_samples) {
-      if (es.samples.empty()) continue;
-      const auto& sample = es.samples.front();
-      for (std::size_t k = 0; k < sample.instrs.size() && slots.size() < cycles; ++k)
-        slots.push_back(
-            dta::FetchSlot::from_context(program.block(b).instructions[k], sample.instrs[k]));
-      break;
-    }
-  }
-  // Watch the architectural taps.
-  std::vector<netlist::GateId> watched;
-  auto add_word = [&](const std::vector<netlist::GateId>& w) {
-    watched.insert(watched.end(), w.begin(), w.end());
-  };
-  add_word(pipe().taps.pc_reg);
-  add_word(pipe().taps.ex_result_reg);
-  add_word(pipe().taps.cc_reg);
-  sim::VcdWriter writer(std::cout, pipe().netlist, watched, "1ps", 1300.0);
-  dta::PipelineDriver driver(pipe());
-  (void)driver.run(slots, 0, [&](const sim::LogicSimulator& sim) { writer.sample(sim); });
-  return 0;
-}
-
 constexpr const char* kCommands[] = {"info", "list", "program", "report", "diff", "analyze",
-                                     "stats", "profile", "vcd"};
+                                     "stats", "profile"};
 
 void usage() {
   std::fputs(
@@ -424,12 +361,10 @@ void usage() {
       "  info                          pipeline and operating-point summary\n"
       "  list                          available benchmarks\n"
       "  program <name>                print the generated program\n"
-      "  report [--period P] [--n N]   signoff-style timing report\n"
       "  report <file> [--top N]       render a run-report JSON file\n"
       "  diff <old> <new>              compare two run reports; exit 2 on regression\n"
       "       [--max-rel-delta D]      headline accuracy tolerance (default 0.01)\n"
       "       [--max-share-drift D]    per-block error-mass drift (default 0.05)\n"
-      "       [--max-runtime-ratio R]  runtime gate, <=0 disables (default off)\n"
       "  analyze <name> [--period P] [--scale S] [--runs R]\n"
       "          [--threads T]         worker threads (0 = all cores; or TERRORS_THREADS)\n"
       "          [--trace FILE]        write a Chrome trace_event JSON phase tree\n"
@@ -447,7 +382,6 @@ void usage() {
       "  stats <journal>               aggregate a run journal (phase p50/p95, cache,\n"
       "                                per-program last-vs-typical)\n"
       "  profile <folded> [--top N]    hotspot table from a folded-stack file\n"
-      "  vcd <name> [--cycles N]       dump a VCD window to stdout\n"
       "flags accept both '--flag value' and '--flag=value'\n"
       "error exit codes: 1 generic, 2 diff regression, 3 input, 4 artifact,\n"
       "                  5 numerical, 6 resource, 7 internal\n",
@@ -480,7 +414,6 @@ int main(int argc, char** argv) {
     if (cmd == "profile") return cmd_profile(argc, argv);
     if (cmd == "program" && argc >= 3) return cmd_program(argv[2]);
     if (cmd == "analyze" && argc >= 3) return cmd_analyze(argc, argv, argv[2]);
-    if (cmd == "vcd" && argc >= 3) return cmd_vcd(argc, argv, argv[2]);
   } catch (const std::exception& e) {
     return print_error(e);
   }
