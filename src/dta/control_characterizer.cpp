@@ -1,6 +1,7 @@
 #include "dta/control_characterizer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <utility>
 
@@ -56,26 +57,24 @@ void append_block_slots(std::vector<FetchSlot>& slots, const isa::BasicBlock& bl
 
 }  // namespace
 
-EdgeControlDts ControlCharacterizer::characterize_edge_with(
-    WorkerContext& ctx, const PipelineDriver::Prefix& warmup, const isa::Program& program,
-    const isa::Cfg& cfg, const isa::ProgramProfile& profile, BlockId block,
-    std::ptrdiff_t edge) const {
+std::optional<ControlCharacterizer::Stream> ControlCharacterizer::build_stream(
+    const PipelineDriver::Prefix& warmup, const isa::Program& program, const isa::Cfg& cfg,
+    const isa::ProgramProfile& profile, BlockId block, std::ptrdiff_t edge,
+    EdgeControlDts* out) const {
   const isa::BasicBlock& blk = program.block(block);
   const isa::BlockProfile& bp = profile.blocks[block];
-
-  EdgeControlDts out;
-  out.instr.assign(blk.size(), std::nullopt);
+  out->instr.assign(blk.size(), std::nullopt);
 
   const BlockSample* sample = nullptr;
   const BlockSample* pred_sample = nullptr;
   BlockId pred = isa::kNoBlock;
   if (edge < 0) {
     sample = representative(bp.entry_samples);
-    if (bp.entry_count == 0) return out;  // never entered this way
+    if (bp.entry_count == 0) return std::nullopt;  // never entered this way
   } else {
     const auto j = static_cast<std::size_t>(edge);
     TE_REQUIRE(j < cfg.indegree(block), "edge index out of range");
-    if (bp.edge_counts[j] == 0) return out;  // edge never traversed
+    if (bp.edge_counts[j] == 0) return std::nullopt;  // edge never traversed
     sample = representative(bp.edge_samples[j]);
     pred = cfg.predecessors(block)[j].from;
     // Any sample of the predecessor block supplies tail contexts.
@@ -88,48 +87,57 @@ EdgeControlDts ControlCharacterizer::characterize_edge_with(
   }
 
   // Assemble the fetch stream: warm-up bubbles, predecessor tail, block.
-  std::vector<FetchSlot> slots = warmup.slots;
+  Stream stream{warmup.slots, 0, out};
   if (pred != isa::kNoBlock) {
     const isa::BasicBlock& pb = program.block(pred);
     const std::size_t tail = std::min<std::size_t>(static_cast<std::size_t>(config_.pred_tail),
                                                    pb.size());
-    append_block_slots(slots, pb, 0x400u, pred_sample, pb.size() - tail, tail);
+    append_block_slots(stream.slots, pb, 0x400u, pred_sample, pb.size() - tail, tail);
   }
-  const std::size_t first_block_slot = slots.size();
+  stream.first = stream.slots.size();
   std::uint32_t base_pc = 0x1000u;
   if (sample != nullptr && !sample->instrs.empty()) base_pc = sample->instrs.front().pc;
-  append_block_slots(slots, blk, base_pc, sample, 0, blk.size());
+  append_block_slots(stream.slots, blk, base_pc, sample, 0, blk.size());
+  return stream;
+}
 
-  static obs::Counter& edges_metric =
-      obs::MetricsRegistry::instance().counter("dta.edges_characterized");
-  static obs::Counter& slots_metric =
-      obs::MetricsRegistry::instance().counter("dta.slots_driven");
-  edges_metric.increment();
-  slots_metric.increment(slots.size());
-
+void ControlCharacterizer::characterize_batch(WorkerContext& ctx,
+                                              const PipelineDriver::Prefix& warmup,
+                                              std::span<Stream* const> batch) {
+  constexpr std::size_t kStages = netlist::Pipeline::kStages;
   // The last block instruction leaves the last stage kStages - 1 cycles
   // after its fetch, and no query reads a later cycle.
-  std::vector<CycleActivation> cycles;
-  {
-    obs::ScopedSpan drive_span("sim.drive");
-    cycles = ctx.driver.run(warmup, slots, netlist::Pipeline::kStages - 1);
+  std::array<PipelineDriver::Lane, sim::LogicSimulator::kLanes> lanes;
+  for (std::size_t l = 0; l < batch.size(); ++l) {
+    Stream& s = *batch[l];
+    lanes[l] = {&s.slots, s.slots.size() + kStages - 1};
+    // A retried batch starts over.
+    std::fill(s.out->instr.begin(), s.out->instr.end(), std::nullopt);
+    // Queries start at the block's first fetch, after every warm-up cycle
+    // that the prefix holds.
+    TE_CHECK(s.first >= warmup.flags.size(), "a query reads a warm-up cycle");
   }
-
   // Algorithm 2: instruction DTS = min over the stages it traverses.
-  obs::ScopedSpan dts_span("dta.stage_dts");
-  for (std::size_t k = 0; k < blk.size(); ++k) {
-    const std::size_t t = first_block_slot + k;
-    std::optional<DtsGaussian> acc;
-    for (std::uint8_t s = 0; s < netlist::Pipeline::kStages; ++s) {
-      const std::size_t c = t + s;
-      if (c >= cycles.size()) break;
-      auto stage = ctx.analyzer.stage_dts(s, cycles[c], netlist::EndpointClass::kControl);
-      if (!stage.has_value()) continue;
-      acc = acc.has_value() ? dts_min(*acc, *stage) : *stage;
+  // Instruction k of a stream is in stage s in cycle first + k + s, so its
+  // stages arrive, and fold, in the order 0 to 5.
+  auto answer = [&](const sim::LogicSimulator& sim, std::size_t cycle) {
+    obs::ScopedSpan dts_span("dta.stage_dts");
+    for (std::size_t l = 0; l < batch.size(); ++l) {
+      Stream& s = *batch[l];
+      if (cycle < s.first || cycle >= lanes[l].end) continue;
+      sim.lane_flags(static_cast<unsigned>(l), ctx.flags);
+      for (std::size_t st = 0; st < kStages && s.first + st <= cycle; ++st) {
+        const std::size_t k = cycle - s.first - st;
+        if (k >= s.out->instr.size()) continue;
+        auto stage = ctx.analyzer.stage_dts(static_cast<std::uint8_t>(st), ctx.flags,
+                                            netlist::EndpointClass::kControl);
+        if (!stage.has_value()) continue;
+        std::optional<DtsGaussian>& acc = s.out->instr[k];
+        acc = acc.has_value() ? dts_min(*acc, *stage) : *stage;
+      }
     }
-    out.instr[k] = acc;
-  }
-  return out;
+  };
+  ctx.driver.run_lanes(warmup, std::span(lanes.data(), batch.size()), answer);
 }
 
 void ControlCharacterizer::warm_paths() {
@@ -153,23 +161,6 @@ std::vector<BlockControlDts> ControlCharacterizer::characterize(
   obs::ScopedSpan span("dta.characterize");
   span.counter("blocks", static_cast<double>(program.block_count()));
 
-  // Flatten the (block, edge) task list and pre-size every result slot so
-  // workers write disjoint memory and ordering never depends on schedule.
-  std::vector<BlockControlDts> out(program.block_count());
-  struct Task {
-    BlockId block;
-    std::ptrdiff_t edge;  ///< -1 = entry
-    EdgeControlDts* slot;
-  };
-  std::vector<Task> tasks;
-  for (BlockId b = 0; b < program.block_count(); ++b) {
-    out[b].per_edge.resize(cfg.indegree(b));
-    for (std::size_t j = 0; j < cfg.indegree(b); ++j)
-      tasks.push_back({b, static_cast<std::ptrdiff_t>(j), &out[b].per_edge[j]});
-    tasks.push_back({b, -1, &out[b].entry});
-  }
-  span.counter("tasks", static_cast<double>(tasks.size()));
-
   // Every stream starts with the same warm-up bubbles: simulate the cycles
   // that read only them once, here, and resume each stream from there.
   std::vector<FetchSlot> bubbles;
@@ -177,16 +168,52 @@ std::vector<BlockControlDts> ControlCharacterizer::characterize(
     bubbles.push_back(FetchSlot::nop(0x100u + 4u * static_cast<std::uint32_t>(i)));
   const PipelineDriver::Prefix warmup = own_.driver.run_prefix(std::move(bubbles));
 
+  // Pre-size every result slot, indexed by (block, edge), so workers write
+  // disjoint memory and nothing depends on the schedule.
+  std::vector<BlockControlDts> out(program.block_count());
+  std::vector<Stream> streams;
+  auto add = [&](BlockId b, std::ptrdiff_t edge, EdgeControlDts* slot) {
+    if (auto stream = build_stream(warmup, program, cfg, profile, b, edge, slot))
+      streams.push_back(std::move(*stream));
+  };
+  for (BlockId b = 0; b < program.block_count(); ++b) {
+    out[b].per_edge.resize(cfg.indegree(b));
+    for (std::size_t j = 0; j < cfg.indegree(b); ++j)
+      add(b, static_cast<std::ptrdiff_t>(j), &out[b].per_edge[j]);
+    add(b, -1, &out[b].entry);
+  }
+  static obs::Counter& edges_metric =
+      obs::MetricsRegistry::instance().counter("dta.edges_characterized");
+  static obs::Counter& slots_metric =
+      obs::MetricsRegistry::instance().counter("dta.slots_driven");
+  edges_metric.increment(streams.size());
+  for (const Stream& s : streams) slots_metric.increment(s.slots.size());
+
+  // Batches are contiguous runs of the streams ordered by length, longest
+  // first, so lanes of one batch end close together and the pool starts on
+  // the longest batch.  More than one worker gets at least two batches each.
+  support::ThreadPool& pool = support::global_pool();
+  std::vector<Stream*> order(streams.size());
+  for (std::size_t i = 0; i < streams.size(); ++i) order[i] = &streams[i];
+  std::stable_sort(order.begin(), order.end(), [](const Stream* a, const Stream* b) {
+    return a->slots.size() > b->slots.size();
+  });
+  constexpr std::size_t kLanes = sim::LogicSimulator::kLanes;
+  std::size_t batches = (order.size() + kLanes - 1) / kLanes;
+  if (pool.size() > 1) batches = std::max(batches, 2 * pool.size());
+  batches = std::min(batches, order.size());
+  span.counter("streams", static_cast<double>(order.size()));
+  span.counter("batches", static_cast<double>(batches));
+
   // Warm the shared enumerator once with every control endpoint, then
   // freeze it for the loop: workers only read the path lists.
   warm_paths();
   paths_.set_frozen(true);
 
-  support::ThreadPool& pool = support::global_pool();
   std::vector<std::unique_ptr<WorkerContext>> others(pool.size());
   const timing::TimingSpec spec = own_.analyzer.spec();
   try {
-    pool.parallel_for(tasks.size(), [&](std::size_t i, std::size_t w) {
+    pool.parallel_for(batches, [&](std::size_t i, std::size_t w) {
       WorkerContext* ctx = &own_;
       if (w != 0) {
         if (!others[w])
@@ -194,12 +221,12 @@ std::vector<BlockControlDts> ControlCharacterizer::characterize(
               std::make_unique<WorkerContext>(pipeline_, vm_, spec, dts_config_, paths_, closure_);
         ctx = others[w].get();
       }
-      obs::ScopedSpan edge_span("dta.edge");
-      edge_span.counter("worker", static_cast<double>(w));
-      edge_span.counter("block", static_cast<double>(tasks[i].block));
-      edge_span.counter("edge", static_cast<double>(tasks[i].edge));
-      *tasks[i].slot = characterize_edge_with(*ctx, warmup, program, cfg, profile,
-                                              tasks[i].block, tasks[i].edge);
+      const std::size_t begin = i * order.size() / batches;
+      const std::size_t end = (i + 1) * order.size() / batches;
+      obs::ScopedSpan batch_span("dta.batch");
+      batch_span.counter("worker", static_cast<double>(w));
+      batch_span.counter("lanes", static_cast<double>(end - begin));
+      characterize_batch(*ctx, warmup, std::span(order).subspan(begin, end - begin));
     });
   } catch (...) {
     paths_.set_frozen(false);

@@ -11,14 +11,17 @@
 // simulate only the sequential closure of the six control cones (the
 // gates whose values those cones' flags depend on), resume every stream
 // from the state after the warm-up cycles that all streams share, and stop
-// at the last cycle a query reads.  Each stage_dts query runs the
-// activated-arrival DP over its own stage's control cone
-// (Netlist::stage_cone).  All of it is exact: the tables equal a
-// whole-netlist characterisation bit for bit.
+// at the last cycle a query reads.  The streams run as the lanes of
+// batches, up to 64 streams per simulated word (sim::LogicSimulator).
+// Each stage_dts query runs the activated-arrival DP over its own stage's
+// control cone (Netlist::stage_cone).  All of it is exact: the tables
+// equal a whole-netlist characterisation of one stream at a time bit for
+// bit.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dta/dts_analyzer.hpp"
@@ -57,13 +60,18 @@ class ControlCharacterizer {
   /// executor profile's sampled contexts as representative operand values.
   /// Unexecuted edges get empty (nullopt) characterisations.
   ///
-  /// The (block, edge) tasks run through support::global_pool() at every
-  /// pool size, over this characterizer's shared PathEnumerator, warmed
-  /// with every control endpoint and frozen for the loop.  Worker 0 (the
-  /// caller, and the only worker of a one-thread pool) uses this
-  /// characterizer's own analyzer and closure driver, so their caches
-  /// persist across calls; every other worker builds its own.  Each result lands
-  /// in its pre-sized slot indexed by (block, edge), so AP ordering,
+  /// Every traversed (block, edge) stream is built first; the streams,
+  /// ordered by length, are cut into contiguous batches of at most 64 (at
+  /// least two per worker when the pool has more than one), and the
+  /// batches run through support::global_pool(), longest first, over this
+  /// characterizer's shared PathEnumerator, warmed with every control
+  /// endpoint and frozen for the loop.  Worker 0 (the caller, and the only
+  /// worker of a one-thread pool) uses this characterizer's own analyzer
+  /// and closure driver, so their caches persist across calls; every other
+  /// worker builds its own.  After each simulated cycle, each live lane
+  /// answers the stage-s query of the instruction in stage s, s = 0..5,
+  /// and folds it into that instruction's pre-sized result slot, so every
+  /// instruction still folds its stages 0 to 5 in order, and AP ordering,
   /// Clark-min folding and the paths enumerated are the same at any
   /// worker count.
   [[nodiscard]] std::vector<BlockControlDts> characterize(const isa::Program& program,
@@ -82,14 +90,24 @@ class ControlCharacterizer {
   [[nodiscard]] std::vector<netlist::GateId> control_endpoints() const;
 
  private:
-  /// The characterisation body of one (block, edge) pair; edge == -1
-  /// means entry.  A pure function of its arguments plus the
-  /// (deterministic, order-independent) analyzer caches, so every worker
-  /// computes bit-identical results.
-  EdgeControlDts characterize_edge_with(WorkerContext& ctx, const PipelineDriver::Prefix& warmup,
-                                        const isa::Program& program, const isa::Cfg& cfg,
-                                        const isa::ProgramProfile& profile, isa::BlockId block,
-                                        std::ptrdiff_t edge) const;
+  /// One traversed (block, edge) pair: its fetch stream and its result.
+  struct Stream {
+    std::vector<FetchSlot> slots;  ///< warm-up bubbles, predecessor tail, block
+    std::size_t first = 0;         ///< slot of the block's first instruction
+    EdgeControlDts* out = nullptr;  ///< one entry per block instruction
+  };
+  /// The stream of one (block, edge) pair (edge == -1 means entry), or
+  /// nullopt when the profile never traversed it.
+  std::optional<Stream> build_stream(const PipelineDriver::Prefix& warmup,
+                                     const isa::Program& program, const isa::Cfg& cfg,
+                                     const isa::ProgramProfile& profile, isa::BlockId block,
+                                     std::ptrdiff_t edge, EdgeControlDts* out) const;
+  /// Characterise the streams of one batch as the lanes of one simulation.
+  /// A pure function of its arguments plus the (deterministic,
+  /// order-independent) analyzer caches, so every worker computes
+  /// bit-identical results.
+  static void characterize_batch(WorkerContext& ctx, const PipelineDriver::Prefix& warmup,
+                                 std::span<Stream* const> batch);
 
   const netlist::Pipeline& pipeline_;
   const timing::VariationModel& vm_;

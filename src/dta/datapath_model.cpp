@@ -115,10 +115,10 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
   constexpr std::uint8_t kExStage = 3;
 
   // One measurement = one short instruction sequence driven through the
-  // gate-level pipeline.  The sequences are independent, so they fan out
-  // over (opcode, operand-class) tasks with results in indexed slots; the
-  // fits below consume them in fixed declaration order regardless of
-  // which worker produced them.
+  // gate-level pipeline and one EX-stage query.  Results land in slots
+  // indexed by (opcode, operand-class) task, and the fits below consume
+  // them in fixed declaration order regardless of which worker produced
+  // them.
   struct MeasureTask {
     Opcode prev_op;
     std::uint32_t pa, pb;
@@ -138,65 +138,69 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
   const std::size_t pass_idx = tasks.size();
   tasks.push_back({Opcode::kMovi, 0, 0, Opcode::kMovi, 0, 0x1234u});
 
-  // One analyzer + driver per worker over a shared enumerator, warmed with
-  // the EX-stage data endpoints and frozen while the tasks run.  The
-  // drivers simulate only those endpoints' sequential closure, and resume
-  // every sequence from the state after the six leading bubbles, which
-  // all sequences share.
-  timing::PathEnumerator shared_paths(pipeline.netlist);
-  const netlist::Cone& ex_data =
-      pipeline.netlist.stage_cone(kExStage, netlist::EndpointClass::kData);
-  const netlist::Cone closure = pipeline.netlist.sequential_closure(ex_data.endpoints);
+  // The measurement streams run as the lanes of one batch over the
+  // sequential closure of the EX-stage data endpoints, resumed from the
+  // state after the six leading bubbles that every stream shares.  Each
+  // lane keeps the flags of its current instruction's EX cycle, the last
+  // cycle it runs; the queries then fan out over one analyzer per worker,
+  // over a shared enumerator warmed with those endpoints and frozen while
+  // they run.
+  const netlist::Netlist& nl = pipeline.netlist;
+  const netlist::Cone& ex_data = nl.stage_cone(kExStage, netlist::EndpointClass::kData);
+  const netlist::Cone closure = nl.sequential_closure(ex_data.endpoints);
+  PipelineDriver driver(pipeline, closure);
   std::vector<FetchSlot> bubbles;
   for (std::uint32_t i = 0; i < 6; ++i) bubbles.push_back(FetchSlot::nop(0x2000u + 4u * i));
-  const PipelineDriver::Prefix warmup =
-      PipelineDriver(pipeline, closure).run_prefix(std::move(bubbles));
+  const PipelineDriver::Prefix warmup = driver.run_prefix(std::move(bubbles));
 
-  auto measure = [&](WorkerContext& ctx, const MeasureTask& t) -> std::optional<DtsGaussian> {
+  TE_CHECK(tasks.size() <= sim::LogicSimulator::kLanes, "training streams exceed one batch");
+  std::vector<std::vector<FetchSlot>> streams(tasks.size(), warmup.slots);
+  std::vector<PipelineDriver::Lane> lanes(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const MeasureTask& t = tasks[i];
+    std::vector<FetchSlot>& slots = streams[i];
+    std::uint32_t pc = 0x2000u + 4u * static_cast<std::uint32_t>(slots.size());
+    auto append = [&](Opcode op, std::uint32_t a, std::uint32_t b) {
+      isa::Instruction inst;
+      inst.op = op;
+      isa::InstrDynContext ctx;
+      ctx.cur = {a, b, isa::ex_unit(op), op};
+      ctx.pc = pc;
+      slots.push_back(FetchSlot::from_context(inst, ctx));
+      pc += 4;
+    };
+    append(t.prev_op, t.pa, t.pb);
+    append(t.cur_op, t.ca, t.cb);
+    lanes[i] = {&slots, slots.size() + kExStage};
+  }
+  std::vector<std::vector<std::uint8_t>> ex_flags(tasks.size(),
+                                                  std::vector<std::uint8_t>(nl.size()));
+  driver.run_lanes(warmup, lanes, [&](const sim::LogicSimulator& sim, std::size_t cycle) {
+    for (std::size_t i = 0; i < lanes.size(); ++i)
+      if (cycle + 1 == lanes[i].end) sim.lane_flags(static_cast<unsigned>(i), ex_flags[i]);
+  });
+
+  timing::PathEnumerator shared_paths(nl);
+  shared_paths.warm(ex_data.endpoints, dts_config.top_k);
+  shared_paths.set_frozen(true);
+  support::ThreadPool& pool = support::global_pool();
+  std::vector<std::unique_ptr<DtsAnalyzer>> analyzers(pool.size());
+  std::vector<std::optional<DtsGaussian>> results(tasks.size());
+  pool.parallel_for(tasks.size(), [&](std::size_t i, std::size_t w) {
+    auto& analyzer = analyzers[w];
+    if (!analyzer) analyzer = std::make_unique<DtsAnalyzer>(nl, vm, spec, dts_config, shared_paths);
+    obs::ScopedSpan task_span("dta.train_measure");
+    task_span.counter("worker", static_cast<double>(w));
     static obs::Counter& measurements =
         obs::MetricsRegistry::instance().counter("dta.train_measurements");
     measurements.increment();
-    std::vector<FetchSlot> slots = warmup.slots;
-    std::uint32_t pc = 0x2000u + 4u * static_cast<std::uint32_t>(slots.size());
-    isa::Instruction prev_inst;
-    prev_inst.op = t.prev_op;
-    isa::InstrDynContext prev_ctx;
-    prev_ctx.cur = {t.pa, t.pb, isa::ex_unit(t.prev_op), t.prev_op};
-    prev_ctx.pc = pc;
-    slots.push_back(FetchSlot::from_context(prev_inst, prev_ctx));
-    pc += 4;
-    isa::Instruction cur_inst;
-    cur_inst.op = t.cur_op;
-    isa::InstrDynContext cur_ctx;
-    cur_ctx.cur = {t.ca, t.cb, isa::ex_unit(t.cur_op), t.cur_op};
-    cur_ctx.pc = pc;
-    slots.push_back(FetchSlot::from_context(cur_inst, cur_ctx));
-    const std::size_t cur_slot = slots.size() - 1;
-
-    // The last cycle read is the current instruction's EX cycle.
-    auto cycles = ctx.driver.run(warmup, slots, kExStage);
-    CycleActivation& ex_cycle = cycles[cur_slot + kExStage];
-    auto dts = ctx.analyzer.stage_dts(kExStage, ex_cycle, netlist::EndpointClass::kData);
-    if (!dts.has_value()) return std::nullopt;
+    const auto dts = analyzer->stage_dts(kExStage, ex_flags[i], netlist::EndpointClass::kData);
+    if (!dts.has_value()) return;
     // Convert slack statistics to arrival statistics.
     DtsGaussian arr;
     arr.slack = {spec.period_ps - spec.setup_ps - dts->slack.mean, dts->slack.sd};
     arr.global_loading = dts->global_loading;
-    return arr;
-  };
-
-  shared_paths.warm(ex_data.endpoints, dts_config.top_k);
-  shared_paths.set_frozen(true);
-  support::ThreadPool& pool = support::global_pool();
-  std::vector<std::unique_ptr<WorkerContext>> ctxs(pool.size());
-  std::vector<std::optional<DtsGaussian>> results(tasks.size());
-  pool.parallel_for(tasks.size(), [&](std::size_t i, std::size_t w) {
-    auto& ctx = ctxs[w];
-    if (!ctx)
-      ctx = std::make_unique<WorkerContext>(pipeline, vm, spec, dts_config, shared_paths, closure);
-    obs::ScopedSpan task_span("dta.train_measure");
-    task_span.counter("worker", static_cast<double>(w));
-    results[i] = measure(*ctx, tasks[i]);
+    results[i] = arr;
   });
   span.counter("measurements", static_cast<double>(tasks.size()));
 

@@ -1,8 +1,8 @@
 #include "dta/dts_analyzer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -15,7 +15,6 @@ namespace terrors::dta {
 
 using netlist::EndpointClass;
 using netlist::GateId;
-using stat::Gaussian;
 using timing::PathStat;
 using timing::TimingPath;
 
@@ -44,9 +43,7 @@ DtsGaussian dts_min(const DtsGaussian& a, const DtsGaussian& b) {
   return out;
 }
 
-DtsGaussian statistical_path_min(std::span<const PathStat* const> paths,
-                                 const timing::VariationModel& vm,
-                                 const timing::TimingSpec& spec) {
+DtsGaussian DtsAnalyzer::statistical_path_min(std::span<const PathStat* const> paths) {
   TE_REQUIRE(!paths.empty(), "statistical_path_min over an empty AP set");
 
   // Prune paths that cannot win the minimum slack: path i is irrelevant
@@ -54,36 +51,36 @@ DtsGaussian statistical_path_min(std::span<const PathStat* const> paths,
   // combined standard deviations.
   double best_mean = std::numeric_limits<double>::infinity();
   std::size_t dominant = 0;
-  std::vector<Gaussian> slacks(paths.size());
+  slacks_.resize(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    slacks[i] = paths[i]->slack(spec);
-    if (slacks[i].mean < best_mean) {
-      best_mean = slacks[i].mean;
+    slacks_[i] = paths[i]->slack(spec_);
+    if (slacks_[i].mean < best_mean) {
+      best_mean = slacks_[i].mean;
       dominant = i;
     }
   }
-  const double sd_best = slacks[dominant].sd;
-  std::vector<std::size_t> keep;
+  const double sd_best = slacks_[dominant].sd;
+  keep_.clear();
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (slacks[i].mean - best_mean <= kPruneSigmas * (slacks[i].sd + sd_best) + 1e-9)
-      keep.push_back(i);
+    if (slacks_[i].mean - best_mean <= kPruneSigmas * (slacks_[i].sd + sd_best) + 1e-9)
+      keep_.push_back(i);
   }
-  TE_CHECK(!keep.empty(), "pruning removed all paths");
+  TE_CHECK(!keep_.empty(), "pruning removed all paths");
 
-  std::vector<Gaussian> vars;
-  vars.reserve(keep.size());
-  for (std::size_t i : keep) vars.push_back(slacks[i]);
-  std::vector<double> cov(keep.size() * keep.size());
-  for (std::size_t u = 0; u < keep.size(); ++u) {
-    for (std::size_t v = u; v < keep.size(); ++v) {
-      const double c = u == v ? paths[keep[u]]->variance()
-                              : timing::path_cov(*paths[keep[u]], *paths[keep[v]], vm);
-      cov[u * keep.size() + v] = c;
-      cov[v * keep.size() + u] = c;
+  const std::size_t n = keep_.size();
+  min_.vars.clear();
+  for (std::size_t i : keep_) min_.vars.push_back(slacks_[i]);
+  min_.cov.resize(n * n);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = u; v < n; ++v) {
+      const double c = u == v ? paths[keep_[u]]->variance()
+                              : timing::path_cov(*paths[keep_[u]], *paths[keep_[v]], vm_);
+      min_.cov[u * n + v] = c;
+      min_.cov[v * n + u] = c;
     }
   }
   DtsGaussian out;
-  out.slack = stat::statistical_min(vars, cov, stat::MinOrdering::kGreedyTightness);
+  out.slack = stat::statistical_min(min_, stat::MinOrdering::kGreedyTightness);
   // Global loading of the result: approximate with the dominant (minimum
   // mean slack) path's loading, clipped to the result spread.
   out.global_loading = std::min(paths[dominant]->g_loading, out.slack.sd);
@@ -150,22 +147,29 @@ DtsAnalyzer::EndpointCache& DtsAnalyzer::endpoint_cache(GateId endpoint) {
   if (c.stats.size() == built) return c;
   for (std::size_t i = c.stats.size(); i < built; ++i)
     c.stats.push_back(timing::path_stat(candidates[i], vm_));
-  // Two fixed orderings (Section 3): by worst-case (1st pct) slack — i.e.
-  // largest 99th-percentile delay — and by best-case (99th pct) slack.
+  c.min_mean = std::numeric_limits<double>::infinity();
+  for (const PathStat& st : c.stats) c.min_mean = std::min(c.min_mean, st.mean);
+  // Two fixed orderings (Section 3), kept as each candidate's rank: by
+  // worst-case (1st pct) slack — i.e. largest 99th-percentile delay — and
+  // by best-case (99th pct) slack.
   const double z = support::normal_quantile(kPercentileHigh);
-  c.order_low.resize(built);
-  c.order_high.resize(built);
-  for (std::size_t i = 0; i < built; ++i) c.order_low[i] = c.order_high[i] = i;
-  std::sort(c.order_low.begin(), c.order_low.end(), [&](std::size_t a, std::size_t b) {
-    return c.stats[a].mean + z * std::sqrt(c.stats[a].variance()) >
-           c.stats[b].mean + z * std::sqrt(c.stats[b].variance());
-  });
-  std::sort(c.order_high.begin(), c.order_high.end(), [&](std::size_t a, std::size_t b) {
-    return c.stats[a].mean - z * std::sqrt(c.stats[a].variance()) >
-           c.stats[b].mean - z * std::sqrt(c.stats[b].variance());
-  });
-  c.rank_low.resize(built);
-  for (std::size_t r = 0; r < built; ++r) c.rank_low[c.order_low[r]] = r;
+  std::vector<std::size_t> order(built);
+  auto rank = [&](auto before, std::vector<std::size_t>& ranks) {
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), before);
+    ranks.resize(built);
+    for (std::size_t r = 0; r < built; ++r) ranks[order[r]] = r;
+  };
+  rank(
+      [&](std::size_t a, std::size_t b) {
+        return c.stats[a].mean + z * c.stats[a].sd > c.stats[b].mean + z * c.stats[b].sd;
+      },
+      c.rank_low);
+  rank(
+      [&](std::size_t a, std::size_t b) {
+        return c.stats[a].mean - z * c.stats[a].sd > c.stats[b].mean - z * c.stats[b].sd;
+      },
+      c.rank_high);
   return c;
 }
 
@@ -184,7 +188,7 @@ const std::vector<double>& DtsAnalyzer::cone_arrivals(const netlist::Cone& cone,
                                                       const std::vector<std::uint8_t>& flags) {
   if (!arrivals_ready_) {
     obs::ScopedSpan span("timing.arrivals");
-    timing::activated_arrivals(nl_, cone.gates, cone.launches, flags, arrivals_);
+    timing::activated_arrivals(nl_, cone.gates, cone.launches, flags, arrivals_, live_);
     arrivals_ready_ = true;
   }
   return arrivals_;
@@ -197,51 +201,60 @@ DtsAnalyzer::EndpointAp DtsAnalyzer::endpoint_critical_activated(
   // path ends here and the endpoint cannot capture a wrong value.
   if (flags[d] == 0) return {};
 
-  const EndpointCache& cache = endpoint_cache(endpoint);
-  const auto& candidates = *cache.candidates;
-
-  auto is_activated = [&](std::size_t i) {
-    const auto& gates = candidates[i].gates;
-    return std::all_of(gates.begin(), gates.end(), [&](GateId g) { return flags[g] != 0; });
-  };
-  // The first activated candidate in each ordering.  The low scan settles
-  // every candidate it passes, so the high scan only re-checks candidates
-  // ranked after the low hit.
-  std::ptrdiff_t found_low = -1;
-  std::size_t low_rank = cache.order_low.size();
-  for (std::size_t r = 0; r < cache.order_low.size(); ++r) {
-    if (is_activated(cache.order_low[r])) {
-      found_low = static_cast<std::ptrdiff_t>(cache.order_low[r]);
-      low_rank = r;
-      break;
-    }
-  }
-  std::ptrdiff_t found_high = -1;
-  for (std::size_t i : cache.order_high) {
-    const std::size_t r = cache.rank_low[i];
-    if (r < low_rank) continue;  // checked by the low scan: not activated
-    if (r == low_rank || is_activated(i)) {
-      found_high = static_cast<std::ptrdiff_t>(i);
-      break;
-    }
-  }
-
-  // Exact DP over the activated subgraph: needed as fallback when the
-  // capped candidate list contains no activated path, and as insurance
-  // when the list's guard tripped before the true activated critical path.
+  // Exact DP over the activated subgraph: it bounds the candidate scan
+  // below, and supplies the fallback path when the capped candidate list
+  // contains no activated path, or none as critical as the DP's.
   const std::vector<double>& arrivals = cone_arrivals(cone, flags);
   const double dp_arrival = arrivals[d];
   TE_CHECK(dp_arrival > -std::numeric_limits<double>::infinity(),
            "D input activated but no activated path found by DP");
 
+  const EndpointCache& cache = endpoint_cache(endpoint);
+  const auto& candidates = *cache.candidates;
+  auto is_activated = [&](std::size_t i) {
+    const auto& gates = candidates[i].gates;
+    return std::all_of(gates.begin(), gates.end(), [&](GateId g) { return flags[g] != 0; });
+  };
+  // The first activated candidate in each percentile ordering is the
+  // activated candidate of smallest rank in it.
+  //
+  // The DP bounds which candidates can be activated.  Gate::delay_ps is a
+  // float that ProgramGate copies, and a candidate's PathStat::mean and the
+  // DP both add those same per-gate values, in the same order from the
+  // launch point (a launching DFF's clk-to-q, or 0 for a primary input,
+  // whose delay is 0).  IEEE addition is monotone, and the DP takes the
+  // maximum over fanins before each addition, so an activated candidate's
+  // mean never exceeds the DP's arrival at D: every candidate above it is
+  // skipped unchecked.  TimingPath::delay_ps cannot serve as the bound: the
+  // enumerator accumulates its suffix in float.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::size_t found_low = kNone;
+  std::size_t found_high = kNone;
+  std::size_t low_rank = kNone;
+  std::size_t high_rank = kNone;
+  if (cache.min_mean <= dp_arrival) {
+    for (std::size_t i = 0; i < cache.stats.size(); ++i) {
+      if (cache.stats[i].mean > dp_arrival) continue;
+      if (cache.rank_low[i] >= low_rank && cache.rank_high[i] >= high_rank) continue;
+      if (!is_activated(i)) continue;
+      if (cache.rank_low[i] < low_rank) {
+        low_rank = cache.rank_low[i];
+        found_low = i;
+      }
+      if (cache.rank_high[i] < high_rank) {
+        high_rank = cache.rank_high[i];
+        found_high = i;
+      }
+    }
+  }
+
   EndpointAp ap;
   double best_found_delay = -std::numeric_limits<double>::infinity();
-  if (found_low >= 0) {
-    ap.paths[ap.count++] = &cache.stats[static_cast<std::size_t>(found_low)];
+  if (found_low != kNone) {
+    ap.paths[ap.count++] = &cache.stats[found_low];
     best_found_delay = ap.paths[0]->mean;
   }
-  if (found_high >= 0 && found_high != found_low)
-    ap.paths[ap.count++] = &cache.stats[static_cast<std::size_t>(found_high)];
+  if (found_high != kNone && found_high != found_low) ap.paths[ap.count++] = &cache.stats[found_high];
   if (ap.count == 0 || dp_arrival > best_found_delay + 1e-6)
     ap.paths[ap.count++] = &dp_path_stat(endpoint, arrivals);
 
@@ -295,9 +308,11 @@ const PathStat& DtsAnalyzer::dp_path_stat(GateId endpoint, const std::vector<dou
   return dp_cache_.emplace(h, DpEntry{backtrack_, timing::path_stat(p, vm_)})->second.stat;
 }
 
-std::optional<DtsGaussian> DtsAnalyzer::stage_dts(std::uint8_t stage, CycleActivation& cycle,
+std::optional<DtsGaussian> DtsAnalyzer::stage_dts(std::uint8_t stage,
+                                                  const std::vector<std::uint8_t>& flags,
                                                   EndpointClass cls) {
   TE_REQUIRE(stage < nl_.stage_count(), "stage out of range");
+  TE_REQUIRE(flags.size() == nl_.size(), "activation flag size mismatch");
   static obs::Counter& queries = obs::MetricsRegistry::instance().counter("dta.stage_dts_queries");
   queries.increment();
   arrivals_ready_ = false;
@@ -305,18 +320,18 @@ std::optional<DtsGaussian> DtsAnalyzer::stage_dts(std::uint8_t stage, CycleActiv
   // AP order: each endpoint's representative in endpoint order, then every
   // alternate.  statistical_path_min breaks ties by position, so the order
   // is part of the result.
-  std::vector<const PathStat*> ap;
-  std::vector<const PathStat*> alternates;
+  ap_.clear();
+  alternates_.clear();
   for (GateId e : cone.endpoints) {
-    const EndpointAp found = endpoint_critical_activated(e, cone, cycle.flags());
+    const EndpointAp found = endpoint_critical_activated(e, cone, flags);
     if (found.count == 0) continue;
-    ap.push_back(found.paths[0]);
-    alternates.insert(alternates.end(), found.paths.begin() + 1,
-                      found.paths.begin() + found.count);
+    ap_.push_back(found.paths[0]);
+    alternates_.insert(alternates_.end(), found.paths.begin() + 1,
+                       found.paths.begin() + found.count);
   }
-  ap.insert(ap.end(), alternates.begin(), alternates.end());
-  if (ap.empty()) return std::nullopt;
-  return statistical_path_min(ap, vm_, spec_);
+  ap_.insert(ap_.end(), alternates_.begin(), alternates_.end());
+  if (ap_.empty()) return std::nullopt;
+  return statistical_path_min(ap_);
 }
 
 std::optional<double> DtsAnalyzer::stage_dts_deterministic(std::uint8_t stage,

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
+#include "stat/clark.hpp"
 #include "stat/gaussian.hpp"
 #include "timing/paths.hpp"
 #include "timing/sta.hpp"
@@ -98,6 +99,12 @@ class DtsAnalyzer {
   /// activated-arrival DP, when an endpoint needs it, walks that cone
   /// into a buffer this analyzer reuses.
   [[nodiscard]] std::optional<DtsGaussian> stage_dts(std::uint8_t stage, CycleActivation& cycle,
+                                                     netlist::EndpointClass cls) {
+    return stage_dts(stage, cycle.flags(), cls);
+  }
+  /// The same query on a cycle's activation flags, one byte per gate id.
+  [[nodiscard]] std::optional<DtsGaussian> stage_dts(std::uint8_t stage,
+                                                     const std::vector<std::uint8_t>& flags,
                                                      netlist::EndpointClass cls);
 
   /// Deterministic DTS (no process variation): slack of the longest
@@ -134,9 +141,9 @@ class DtsAnalyzer {
     /// stats.size() entries.
     const std::vector<timing::TimingPath>* candidates = nullptr;
     std::vector<timing::PathStat> stats;
-    std::vector<std::size_t> order_low;   ///< by worst-case slack
-    std::vector<std::size_t> order_high;  ///< by best-case slack
-    std::vector<std::size_t> rank_low;    ///< candidate -> position in order_low
+    std::vector<std::size_t> rank_low;   ///< candidate -> rank by worst-case slack
+    std::vector<std::size_t> rank_high;  ///< candidate -> rank by best-case slack
+    double min_mean = 0.0;               ///< smallest stats[i].mean
   };
 
   /// One endpoint's share of a stage's activated-path (AP) set: its
@@ -156,6 +163,9 @@ class DtsAnalyzer {
   /// The DP over `cone` for the current stage_dts call, run on first use.
   const std::vector<double>& cone_arrivals(const netlist::Cone& cone,
                                            const std::vector<std::uint8_t>& flags);
+  /// Statistical minimum over an AP set's slacks with full covariance
+  /// (greedy pairwise Clark, after Sinha et al. [21]).
+  DtsGaussian statistical_path_min(std::span<const timing::PathStat* const> paths);
 
   const netlist::Netlist& nl_;
   const timing::VariationModel& vm_;
@@ -179,12 +189,13 @@ class DtsAnalyzer {
   };
   std::unordered_multimap<std::uint64_t, DpEntry> dp_cache_;
   std::vector<netlist::GateId> backtrack_;  ///< dp_path_stat's reused path buffer
+  // Scratch that every query reuses, so that a query allocates nothing.
+  std::vector<const netlist::ProgramGate*> live_;  ///< the DP's activated gates
+  std::vector<const timing::PathStat*> ap_;
+  std::vector<const timing::PathStat*> alternates_;
+  std::vector<stat::Gaussian> slacks_;
+  std::vector<std::size_t> keep_;
+  stat::MinScratch min_;
 };
-
-/// Statistical minimum over a set of path slacks with full covariance;
-/// exposed for Algorithm 2 (minimum over stages) and tests.
-DtsGaussian statistical_path_min(std::span<const timing::PathStat* const> paths,
-                                 const timing::VariationModel& vm,
-                                 const timing::TimingSpec& spec);
 
 }  // namespace terrors::dta

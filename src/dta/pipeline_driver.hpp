@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "dta/dts_analyzer.hpp"
@@ -71,19 +72,52 @@ class PipelineDriver {
   [[nodiscard]] std::vector<CycleActivation> run(const Prefix& prefix,
                                                  const std::vector<FetchSlot>& slots, int drain);
 
+  /// One lane of a batch: a stream that starts with the prefix's slots,
+  /// simulated up to cycle `end` (exclusive; end - slots->size() is its
+  /// drain).
+  struct Lane {
+    const std::vector<FetchSlot>* slots = nullptr;
+    std::size_t end = 0;
+  };
+  /// Called after each cycle of a batch with the settled simulator; lane L
+  /// of it is lanes[L]'s stream, and holds that stream's cycle `cycle` while
+  /// cycle < lanes[L].end.
+  using LaneObserver = std::function<void(const sim::LogicSimulator&, std::size_t cycle)>;
+  /// Simulate up to sim::LogicSimulator::kLanes streams as the lanes of
+  /// one batch, each resumed from `prefix`: cycles prefix.flags.size() to
+  /// the largest end.  Every lane's values and activation flags equal those
+  /// of run(prefix, *lane.slots, lane.end - lane.slots->size()) bit for
+  /// bit, and sim.cycles and sim.gate_toggles count each lane until its end.
+  void run_lanes(const Prefix& prefix, std::span<const Lane> lanes, const LaneObserver& on_cycle);
+
   [[nodiscard]] const netlist::Pipeline& pipeline() const { return p_; }
 
  private:
-  /// Every port must be a word of at most 64 primary inputs, so that
-  /// drive_cycle can stage them without per-bit checks.
-  void check_ports() const;
-  void drive_cycle(const std::vector<FetchSlot>& slots, std::size_t t);
+  /// What the driver puts on the pipeline's ports in one cycle.  The
+  /// narrow ports share one word, laid out as misc_; the bypass selects
+  /// and the noise inputs are always 0.
+  struct PortValues {
+    std::uint64_t instr = 0;
+    std::uint64_t branch_target = 0;
+    std::uint64_t op_a = 0;
+    std::uint64_t op_b = 0;
+    std::uint64_t mem_data = 0;
+    std::uint64_t misc = 0;
+  };
+  /// Build misc_, and check that every port is a word of at most 64
+  /// primary inputs, so that ports can be staged without per-bit checks.
+  void bind_ports();
+  [[nodiscard]] PortValues port_values(const std::vector<FetchSlot>& slots, std::size_t t) const;
+  void drive_zero_ports();
   /// Simulate cycles [cycles.size(), end) of `slots`, appending one
   /// CycleActivation per cycle.
   void simulate(const std::vector<FetchSlot>& slots, std::size_t end,
                 std::vector<CycleActivation>& cycles, const CycleObserver& on_cycle);
 
   const netlist::Pipeline& p_;
+  /// alu_sel, logic_sel, then branch_taken, sel_imm, sub_mode, shift_dir
+  /// and mem_is_load: the narrow ports, driven as one word.
+  std::vector<netlist::GateId> misc_;
   sim::LogicSimulator sim_;
 };
 
@@ -94,10 +128,14 @@ struct WorkerContext {
   WorkerContext(const netlist::Pipeline& pipeline, const timing::VariationModel& vm,
                 timing::TimingSpec spec, const DtsConfig& dts_config,
                 timing::PathEnumerator& paths, const netlist::Cone& closure)
-      : analyzer(pipeline.netlist, vm, spec, dts_config, paths), driver(pipeline, closure) {}
+      : analyzer(pipeline.netlist, vm, spec, dts_config, paths),
+        driver(pipeline, closure),
+        flags(pipeline.netlist.size()) {}
 
   DtsAnalyzer analyzer;
   PipelineDriver driver;
+  /// One lane's activation flags in one cycle, reused by every query.
+  std::vector<std::uint8_t> flags;
 };
 
 }  // namespace terrors::dta

@@ -32,17 +32,15 @@ GateId NetlistBuilder::add_placed(GateKind kind, std::array<GateId, 3> fanin) {
   return id;
 }
 
-GateId NetlistBuilder::input(const std::string& name) {
-  const GateId id = add_placed(GateKind::kInput, {kNoGate, kNoGate, kNoGate});
-  nl_.set_name(id, name);
-  return id;
+GateId NetlistBuilder::input() {
+  return add_placed(GateKind::kInput, {kNoGate, kNoGate, kNoGate});
 }
 
-Word NetlistBuilder::input_word(const std::string& name, int width) {
+Word NetlistBuilder::input_word(int width) {
   TE_REQUIRE(width > 0, "word width must be positive");
   Word w;
   w.reserve(static_cast<std::size_t>(width));
-  for (int i = 0; i < width; ++i) w.push_back(input(name + "[" + std::to_string(i) + "]"));
+  for (int i = 0; i < width; ++i) w.push_back(input());
   return w;
 }
 
@@ -58,24 +56,22 @@ Word NetlistBuilder::constant_word(std::uint64_t value, int width) {
   return w;
 }
 
-GateId NetlistBuilder::dff(const std::string& name, EndpointClass cls) {
+GateId NetlistBuilder::dff(EndpointClass cls) {
   const GateId id = add_placed(GateKind::kDff, {kNoGate, kNoGate, kNoGate});
-  nl_.set_name(id, name);
   nl_.set_endpoint_class(id, cls);
   return id;
 }
 
-Word NetlistBuilder::dff_word(const std::string& name, int width, EndpointClass cls) {
+Word NetlistBuilder::dff_word(int width, EndpointClass cls) {
   TE_REQUIRE(width > 0, "word width must be positive");
   Word w;
   w.reserve(static_cast<std::size_t>(width));
-  for (int i = 0; i < width; ++i) w.push_back(dff(name + "[" + std::to_string(i) + "]", cls));
+  for (int i = 0; i < width; ++i) w.push_back(dff(cls));
   return w;
 }
 
-GateId NetlistBuilder::output(const std::string& name, GateId driver, EndpointClass cls) {
+GateId NetlistBuilder::output(GateId driver, EndpointClass cls) {
   const GateId id = add_placed(GateKind::kOutput, {driver, kNoGate, kNoGate});
-  nl_.set_name(id, name);
   nl_.set_endpoint_class(id, cls);
   return id;
 }

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -36,14 +35,14 @@ class NetlistBuilder {
   void begin_component(std::uint8_t stage, float x, float y, float spread = 0.06f);
 
   // --- primitives -------------------------------------------------------
-  GateId input(const std::string& name);
-  Word input_word(const std::string& name, int width);
+  GateId input();
+  Word input_word(int width);
   GateId constant(bool value);
   Word constant_word(std::uint64_t value, int width);
   /// A flip-flop whose data input may be wired later via connect().
-  GateId dff(const std::string& name, EndpointClass cls);
-  Word dff_word(const std::string& name, int width, EndpointClass cls);
-  GateId output(const std::string& name, GateId driver, EndpointClass cls);
+  GateId dff(EndpointClass cls);
+  Word dff_word(int width, EndpointClass cls);
+  GateId output(GateId driver, EndpointClass cls);
   void connect(GateId dff_gate, GateId driver);
   void connect_word(const Word& dffs, const Word& drivers);
   GateId gate(GateKind kind, GateId a, GateId b = kNoGate, GateId c = kNoGate);

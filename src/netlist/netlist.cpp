@@ -31,7 +31,6 @@ GateId Netlist::add(GateKind kind, std::array<GateId, 3> fanin, std::uint8_t sta
   g.delay_ps = static_cast<float>(info(kind).delay_ps);
   const auto id = static_cast<GateId>(gates_.size());
   gates_.push_back(g);
-  names_.emplace_back();
   return id;
 }
 
@@ -53,16 +52,6 @@ void Netlist::set_placement(GateId gate_id, float x, float y) {
   TE_REQUIRE(gate_id < gates_.size(), "gate id out of range");
   gates_[gate_id].x = x;
   gates_[gate_id].y = y;
-}
-
-void Netlist::set_name(GateId gate_id, std::string name) {
-  TE_REQUIRE(gate_id < gates_.size(), "gate id out of range");
-  names_[gate_id] = std::move(name);
-}
-
-const std::string& Netlist::name(GateId id) const {
-  TE_REQUIRE(id < gates_.size(), "gate id out of range");
-  return names_[id];
 }
 
 void Netlist::finalize(std::uint8_t stage_count) {

@@ -6,7 +6,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "netlist/gate.hpp"
@@ -75,12 +74,10 @@ class Netlist {
   void set_fanin(GateId gate, int slot, GateId driver);
   void set_endpoint_class(GateId gate, EndpointClass c);
   void set_placement(GateId gate, float x, float y);
-  void set_name(GateId gate, std::string name);
 
   [[nodiscard]] std::size_t size() const { return gates_.size(); }
   [[nodiscard]] const Gate& gate(GateId id) const { return gates_[id]; }
   [[nodiscard]] Gate& gate(GateId id) { return gates_[id]; }
-  [[nodiscard]] const std::string& name(GateId id) const;
 
   /// Seal the netlist: verifies completeness (all fanins wired, DFF loops
   /// only through DFFs), computes the combinational topological order and
@@ -135,7 +132,6 @@ class Netlist {
   Cone build_cone(std::span<const GateId> endpoints, bool sequential) const;
 
   std::vector<Gate> gates_;
-  std::vector<std::string> names_;
   std::vector<GateId> topo_;
   std::vector<ProgramGate> program_;
   std::vector<GateId> program_index_;

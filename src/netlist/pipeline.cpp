@@ -30,9 +30,9 @@ Pipeline build_pipeline(const PipelineConfig& config) {
 
   // ---------------------------------------------------------------- FE --
   b.begin_component(kFe, 0.5f, 0.8f);
-  taps.pc_reg = b.dff_word("pc", w, EndpointClass::kControl);
-  ports.branch_target = b.input_word("branch_target", w);
-  ports.branch_taken = b.input("branch_taken");
+  taps.pc_reg = b.dff_word(w, EndpointClass::kControl);
+  ports.branch_target = b.input_word(w);
+  ports.branch_taken = b.input();
   // PC + 4 ripple incrementer: the long control-network path whose
   // activation depth depends on the PC value's carry chain.
   auto pc_inc = b.ripple_adder(taps.pc_reg, b.constant_word(4, w));
@@ -40,14 +40,14 @@ Pipeline build_pipeline(const PipelineConfig& config) {
   b.connect_word(taps.pc_reg, next_pc);
 
   b.begin_component(kFe, 0.5f, 0.4f);
-  ports.instr = b.input_word("instr", w);
-  taps.ir_reg = b.dff_word("ir", w, EndpointClass::kControl);
+  ports.instr = b.input_word(w);
+  taps.ir_reg = b.dff_word(w, EndpointClass::kControl);
   b.connect_word(taps.ir_reg, ports.instr);
 
   // Instruction-memory control cloud: consumes PC bits, drives FE state.
   b.begin_component(kFe, 0.5f, 0.1f);
   Word fe_cloud = b.random_cloud(taps.pc_reg, kCloudWidth, kCloudDepth);
-  Word fe_state = b.dff_word("fe_state", kCtrlStateBits, EndpointClass::kControl);
+  Word fe_state = b.dff_word(kCtrlStateBits, EndpointClass::kControl);
   for (std::size_t i = 0; i < fe_state.size(); ++i)
     b.connect(fe_state[i], fe_cloud[i % fe_cloud.size()]);
 
@@ -57,7 +57,7 @@ Pipeline build_pipeline(const PipelineConfig& config) {
   Word de_in = taps.ir_reg;
   de_in.insert(de_in.end(), fe_state.begin(), fe_state.end());
   Word de_cloud = b.random_cloud(de_in, kCloudWidth, kCloudDepth);
-  Word de_state = b.dff_word("de_state", kCtrlStateBits, EndpointClass::kControl);
+  Word de_state = b.dff_word(kCtrlStateBits, EndpointClass::kControl);
   for (std::size_t i = 0; i < de_state.size(); ++i)
     b.connect(de_state[i], de_cloud[i % de_cloud.size()]);
 
@@ -73,15 +73,15 @@ Pipeline build_pipeline(const PipelineConfig& config) {
       imm_de.push_back(b.gate(GateKind::kBuf, sign));
     }
   }
-  Word imm_de_reg = b.dff_word("imm_de", w, EndpointClass::kData);
+  Word imm_de_reg = b.dff_word(w, EndpointClass::kData);
   b.connect_word(imm_de_reg, imm_de);
 
   // Register-file read port: architectural read values enter as primary
   // inputs and pass through a read-port mux layer gated by decode bits.
   b.begin_component(kDe, 1.5f, 0.75f);
-  ports.op_a = b.input_word("rf_a", w);
-  ports.op_b = b.input_word("rf_b", w);
-  auto read_port = [&](const Word& val, const std::string& name) {
+  ports.op_a = b.input_word(w);
+  ports.op_b = b.input_word(w);
+  auto read_port = [&](const Word& val) {
     // Three mux levels emulate the read-port selection tree of a 32-entry
     // register file; selects chosen so the value passes through unchanged.
     const GateId zero = b.constant(false);
@@ -90,35 +90,35 @@ Pipeline build_pipeline(const PipelineConfig& config) {
       Word other(static_cast<std::size_t>(w), zero);
       cur = b.mux_word(other, cur, b.constant(true));
     }
-    Word reg = b.dff_word(name, w, EndpointClass::kData);
+    Word reg = b.dff_word(w, EndpointClass::kData);
     b.connect_word(reg, cur);
     return reg;
   };
-  taps.op_a_reg = read_port(ports.op_a, "rf_a_reg");
-  taps.op_b_reg = read_port(ports.op_b, "rf_b_reg");
+  taps.op_a_reg = read_port(ports.op_a);
+  taps.op_b_reg = read_port(ports.op_b);
 
   // ---------------------------------------------------------------- RA --
   // Declared early because the bypass network forwards from EX / ME.
   b.begin_component(kEx, 3.5f, 0.5f);
-  taps.ex_result_reg = b.dff_word("ex_result", w, EndpointClass::kData);
+  taps.ex_result_reg = b.dff_word(w, EndpointClass::kData);
   b.begin_component(kMe, 4.5f, 0.5f);
-  taps.me_result_reg = b.dff_word("me_result", w, EndpointClass::kData);
+  taps.me_result_reg = b.dff_word(w, EndpointClass::kData);
 
   b.begin_component(kRa, 2.5f, 0.6f);
-  ports.bypass_a = b.input_word("bypass_a", 2);
-  ports.bypass_b = b.input_word("bypass_b", 2);
-  auto bypass = [&](const Word& reg_val, const Word& sel, const std::string& name) {
+  ports.bypass_a = b.input_word(2);
+  ports.bypass_b = b.input_word(2);
+  auto bypass = [&](const Word& reg_val, const Word& sel) {
     // 00: register value, 01: forward from EX, 1x: forward from ME.
     Word lvl1 = b.mux_word(reg_val, taps.ex_result_reg, sel[0]);
     Word lvl2 = b.mux_word(lvl1, taps.me_result_reg, sel[1]);
-    Word reg = b.dff_word(name, w, EndpointClass::kData);
+    Word reg = b.dff_word(w, EndpointClass::kData);
     b.connect_word(reg, lvl2);
     return reg;
   };
-  taps.ra_a_reg = bypass(taps.op_a_reg, ports.bypass_a, "ra_a");
-  taps.ra_b_reg = bypass(taps.op_b_reg, ports.bypass_b, "ra_b");
+  taps.ra_a_reg = bypass(taps.op_a_reg, ports.bypass_a);
+  taps.ra_b_reg = bypass(taps.op_b_reg, ports.bypass_b);
 
-  Word imm_ra_reg = b.dff_word("imm_ra", w, EndpointClass::kData);
+  Word imm_ra_reg = b.dff_word(w, EndpointClass::kData);
   b.connect_word(imm_ra_reg, imm_de_reg);
 
   // Branch comparator + hazard cloud.
@@ -127,17 +127,17 @@ Pipeline build_pipeline(const PipelineConfig& config) {
   Word ra_in = de_state;
   ra_in.push_back(cmp_eq);
   Word ra_cloud = b.random_cloud(ra_in, kCloudWidth, kCloudDepth);
-  Word ra_state = b.dff_word("ra_state", kCtrlStateBits, EndpointClass::kControl);
+  Word ra_state = b.dff_word(kCtrlStateBits, EndpointClass::kControl);
   for (std::size_t i = 0; i < ra_state.size(); ++i)
     b.connect(ra_state[i], ra_cloud[i % ra_cloud.size()]);
 
   // ---------------------------------------------------------------- EX --
   b.begin_component(kEx, 3.5f, 0.75f);
-  ports.sel_imm = b.input("sel_imm");
-  ports.sub_mode = b.input("sub_mode");
-  ports.alu_sel = b.input_word("alu_sel", 2);
-  ports.logic_sel = b.input_word("logic_sel", 2);
-  ports.shift_dir = b.input("shift_dir");
+  ports.sel_imm = b.input();
+  ports.sub_mode = b.input();
+  ports.alu_sel = b.input_word(2);
+  ports.logic_sel = b.input_word(2);
+  ports.shift_dir = b.input();
 
   Word opb_mux = b.mux_word(taps.ra_b_reg, imm_ra_reg, ports.sel_imm);
   // Add / subtract: b XOR sub_mode with carry-in sub_mode.
@@ -177,8 +177,8 @@ Pipeline build_pipeline(const PipelineConfig& config) {
   const GateId same_in = b.gate(GateKind::kXnor2, a_msb, b_msb);
   const GateId diff_out = b.gate(GateKind::kXor2, a_msb, r_msb);
   const GateId cc_v = b.gate(GateKind::kAnd2, same_in, diff_out);
-  taps.cc_reg = {b.dff("cc_n", EndpointClass::kData), b.dff("cc_z", EndpointClass::kData),
-                 b.dff("cc_c", EndpointClass::kData), b.dff("cc_v", EndpointClass::kData)};
+  taps.cc_reg = {b.dff(EndpointClass::kData), b.dff(EndpointClass::kData),
+                 b.dff(EndpointClass::kData), b.dff(EndpointClass::kData)};
   b.connect(taps.cc_reg[0], cc_n);
   b.connect(taps.cc_reg[1], cc_z);
   b.connect(taps.cc_reg[2], cc_c);
@@ -189,17 +189,17 @@ Pipeline build_pipeline(const PipelineConfig& config) {
   Word ex_in = ra_state;
   ex_in.push_back(add.carry_out);
   Word ex_cloud = b.random_cloud(ex_in, kCloudWidth, kCloudDepth);
-  Word ex_state = b.dff_word("ex_state", kCtrlStateBits, EndpointClass::kControl);
+  Word ex_state = b.dff_word(kCtrlStateBits, EndpointClass::kControl);
   for (std::size_t i = 0; i < ex_state.size(); ++i)
     b.connect(ex_state[i], ex_cloud[i % ex_cloud.size()]);
 
   // ---------------------------------------------------------------- ME --
   b.begin_component(kMe, 4.5f, 0.8f);
-  taps.mem_addr_reg = b.dff_word("mem_addr", w, EndpointClass::kData);
+  taps.mem_addr_reg = b.dff_word(w, EndpointClass::kData);
   b.connect_word(taps.mem_addr_reg, taps.ex_result_reg);
 
-  ports.mem_data = b.input_word("mem_data", w);
-  ports.mem_is_load = b.input("mem_is_load");
+  ports.mem_data = b.input_word(w);
+  ports.mem_is_load = b.input();
   Word me_mux = b.mux_word(taps.ex_result_reg, ports.mem_data, ports.mem_is_load);
   b.connect_word(taps.me_result_reg, me_mux);
 
@@ -207,27 +207,27 @@ Pipeline build_pipeline(const PipelineConfig& config) {
   Word me_in = ex_state;
   me_in.push_back(ports.mem_is_load);
   Word me_cloud = b.random_cloud(me_in, kCloudWidth, kCloudDepth);
-  Word me_state = b.dff_word("me_state", kCtrlStateBits, EndpointClass::kControl);
+  Word me_state = b.dff_word(kCtrlStateBits, EndpointClass::kControl);
   for (std::size_t i = 0; i < me_state.size(); ++i)
     b.connect(me_state[i], me_cloud[i % me_cloud.size()]);
 
   // ---------------------------------------------------------------- WB --
   b.begin_component(kWb, 5.5f, 0.6f);
-  taps.wb_result_reg = b.dff_word("wb_result", w, EndpointClass::kData);
+  taps.wb_result_reg = b.dff_word(w, EndpointClass::kData);
   // Writeback passes the ME result through a commit mux (pass-through
   // select models the regfile write port enable).
   Word wb_mux = b.mux_word(taps.me_result_reg, taps.me_result_reg, me_state[0]);
   b.connect_word(taps.wb_result_reg, wb_mux);
   for (int i = 0; i < w; i += 8)
-    b.output("commit[" + std::to_string(i) + "]", taps.wb_result_reg[static_cast<std::size_t>(i)],
+    b.output(taps.wb_result_reg[static_cast<std::size_t>(i)],
              EndpointClass::kData);
 
   b.begin_component(kWb, 5.5f, 0.15f);
-  ports.ctrl_noise = b.input_word("ctrl_noise", 4);
+  ports.ctrl_noise = b.input_word(4);
   Word wb_in = me_state;
   wb_in.insert(wb_in.end(), ports.ctrl_noise.begin(), ports.ctrl_noise.end());
   Word wb_cloud = b.random_cloud(wb_in, kCloudWidth, kCloudDepth);
-  Word wb_state = b.dff_word("wb_state", kCtrlStateBits, EndpointClass::kControl);
+  Word wb_state = b.dff_word(kCtrlStateBits, EndpointClass::kControl);
   for (std::size_t i = 0; i < wb_state.size(); ++i)
     b.connect(wb_state[i], wb_cloud[i % wb_cloud.size()]);
 

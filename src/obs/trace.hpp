@@ -17,11 +17,13 @@
 //   }
 //   obs::Tracer::instance().write_chrome_trace(file);
 //
-// The tracer keeps one span stack per thread (pool workers emit their own
-// spans, attributed via a `worker` counter and a per-thread `tid` in the
-// Chrome export); within a thread spans must strictly nest, which RAII
-// enforces.  begin/end/counter are mutex-protected — tracing is opt-in
-// profiling, so the lock is acceptable and keeps worker spans readable.
+// Each recording thread appends to a span log of its own, so recording
+// takes no lock: pool workers emit their own spans, attributed via a
+// `worker` counter and a per-thread `tid` in the Chrome export.  Within a
+// thread spans must strictly nest, which RAII enforces.  Span names and
+// counter keys are string literals, which the tracer keeps by pointer.
+// The readers (nodes(), dropped(), the writers) and reset() run while no
+// thread records, after the traced work.
 //
 // The span buffer is bounded (kDefaultSpanLimit, 1M spans): once full,
 // new spans are counted in dropped() and the `trace.dropped` metric
@@ -35,12 +37,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <mutex>
 #include <ostream>
-#include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -52,12 +53,12 @@ class Tracer {
 
   /// One completed (or open) span.  `end_ns == 0` means still open.
   struct Node {
-    std::string name;
+    std::string_view name;  ///< a string literal
     std::uint64_t start_ns = 0;
     std::uint64_t end_ns = 0;
     std::size_t parent = kNoParent;  ///< index into nodes(), kNoParent = root
     std::uint32_t tid = 0;           ///< recording thread (0 = first seen, usually main)
-    std::vector<std::pair<std::string, double>> counters;
+    std::vector<std::pair<std::string_view, double>> counters;
   };
   static constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
   /// Sentinel index returned by begin_span once the buffer is full; the
@@ -72,20 +73,27 @@ class Tracer {
   /// Cap the recorded-span buffer (existing spans are kept even if over a
   /// newly lowered cap; only future begin_span calls are affected).  Only
   /// tests lower it.
-  void set_span_limit(std::size_t limit);
+  void set_span_limit(std::size_t limit) { limit_.store(limit, std::memory_order_relaxed); }
   /// Spans discarded because the buffer was full (since last reset()).
-  [[nodiscard]] std::uint64_t dropped() const;
+  [[nodiscard]] std::uint64_t dropped() const {
+    return dropped_.load(std::memory_order_relaxed);
+  }
 
   /// Drop all recorded spans and the dropped count (keeps the enabled
-  /// flag and the span limit).
+  /// flag and the span limit); thread ids restart at 0.
   void reset();
 
-  /// Low-level span API; prefer ScopedSpan.
+  /// Low-level span API; prefer ScopedSpan.  `name` and `key` must outlive
+  /// the recorded spans: pass string literals.  The index is the span's
+  /// position in its thread's log.
   std::size_t begin_span(std::string_view name);
   void end_span(std::size_t index);
   void span_counter(std::size_t index, std::string_view key, double value);
 
-  [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
+  /// Every recorded span, thread by thread in order of first use, each
+  /// thread's in the order begun.  The reference stays valid until the
+  /// next nodes() or reset().
+  [[nodiscard]] const std::vector<Node>& nodes() const;
   /// Nanoseconds since the tracer's epoch (steady clock).
   [[nodiscard]] std::uint64_t now_ns() const;
 
@@ -100,27 +108,44 @@ class Tracer {
   void write_folded(std::ostream& os) const;
 
  private:
+  /// One thread's spans, with parents indexed within the log.  A deque
+  /// grows without moving what it holds, so a long trace never pays for
+  /// copying its spans into fresh memory.
+  struct Log {
+    std::uint32_t tid = 0;
+    std::uint64_t generation = 0;  ///< reset() count when the thread joined
+    std::deque<Node> nodes;
+    std::vector<std::size_t> open;  ///< stack of open spans
+  };
+
   Tracer() : epoch_(std::chrono::steady_clock::now()) {}
+  /// The calling thread's log, registered on its first span after a reset.
+  Log& log();
+  /// The logs that hold spans of the current generation, by tid.
+  [[nodiscard]] std::vector<const Log*> current_logs() const;
 
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mutex_;  ///< guards nodes_, stacks_, tids_, limit_, dropped_
-  std::size_t limit_ = kDefaultSpanLimit;
-  std::uint64_t dropped_ = 0;
-  std::vector<Node> nodes_;
-  /// Open-span stack per recording thread; spans nest within a thread.
-  std::unordered_map<std::thread::id, std::vector<std::size_t>> stacks_;
-  std::unordered_map<std::thread::id, std::uint32_t> tids_;
+  std::atomic<std::size_t> limit_{kDefaultSpanLimit};
+  std::atomic<std::size_t> recorded_{0};
+  std::atomic<std::uint64_t> dropped_{0};
+  std::atomic<std::uint64_t> generation_{0};
+  mutable std::mutex mutex_;  ///< guards logs_ and next_tid_
+  std::vector<std::unique_ptr<Log>> logs_;  ///< one per thread that ever recorded
+  std::uint32_t next_tid_ = 0;
+  mutable std::vector<Node> merged_;  ///< nodes()'s view
 };
 
 /// RAII span.  Captures the tracer's enabled state at construction, so
 /// toggling mid-span cannot unbalance the stack.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(std::string_view name) {
+  /// `name` is a string literal: the tracer keeps it by pointer.
+  template <std::size_t N>
+  explicit ScopedSpan(const char (&name)[N]) {
     if (Tracer::instance().enabled()) {
       active_ = true;
-      index_ = Tracer::instance().begin_span(name);
+      index_ = Tracer::instance().begin_span(std::string_view(name, N - 1));
     }
   }
   ~ScopedSpan() {
@@ -129,9 +154,11 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// Attach a named counter to this span (shows up in trace args).
-  void counter(std::string_view key, double value) {
-    if (active_) Tracer::instance().span_counter(index_, key, value);
+  /// Attach a named counter (a string literal) to this span (shows up in
+  /// trace args).
+  template <std::size_t N>
+  void counter(const char (&key)[N], double value) {
+    if (active_) Tracer::instance().span_counter(index_, std::string_view(key, N - 1), value);
   }
   [[nodiscard]] bool active() const { return active_; }
 

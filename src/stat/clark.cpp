@@ -57,18 +57,18 @@ double clark_min_cov(double cov_ay, double cov_by, double tightness_a) {
   return cov_ay * tightness_a + cov_by * (1.0 - tightness_a);
 }
 
-namespace {
-
-// Works on copies of the inputs: maintains the active set and a covariance
-// matrix, combining two elements per step until one remains.
-Gaussian statistical_min_impl(std::vector<Gaussian> vars, std::vector<double> cov,
-                              MinOrdering ordering) {
+// Maintains the active set and the covariance matrix in the scratch,
+// combining two elements per step until one remains.
+Gaussian statistical_min(MinScratch& scratch, MinOrdering ordering) {
+  std::vector<Gaussian>& vars = scratch.vars;
+  std::vector<double>& cov = scratch.cov;
   const std::size_t n0 = vars.size();
   TE_REQUIRE(n0 > 0, "statistical_min of an empty set");
   TE_REQUIRE(cov.size() == n0 * n0, "covariance matrix size mismatch");
   if (n0 == 1) return vars[0];
 
-  std::vector<std::size_t> active(n0);
+  std::vector<std::size_t>& active = scratch.active;
+  active.resize(n0);
   for (std::size_t i = 0; i < n0; ++i) active[i] = i;
 
   if (ordering == MinOrdering::kByMean) {
@@ -139,11 +139,10 @@ Gaussian statistical_min_impl(std::vector<Gaussian> vars, std::vector<double> co
   return vars[active[0]];
 }
 
-}  // namespace
-
 Gaussian statistical_min(const std::vector<Gaussian>& vars, const std::vector<double>& cov,
                          MinOrdering ordering) {
-  return statistical_min_impl(vars, cov, ordering);
+  MinScratch scratch{vars, cov, {}};
+  return statistical_min(scratch, ordering);
 }
 
 }  // namespace terrors::stat

@@ -43,10 +43,21 @@ enum class MinOrdering {
   kGreedyTightness,  ///< Sinha-style: smallest nonlinear-term pair first
 };
 
+/// The operands of a statistical_min and its working set, kept by a caller
+/// that takes many minima so that no call allocates.
+struct MinScratch {
+  std::vector<Gaussian> vars;
+  std::vector<double> cov;  ///< row-major vars.size()^2
+  std::vector<std::size_t> active;
+};
+
 /// Gaussian approximation of min(X_1..X_n) for jointly normal X with the
 /// given means/sds and covariance matrix (row-major n*n).  Empty input is
 /// not allowed.  Single element returns itself exactly.
 Gaussian statistical_min(const std::vector<Gaussian>& vars, const std::vector<double>& cov,
                          MinOrdering ordering = MinOrdering::kGreedyTightness);
+/// The same minimum of scratch.vars under scratch.cov, computed in place:
+/// it overwrites both.
+Gaussian statistical_min(MinScratch& scratch, MinOrdering ordering = MinOrdering::kGreedyTightness);
 
 }  // namespace terrors::stat

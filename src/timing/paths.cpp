@@ -13,16 +13,6 @@ using netlist::Gate;
 using netlist::GateId;
 using netlist::GateKind;
 
-double PathStat::variance() const {
-  double v = g_loading * g_loading + indep_var;
-  for (double s : s_loading) v += s * s;
-  return v;
-}
-
-stat::Gaussian PathStat::slack(const TimingSpec& spec) const {
-  return {spec.period_ps - spec.setup_ps - mean, std::sqrt(variance())};
-}
-
 PathStat path_stat(const TimingPath& path, const VariationModel& vm) {
   PathStat st;
   st.s_loading.assign(vm.anchor_count(), 0.0);
@@ -44,11 +34,13 @@ PathStat path_stat(const TimingPath& path, const VariationModel& vm) {
       const double scale = std::sqrt(spatial_var);
       for (std::size_t k = 0; k < w.size(); ++k) st.s_loading[k] += scale * w[k];
     }
-    const double is = vm.indep_sigma(g);
-    st.indep_var += is * is;
+    st.indep_var += vm.indep_variance(g);
   }
   st.sorted_gates = path.gates;
   std::sort(st.sorted_gates.begin(), st.sorted_gates.end());
+  st.var = st.g_loading * st.g_loading + st.indep_var;
+  for (double s : st.s_loading) st.var += s * s;
+  st.sd = std::sqrt(st.var);
   return st;
 }
 
@@ -65,8 +57,7 @@ double path_cov(const PathStat& a, const PathStat& b, const VariationModel& vm) 
     } else if (a.sorted_gates[i] > b.sorted_gates[j]) {
       ++j;
     } else {
-      const double is = vm.indep_sigma(a.sorted_gates[i]);
-      cov += is * is;
+      cov += vm.indep_variance(a.sorted_gates[i]);
       ++i;
       ++j;
     }

@@ -39,10 +39,16 @@ struct PathStat {
   std::vector<double> s_loading;
   double indep_var = 0.0;
   std::vector<netlist::GateId> sorted_gates;  ///< for shared-gate covariance
+  /// g_loading^2 + indep_var + sum of s_loading^2, and its square root;
+  /// path_stat sets both once, since every query reads them.
+  double var = 0.0;
+  double sd = 0.0;
 
-  [[nodiscard]] double variance() const;
+  [[nodiscard]] double variance() const { return var; }
   /// Gaussian slack under `spec`.
-  [[nodiscard]] stat::Gaussian slack(const TimingSpec& spec) const;
+  [[nodiscard]] stat::Gaussian slack(const TimingSpec& spec) const {
+    return {spec.period_ps - spec.setup_ps - mean, sd};
+  }
 };
 
 /// Delay statistics of a path.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "support/check.hpp"
 
@@ -77,7 +76,8 @@ std::vector<double> activated_arrivals(const netlist::Netlist& nl,
                                        const ChipSample* chip) {
   // The extra entry is the zero slot that unused program fanins read.
   std::vector<double> arr(nl.size() + 1, -std::numeric_limits<double>::infinity());
-  activated_arrivals(nl, nl.program(), nl.launch_points(), activated, arr, chip);
+  std::vector<const netlist::ProgramGate*> live;
+  activated_arrivals(nl, nl.program(), nl.launch_points(), activated, arr, live, chip);
   arr.pop_back();
   return arr;
 }
@@ -85,7 +85,7 @@ std::vector<double> activated_arrivals(const netlist::Netlist& nl,
 void activated_arrivals(const netlist::Netlist& nl, std::span<const netlist::ProgramGate> gates,
                         std::span<const GateId> launches,
                         const std::vector<std::uint8_t>& activated, std::span<double> arr,
-                        const ChipSample* chip) {
+                        std::vector<const netlist::ProgramGate*>& live, const ChipSample* chip) {
   TE_REQUIRE(activated.size() == nl.size(), "activation flag size mismatch");
   TE_REQUIRE(arr.size() == nl.size() + 1, "arrival buffer size mismatch");
   TE_REQUIRE(chip == nullptr || chip->size() == nl.size(), "chip sample size mismatch");
@@ -94,7 +94,7 @@ void activated_arrivals(const netlist::Netlist& nl, std::span<const netlist::Pro
   // Gather the activated gates without branching on the flags, which are
   // unpredictable; then relax only those.  A gate no activated path
   // reaches keeps -inf, since -inf + delay == -inf.
-  const auto live = std::make_unique_for_overwrite<const netlist::ProgramGate*[]>(gates.size());
+  if (live.size() < gates.size()) live.resize(gates.size());
   std::size_t count = 0;
   for (const netlist::ProgramGate& pg : gates) {
     arr[pg.out] = kNegInf;

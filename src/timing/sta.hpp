@@ -75,10 +75,12 @@ std::vector<double> activated_arrivals(const netlist::Netlist& nl,
 /// where no activated path reaches g) and reads nothing else but
 /// arr[nl.zero_slot()], which must hold -inf; `arr` has nl.size() + 1
 /// entries.  Each gate's arrival depends only on its fanins, so a cone's
-/// entries equal the bulk variant's bit for bit.
+/// entries equal the bulk variant's bit for bit.  `live` is scratch that a
+/// caller running many DPs keeps, so that no call allocates.
 void activated_arrivals(const netlist::Netlist& nl, std::span<const netlist::ProgramGate> gates,
                         std::span<const netlist::GateId> launches,
                         const std::vector<std::uint8_t>& activated, std::span<double> arr,
+                        std::vector<const netlist::ProgramGate*>& live,
                         const ChipSample* chip = nullptr);
 
 }  // namespace terrors::timing

@@ -78,6 +78,12 @@ VariationModel::VariationModel(const netlist::Netlist& nl, const VariationConfig
       anchor_weights_[g] = std::move(w);
     }
   }
+
+  indep_var_.resize(nl.size());
+  for (netlist::GateId g = 0; g < nl.size(); ++g) {
+    const double is = indep_sigma(g);
+    indep_var_[g] = is * is;
+  }
 }
 
 double VariationModel::mean(netlist::GateId g) const { return nl_.gate(g).delay_ps; }

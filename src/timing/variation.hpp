@@ -56,6 +56,9 @@ class VariationModel {
   [[nodiscard]] double global_loading(netlist::GateId g) const;
   [[nodiscard]] const std::vector<float>& spatial_loadings(netlist::GateId g) const;
   [[nodiscard]] double indep_sigma(netlist::GateId g) const;
+  /// indep_sigma(g) squared, tabulated: path statistics and covariances
+  /// add it once per gate.
+  [[nodiscard]] double indep_variance(netlist::GateId g) const { return indep_var_[g]; }
 
   /// Draw a manufactured chip (deterministic in the RNG state).
   [[nodiscard]] ChipSample sample_chip(support::Rng& rng) const;
@@ -70,6 +73,7 @@ class VariationModel {
   std::vector<double> anchor_y_;
   /// Per-gate unit-norm anchor weights (empty rows when spatial disabled).
   std::vector<std::vector<float>> anchor_weights_;
+  std::vector<double> indep_var_;  ///< indep_sigma(g)^2 by gate id
 };
 
 }  // namespace terrors::timing

@@ -520,6 +520,7 @@ TEST(ConeDp, MatchesWholeNetlistDpOnEveryStageCone) {
 
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   std::vector<double> arr(nl.size() + 1);
+  std::vector<const netlist::ProgramGate*> live;
   for (std::size_t t = 0; t < patterns.size(); ++t) {
     const std::vector<double> full = timing::activated_arrivals(nl, patterns[t]);
     for (std::uint8_t s = 0; s < Pipeline::kStages; ++s) {
@@ -530,7 +531,7 @@ TEST(ConeDp, MatchesWholeNetlistDpOnEveryStageCone) {
         // turns an arrival into +inf.
         std::fill(arr.begin(), arr.end(), std::numeric_limits<double>::infinity());
         arr.back() = kNegInf;
-        timing::activated_arrivals(nl, cone.gates, cone.launches, patterns[t], arr);
+        timing::activated_arrivals(nl, cone.gates, cone.launches, patterns[t], arr, live);
         std::size_t wrong = 0;
         for (const netlist::ProgramGate& pg : cone.gates)
           wrong += same_bits(arr[pg.out], full[pg.out]) ? 0 : 1;
@@ -709,6 +710,48 @@ TEST(ControlCharacterizer, DpMemoKeysDoNotAliasAcrossEndpoints) {
     with_dts += want.has_value() ? 1 : 0;
   }
   EXPECT_GT(with_dts, 20u);
+}
+
+TEST(DtsAnalyzer, ActivatedCandidatesNeverExceedTheDpArrival) {
+  // endpoint_critical_activated skips every candidate whose PathStat::mean
+  // exceeds the DP's arrival at the endpoint's D input: the mean and the DP
+  // add the same per-gate delays in the same order, so an activated
+  // candidate's mean is at most the DP's maximum, exactly.
+  const auto prog = profiled("patricia");
+  ASSERT_NE(prog, nullptr);
+  const netlist::Netlist& nl = shared_pipeline().netlist;
+  DtsAnalyzer analyzer(nl, shared_vm(), timing::TimingSpec{1300.0});
+  std::vector<std::vector<std::uint8_t>> queried;
+  (void)reference_characterize(prog->program, prog->cfg, prog->executor.profile(), analyzer,
+                               &queried);
+  ASSERT_GT(queried.size(), 2000u);
+  std::size_t activated = 0;
+  std::size_t pruned = 0;
+  double max_excess = -std::numeric_limits<double>::infinity();
+  // reference_characterize queries stages 0..5 per instruction, in order.
+  for (std::size_t i = 0; i < queried.size(); ++i) {
+    const std::vector<std::uint8_t>& flags = queried[i];
+    const auto stage = static_cast<std::uint8_t>(i % Pipeline::kStages);
+    const netlist::Cone& cone = nl.stage_cone(stage, EndpointClass::kControl);
+    const std::vector<double> arr = timing::activated_arrivals(nl, flags);
+    for (netlist::GateId e : cone.endpoints) {
+      const netlist::GateId d = nl.gate(e).fanin[0];
+      if (flags[d] == 0) continue;
+      for (const auto& [path, stat] : analyzer.endpoint_path_stats(e, analyzer.config().top_k)) {
+        const bool on = std::all_of(path->gates.begin(), path->gates.end(),
+                                    [&](netlist::GateId g) { return flags[g] != 0; });
+        if (!on) {
+          pruned += stat->mean > arr[d] ? 1 : 0;
+          continue;
+        }
+        ++activated;
+        max_excess = std::max(max_excess, stat->mean - arr[d]);
+      }
+    }
+  }
+  EXPECT_GT(activated, 10000u);
+  EXPECT_GT(pruned, activated);  // the bound rules most candidates out
+  EXPECT_LE(max_excess, 0.0) << "over " << activated << " activated candidates";
 }
 
 TEST(GraphDta, AggregatesWorstArrivals) {

@@ -264,12 +264,12 @@ InstrumentedRun analyze_instrumented(std::size_t threads, bool instrumented) {
 
   if (instrumented) {
     obs::Tracer::instance().set_enabled(false);
-    // The profile sees below dta.edge: the drive, and the lazy arrival DP
-    // inside Algorithm 2's stage-DTS loop.
+    // The profile sees below each characterisation batch: the drive, and
+    // the lazy arrival DP inside Algorithm 2's stage-DTS loop.
     std::ostringstream folded;
     obs::Tracer::instance().write_folded(folded);
-    EXPECT_NE(folded.str().find("dta.edge;sim.drive "), std::string::npos) << folded.str();
-    EXPECT_NE(folded.str().find("dta.edge;dta.stage_dts;timing.arrivals "), std::string::npos)
+    EXPECT_NE(folded.str().find("dta.batch;sim.drive "), std::string::npos) << folded.str();
+    EXPECT_NE(folded.str().find("dta.batch;dta.stage_dts;timing.arrivals "), std::string::npos)
         << folded.str();
     // The journal really was written.
     const auto events = report::load_journal(journal);

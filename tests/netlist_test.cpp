@@ -61,9 +61,9 @@ TEST(Netlist, SequentialLoopIsLegal) {
 
 TEST(Netlist, TopoOrderRespectsDependencies) {
   NetlistBuilder b(support::Rng(1));
-  auto w = b.input_word("a", 4);
+  auto w = b.input_word(4);
   auto inv = b.not_word(w);
-  auto r = b.dff_word("r", 4, EndpointClass::kData);
+  auto r = b.dff_word(4, EndpointClass::kData);
   b.connect_word(r, inv);
   Netlist& nl = b.netlist();
   nl.finalize(1);
@@ -91,8 +91,8 @@ TEST(Netlist, EndpointClassOnlyOnCaptureEndpoints) {
 
 TEST(Builder, AdderHasExpectedStructure) {
   NetlistBuilder b(support::Rng(2));
-  auto x = b.input_word("x", 8);
-  auto y = b.input_word("y", 8);
+  auto x = b.input_word(8);
+  auto y = b.input_word(8);
   auto r = b.ripple_adder(x, y);
   EXPECT_EQ(r.sum.size(), 8u);
   EXPECT_NE(r.carry_out, kNoGate);
@@ -106,9 +106,9 @@ TEST(Builder, AdderHasExpectedStructure) {
 
 TEST(Builder, MuxTreeRequiresPowerOfTwoOptions) {
   NetlistBuilder b(support::Rng(3));
-  auto a = b.input_word("a", 4);
-  auto c = b.input_word("c", 4);
-  auto sel = b.input_word("sel", 1);
+  auto a = b.input_word(4);
+  auto c = b.input_word(4);
+  auto sel = b.input_word(1);
   EXPECT_NO_THROW(b.mux_tree({a, c}, sel));
   EXPECT_THROW(b.mux_tree({a, c, a}, sel), std::invalid_argument);
 }
@@ -116,8 +116,8 @@ TEST(Builder, MuxTreeRequiresPowerOfTwoOptions) {
 TEST(Builder, DelayJitterPerturbsDelays) {
   NetlistBuilder b(support::Rng(4));
   b.set_delay_jitter(0.2);
-  auto x = b.input_word("x", 16);
-  auto y = b.input_word("y", 16);
+  auto x = b.input_word(16);
+  auto y = b.input_word(16);
   b.ripple_adder(x, y);
   auto& nl = b.netlist();
   // Among the XOR gates there should be delay diversity.
@@ -134,7 +134,7 @@ TEST(Builder, DelayJitterPerturbsDelays) {
 TEST(Builder, RandomCloudIsDeterministicInSeed) {
   auto build = [](std::uint64_t seed) {
     NetlistBuilder b{support::Rng(seed)};
-    auto in = b.input_word("i", 8);
+    auto in = b.input_word(8);
     b.random_cloud(in, 16, 4);
     return b.netlist().size();
   };

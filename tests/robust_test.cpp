@@ -430,9 +430,9 @@ TEST_F(RobustTest, WorkerRetryReproducesSerialResultExactly) {
 TEST_F(RobustTest, WorkerFaultsThroughAnalyzeKeepBitIdentity) {
   const core::BenchmarkResult baseline = run_analyze("");
 
-  // At 4 threads the characterizer fans out over the pool, so pool.task
-  // faults fire mid-analyze; the retried run must still match the serial
-  // unfaulted baseline exactly.
+  // At 4 threads the characterizer fans its batches out over the pool (at
+  // least two per worker), so pool.task faults fire mid-analyze; the
+  // retried run must still match the serial unfaulted baseline exactly.
   support::set_global_threads(4);
   robust::FaultInjector::instance().arm(robust::FaultPlan::parse("pool.task:key=2"));
   const core::BenchmarkResult faulted = run_analyze("");
@@ -441,8 +441,9 @@ TEST_F(RobustTest, WorkerFaultsThroughAnalyzeKeepBitIdentity) {
 
   expect_same_estimate(baseline, faulted);
   EXPECT_TRUE(faulted.degraded);
-  // key=2 fires once in the datapath training at construction and once
-  // in the characterisation; the run reports both as one pool entry.
+  // key=2 fires once in the datapath training at construction (query 2)
+  // and once in the characterisation (batch 2); the run reports both as
+  // one pool entry.
   ASSERT_EQ(faulted.degradation.size(), 1u);
   EXPECT_EQ(faulted.degradation[0].site, "pool");
   EXPECT_EQ(faulted.degradation[0].detail, "2 failed task(s) retried serially");

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <memory>
 #include <span>
 
 #include "netlist/builder.hpp"
@@ -27,8 +29,8 @@ struct AluFixture {
   GateId eq = netlist::kNoGate, carry = netlist::kNoGate;
 
   AluFixture() {
-    x = b.input_word("x", 16);
-    y = b.input_word("y", 16);
+    x = b.input_word(16);
+    y = b.input_word(16);
     auto add = b.ripple_adder(x, y);
     sum = add.sum;
     carry = add.carry_out;
@@ -68,8 +70,8 @@ class CarrySelectFunctional : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CarrySelectFunctional, MatchesIntegerAddition) {
   NetlistBuilder b{support::Rng(8)};
-  auto x = b.input_word("x", 16);
-  auto y = b.input_word("y", 16);
+  auto x = b.input_word(16);
+  auto y = b.input_word(16);
   auto cs = b.carry_select_adder(x, y, 4);
   b.netlist().finalize(1);
   LogicSimulator sim(b.netlist());
@@ -113,7 +115,7 @@ TEST(LogicSim, CarrySelectPipelineComputesAdds) {
 
 TEST(LogicSim, DecoderIsOneHot) {
   NetlistBuilder b(support::Rng(2));
-  auto sel = b.input_word("sel", 3);
+  auto sel = b.input_word(3);
   auto dec = b.decoder(sel);
   b.netlist().finalize(1);
   LogicSimulator sim(b.netlist());
@@ -126,8 +128,8 @@ TEST(LogicSim, DecoderIsOneHot) {
 
 TEST(LogicSim, DffCapturesPreviousCycleValue) {
   NetlistBuilder b(support::Rng(3));
-  const GateId in = b.input("d");
-  const GateId q = b.dff("q", EndpointClass::kControl);
+  const GateId in = b.input();
+  const GateId q = b.dff(EndpointClass::kControl);
   b.connect(q, in);
   b.netlist().finalize(1);
   LogicSimulator sim(b.netlist());
@@ -143,8 +145,8 @@ TEST(LogicSim, DffCapturesPreviousCycleValue) {
 
 TEST(LogicSim, ActivationMatchesValueChanges) {
   NetlistBuilder b(support::Rng(4));
-  auto x = b.input_word("x", 8);
-  auto y = b.input_word("y", 8);
+  auto x = b.input_word(8);
+  auto y = b.input_word(8);
   auto add = b.ripple_adder(x, y);
   (void)add;
   b.netlist().finalize(1);
@@ -167,8 +169,8 @@ TEST(LogicSim, ActivationMatchesValueChanges) {
 
 TEST(LogicSim, CarryChainActivationDependsOnOperands) {
   NetlistBuilder b(support::Rng(5));
-  auto x = b.input_word("x", 16);
-  auto y = b.input_word("y", 16);
+  auto x = b.input_word(16);
+  auto y = b.input_word(16);
   auto add = b.ripple_adder(x, y);
   b.netlist().finalize(1);
   LogicSimulator sim(b.netlist());
@@ -188,6 +190,12 @@ TEST(LogicSim, CarryChainActivationDependsOnOperands) {
 /// over Gate structs and netlist::eval_gate.  Constants are re-applied
 /// after every settle, which must give the same values as the simulator
 /// writing them once at reset.
+std::uint64_t count_bits(std::uint64_t x) {
+  std::uint64_t n = 0;
+  for (; x != 0; x &= x - 1) ++n;
+  return n;
+}
+
 class ReferenceSim {
  public:
   explicit ReferenceSim(const netlist::Netlist& nl)
@@ -279,6 +287,89 @@ TEST(LogicSim, CompiledProgramMatchesReferenceEvaluator) {
       for (GateId g : const1_fed) const1_fed_toggles += sim.activated(g) ? 1 : 0;
   }
   EXPECT_GT(const1_fed_toggles, 0u);
+}
+
+/// Lanes are independent streams: with `lanes` lanes driven by random
+/// streams of unequal length (and the finished lanes still driven), every
+/// live lane's values and flags equal a single-stream run's and the scalar
+/// oracle's in every cycle, and the work counters count live lanes only.
+void expect_lanes_match_single_streams(const netlist::Netlist& nl, unsigned lanes,
+                                       std::uint64_t seed) {
+  support::Rng rng(seed);
+  LogicSimulator batch(nl);
+  std::vector<std::unique_ptr<LogicSimulator>> single;
+  std::vector<std::unique_ptr<ReferenceSim>> ref;
+  std::vector<std::size_t> length(lanes);
+  std::size_t cycles = 0;
+  for (unsigned l = 0; l < lanes; ++l) {
+    single.push_back(std::make_unique<LogicSimulator>(nl));
+    ref.push_back(std::make_unique<ReferenceSim>(nl));
+    length[l] = 2 + rng.next_u64() % 14;
+    cycles = std::max(cycles, length[l]);
+  }
+  // The inputs in words of at most 64.
+  std::vector<std::vector<GateId>> words;
+  for (std::size_t i = 0; i < nl.inputs().size(); i += 64)
+    words.emplace_back(nl.inputs().begin() + static_cast<std::ptrdiff_t>(i),
+                       nl.inputs().begin() +
+                           static_cast<std::ptrdiff_t>(std::min(i + 64, nl.inputs().size())));
+  obs::Counter& cycles_metric = obs::MetricsRegistry::instance().counter("sim.cycles");
+  obs::Counter& toggles_metric = obs::MetricsRegistry::instance().counter("sim.gate_toggles");
+  std::vector<std::uint8_t> flags(nl.size());
+  std::size_t compared = 0;
+  for (std::size_t t = 0; t < cycles; ++t) {
+    LogicSimulator::Lanes live = 0;
+    std::size_t want_toggles = 0;
+    for (const auto& word : words) {
+      LogicSimulator::LaneValues values{};
+      for (unsigned l = 0; l < LogicSimulator::kLanes; ++l) values[l] = rng.next_u64();
+      batch.drive_word_lanes(word, values);
+      for (unsigned l = 0; l < lanes; ++l) {
+        if (t >= length[l]) continue;
+        single[l]->set_input_word(word, values[l]);
+        for (std::size_t i = 0; i < word.size(); ++i)
+          ref[l]->set_input(word[i], ((values[l] >> i) & 1u) != 0);
+      }
+    }
+    for (unsigned l = 0; l < lanes; ++l) {
+      if (t >= length[l]) continue;
+      live |= LogicSimulator::Lanes{1} << l;
+      single[l]->step();
+      want_toggles += ref[l]->step();
+    }
+    const std::uint64_t cycles_before = cycles_metric.value();
+    const std::uint64_t toggles_before = toggles_metric.value();
+    batch.set_live(live);
+    batch.step();
+    ASSERT_EQ(cycles_metric.value() - cycles_before, count_bits(live)) << "cycle " << t;
+    ASSERT_EQ(toggles_metric.value() - toggles_before, want_toggles) << "cycle " << t;
+    for (unsigned l = 0; l < lanes; ++l) {
+      if (t >= length[l]) continue;
+      batch.lane_flags(l, flags);
+      const std::vector<std::uint8_t> single_flags = single[l]->activation_flags();
+      for (GateId g = 0; g < nl.size(); ++g) {
+        const bool v = ((batch.value_lanes(g) >> l) & 1u) != 0;
+        const bool a = ((batch.activated_lanes(g) >> l) & 1u) != 0;
+        ASSERT_EQ(v, single[l]->value(g)) << lanes << " lanes, lane " << l << ", cycle " << t
+                                          << ", gate " << g;
+        ASSERT_EQ(v, ref[l]->value(g)) << "lane " << l << ", cycle " << t << ", gate " << g;
+        ASSERT_EQ(a, single[l]->activated(g)) << "lane " << l << ", cycle " << t << ", gate " << g;
+        ASSERT_EQ(a, ref[l]->activated(g)) << "lane " << l << ", cycle " << t << ", gate " << g;
+        ASSERT_EQ(flags[g], a ? 1 : 0) << "lane " << l << ", cycle " << t << ", gate " << g;
+        ASSERT_EQ(single_flags[g], a ? 1 : 0) << "lane " << l << ", cycle " << t;
+      }
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, lanes);
+}
+
+TEST(LogicSim, LanesMatchSingleStreamsAndTheOracle) {
+  const Pipeline p = netlist::build_pipeline({});
+  for (const unsigned lanes : {1u, 2u, 63u, 64u}) {
+    SCOPED_TRACE(lanes);
+    expect_lanes_match_single_streams(p.netlist, lanes, 100 + lanes);
+  }
 }
 
 TEST(PipelineSim, AddFlowsThroughDatapath) {

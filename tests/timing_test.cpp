@@ -28,13 +28,13 @@ struct TwoPathFixture {
   NetlistBuilder b{support::Rng(1)};
   GateId in, i1, i2, i3, bf, orr, q;
   TwoPathFixture() {
-    in = b.input("in");
+    in = b.input();
     i1 = b.gate(GateKind::kInv, in);
     i2 = b.gate(GateKind::kInv, i1);
     i3 = b.gate(GateKind::kInv, i2);
     bf = b.gate(GateKind::kBuf, in);
     orr = b.gate(GateKind::kOr2, i3, bf);
-    q = b.dff("q", EndpointClass::kData);
+    q = b.dff(EndpointClass::kData);
     b.connect(q, orr);
     b.netlist().finalize(1);
   }
@@ -92,10 +92,10 @@ TEST(ActivatedSta, AgreesWithSimulatorToggles) {
   // Drive the 16-bit adder and check the activated arrival at the sum MSB
   // register never exceeds static arrival.
   NetlistBuilder b(support::Rng(3));
-  auto x = b.input_word("x", 16);
-  auto y = b.input_word("y", 16);
+  auto x = b.input_word(16);
+  auto y = b.input_word(16);
   auto add = b.ripple_adder(x, y);
-  auto r = b.dff_word("r", 17, EndpointClass::kData);
+  auto r = b.dff_word(17, EndpointClass::kData);
   Word sum_and_carry = add.sum;
   sum_and_carry.push_back(add.carry_out);
   b.connect_word(r, sum_and_carry);
@@ -389,9 +389,9 @@ TEST_P(PathEnumerationVsBruteForce, AllPathsInDecreasingOrder) {
   support::Rng rng(GetParam());
   NetlistBuilder b{support::Rng(GetParam() * 31 + 1)};
   b.set_delay_jitter(0.2);
-  auto inputs = b.input_word("in", 4);
+  auto inputs = b.input_word(4);
   Word cloud = b.random_cloud(inputs, 6, 4);
-  Word regs = b.dff_word("q", 4, EndpointClass::kData);
+  Word regs = b.dff_word(4, EndpointClass::kData);
   for (std::size_t i = 0; i < regs.size(); ++i) b.connect(regs[i], cloud[i % cloud.size()]);
   b.netlist().finalize(1);
   const auto& nl = b.netlist();
@@ -416,10 +416,10 @@ TEST(PathEnumeration, GuardTripsOnExponentialAdder) {
   // A 24-bit ripple adder has ~2^24 paths to the carry-out: the guard must
   // trip rather than hang, and exhausted() must report false.
   NetlistBuilder b{support::Rng(9)};
-  auto x = b.input_word("x", 24);
-  auto y = b.input_word("y", 24);
+  auto x = b.input_word(24);
+  auto y = b.input_word(24);
   auto add = b.ripple_adder(x, y);
-  auto q = b.dff("q", EndpointClass::kData);
+  auto q = b.dff(EndpointClass::kData);
   b.connect(q, add.carry_out);
   b.netlist().finalize(1);
   timing::PathConfig cfg;
